@@ -439,11 +439,18 @@ func run(dataDir, vo, branch, listen, issue, publish string, shards int, syncWAL
 			log.Printf("gridbankd: publishing shard %d commit stream on %s", i, addr)
 		}
 	}
+	// Bind before logging, and log what was bound: under -listen host:0
+	// the kernel picks the port, and this line is where a supervisor
+	// learns it.
+	ln, err := net.Listen("tcp", listen)
+	if err != nil {
+		return err
+	}
 	log.Printf("gridbankd: %s branch %s serving on %s (CA %s)",
-		bankID.SubjectName(), branch, listen, pki.SubjectNameOf(ca.Certificate()))
+		bankID.SubjectName(), branch, ln.Addr(), pki.SubjectNameOf(ca.Certificate()))
 	log.Printf("gridbankd: topology: shards=%d publishers=%d usage_workers=%d obs=%s dedup_ttl=%v",
 		shards, publishers, topologyUsageWorkers(ucfg), topologyObs(obsBound), dedupTTL)
-	return srv.ListenAndServe(listen)
+	return srv.Serve(ln)
 }
 
 // ckptTelemetry aggregates checkpoint provenance across every store
@@ -636,9 +643,13 @@ func runReplica(dataDir, vo, listen, publisherAddr, primaryAddr string, shardIdx
 	if err != nil {
 		return err
 	}
+	ln, err := net.Listen("tcp", listen)
+	if err != nil {
+		return err
+	}
 	log.Printf("gridbankd: %s read replica of %s serving on %s (applied seq %d, obs %s)",
-		id.SubjectName(), publisherAddr, listen, fol.AppliedSeq(), topologyObs(obsBound))
-	return srv.ListenAndServe(listen)
+		id.SubjectName(), publisherAddr, ln.Addr(), fol.AppliedSeq(), topologyObs(obsBound))
+	return srv.Serve(ln)
 }
 
 // checkShardIndex verifies that the accounts a shard replica mirrored

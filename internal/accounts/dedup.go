@@ -82,10 +82,11 @@ func (m *Manager) PutDedupTx(tx *db.Tx, mk *DedupMarker) error {
 }
 
 // MaxDedupTxID scans the dedup markers for the highest pinned
-// transaction ID. A cross-shard keyed transfer durably pins its
-// allocated ID in a marker before driving 2PC, so after a crash the ID
-// may exist nowhere else — the sharded ledger folds this into its
-// transaction-ID seeding exactly as it does MaxReversalID.
+// transaction ID. Older binaries durably pinned a cross-shard keyed
+// transfer's allocated ID in its marker before moving any money, so
+// after their crash the ID may exist nowhere else — the sharded ledger
+// folds this into its transaction-ID seeding exactly as it does
+// MaxReversalID.
 func (m *Manager) MaxDedupTxID() (uint64, error) {
 	var maxID uint64
 	var scanErr error

@@ -390,53 +390,14 @@ func (m *Manager) UpdateDetails(id ID, certName, orgName string) (*Account, erro
 // payment guarantee — GridCheque issuance locks the reserved amount so
 // concurrent spending cannot overdraw past the credit limit.
 func (m *Manager) CheckFunds(id ID, amount currency.Amount) error {
-	if !amount.IsPositive() {
-		return ErrBadAmount
-	}
-	return m.store.Update(func(tx *db.Tx) error {
-		a, err := getAccount(tx, id)
-		if err != nil {
-			return err
-		}
-		if a.Closed {
-			return fmt.Errorf("%w: %s", ErrClosed, id)
-		}
-		if a.Spendable().Cmp(amount) < 0 {
-			return fmt.Errorf("%w: spendable %s < %s", ErrInsufficient, a.Spendable(), amount)
-		}
-		a.AvailableBalance = a.AvailableBalance.MustSub(amount)
-		a.LockedBalance = a.LockedBalance.MustAdd(amount)
-		if err := putAccount(tx, a); err != nil {
-			return err
-		}
-		_, err = m.appendTransaction(tx, &Transaction{AccountID: id, Type: TxLock, Date: m.now(), Amount: amount})
-		return err
-	})
+	return m.store.Update(func(tx *db.Tx) error { return m.LockTx(tx, id, amount) })
 }
 
 // Unlock releases previously locked funds back to the available balance
 // (e.g. a cheque expired unredeemed, or was redeemed below its reserved
 // amount).
 func (m *Manager) Unlock(id ID, amount currency.Amount) error {
-	if !amount.IsPositive() {
-		return ErrBadAmount
-	}
-	return m.store.Update(func(tx *db.Tx) error {
-		a, err := getAccount(tx, id)
-		if err != nil {
-			return err
-		}
-		if a.LockedBalance.Cmp(amount) < 0 {
-			return fmt.Errorf("%w: locked %s < %s", ErrInsufficientLock, a.LockedBalance, amount)
-		}
-		a.LockedBalance = a.LockedBalance.MustSub(amount)
-		a.AvailableBalance = a.AvailableBalance.MustAdd(amount)
-		if err := putAccount(tx, a); err != nil {
-			return err
-		}
-		_, err = m.appendTransaction(tx, &Transaction{AccountID: id, Type: TxUnlock, Date: m.now(), Amount: amount})
-		return err
-	})
+	return m.store.Update(func(tx *db.Tx) error { return m.UnlockTx(tx, id, amount) })
 }
 
 // TransferOptions modify Transfer behaviour.
@@ -452,6 +413,17 @@ type TransferOptions struct {
 	// a repeat call with the same key returns the recorded transfer
 	// instead of moving money again.
 	DedupKey string
+	// ReleaseLocked returns this much of the drawer's locked balance to
+	// its available balance in the same db transaction that debits the
+	// drawer, with its own Unlock TRANSACTION row: the unspent remainder
+	// of an instrument's lock, released exactly when the instrument pays.
+	ReleaseLocked currency.Amount
+	// InTx, when set, runs inside the db transaction that debits the
+	// drawer (on the drawer's store), before any ledger row is staged;
+	// an error aborts the whole transfer. Instrument registries flip
+	// their row here, so "paid" and "marked paid" are one commit. It may
+	// run more than once (OCC retry) and must depend only on tx.
+	InTx func(tx *db.Tx) error
 }
 
 // Transfer atomically moves amount from drawer to recipient, writing the
@@ -486,69 +458,32 @@ func (m *Manager) Transfer(drawer, recipient ID, amount currency.Amount, opts Tr
 				return nil
 			}
 		}
-		from, err := getAccount(tx, drawer)
-		if err != nil {
-			return err
-		}
 		to, err := getAccount(tx, recipient)
 		if err != nil {
 			return err
 		}
-		if from.Closed {
-			return fmt.Errorf("%w: %s", ErrClosed, drawer)
-		}
 		if to.Closed {
 			return fmt.Errorf("%w: %s", ErrClosed, recipient)
 		}
-		if from.Currency != to.Currency {
-			return fmt.Errorf("%w: %s is %s, %s is %s", ErrCurrencyMismatch, drawer, from.Currency, recipient, to.Currency)
-		}
-		if opts.FromLocked {
-			if from.LockedBalance.Cmp(amount) < 0 {
-				return fmt.Errorf("%w: locked %s < %s", ErrInsufficientLock, from.LockedBalance, amount)
-			}
-			from.LockedBalance = from.LockedBalance.MustSub(amount)
-		} else {
-			if from.Spendable().Cmp(amount) < 0 {
-				return fmt.Errorf("%w: spendable %s < %s", ErrInsufficient, from.Spendable(), amount)
-			}
-			from.AvailableBalance = from.AvailableBalance.MustSub(amount)
-		}
-		to.AvailableBalance = to.AvailableBalance.MustAdd(amount)
-		if err := putAccount(tx, from); err != nil {
-			return err
-		}
-		if err := putAccount(tx, to); err != nil {
-			return err
-		}
-		now := m.now()
-		neg, err := amount.Neg()
-		if err != nil {
-			return err
-		}
-		txID, err := m.appendTransaction(tx, &Transaction{AccountID: drawer, Type: TxTransfer, Date: now, Amount: neg})
-		if err != nil {
-			return err
-		}
-		if _, err := m.appendTransaction(tx, &Transaction{TransactionID: txID, AccountID: recipient, Type: TxTransfer, Date: now, Amount: amount}); err != nil {
-			return err
-		}
-		rec = &Transfer{
-			TransactionID:       txID,
-			Date:                now,
+		out := &Transfer{
+			Date:                m.now(),
 			DrawerAccountID:     drawer,
 			Amount:              amount,
 			RecipientAccountID:  recipient,
 			ResourceUsageRecord: opts.RUR,
 		}
-		if opts.DedupKey != "" {
-			// Same transaction as the transfer rows: the key is spent
-			// exactly when the money moves, never before or after.
-			if err := m.PutDedupTx(tx, &DedupMarker{Key: opts.DedupKey, TxID: txID, Date: now}); err != nil {
-				return err
-			}
+		if err := m.DebitTx(tx, out, to.Currency, opts); err != nil {
+			return err
 		}
-		return tx.Insert(tableTransfers, transferKey(txID), encodeTransfer(rec))
+		to.AvailableBalance = to.AvailableBalance.MustAdd(amount)
+		if err := putAccount(tx, to); err != nil {
+			return err
+		}
+		if _, err := m.appendTransaction(tx, &Transaction{TransactionID: out.TransactionID, AccountID: recipient, Type: TxTransfer, Date: out.Date, Amount: amount}); err != nil {
+			return err
+		}
+		rec = out
+		return nil
 	})
 	if err != nil {
 		return nil, err

@@ -1,22 +1,153 @@
 package accounts
 
 import (
+	"fmt"
+
+	"gridbank/internal/currency"
 	"gridbank/internal/db"
 )
 
 // Transaction-scoped ledger primitives for the sharding layer.
 //
 // A cross-shard transfer cannot go through Manager.Transfer — each of
-// its sides lives on a different store — so the two-phase-commit
-// coordinator in internal/shard composes its own db transactions:
-// reserve-and-prepare on the debit shard, credit-and-mark on the credit
-// shard, finalize on the debit shard. Each of those steps must mutate
+// its sides lives on a different store — so the cross-shard coordinator
+// in internal/shard composes its own db transactions: the commit point
+// on the debit shard, the credit on the credit shard, the outbox-row
+// clean-up on the debit shard. Each of those steps must mutate
 // an ACCOUNT row, append the proper §5.1 TRANSACTION/TRANSFER records
 // and write the coordinator's own bookkeeping rows atomically, in one
 // db.Tx per step. These helpers expose exactly the row-level operations
 // that requires, nothing more; every invariant beyond single-row
 // encoding (conservation, non-negative locks) remains the caller's to
-// uphold across the composed transaction.
+// uphold across the composed transaction. LockTx, UnlockTx and DebitTx
+// are the exception: each is a whole ledger step with its checks, so
+// an instrument registry (or the cross-shard coordinator) can commit it
+// together with rows of its own.
+
+// LockTx is the §3.4 fund lock inside tx: amount moves from the
+// available to the locked balance, with a Lock TRANSACTION row.
+func (m *Manager) LockTx(tx *db.Tx, id ID, amount currency.Amount) error {
+	if !amount.IsPositive() {
+		return ErrBadAmount
+	}
+	a, err := getAccount(tx, id)
+	if err != nil {
+		return err
+	}
+	if a.Closed {
+		return fmt.Errorf("%w: %s", ErrClosed, id)
+	}
+	if a.Spendable().Cmp(amount) < 0 {
+		return fmt.Errorf("%w: spendable %s < %s", ErrInsufficient, a.Spendable(), amount)
+	}
+	a.AvailableBalance = a.AvailableBalance.MustSub(amount)
+	a.LockedBalance = a.LockedBalance.MustAdd(amount)
+	if err := putAccount(tx, a); err != nil {
+		return err
+	}
+	_, err = m.appendTransaction(tx, &Transaction{AccountID: id, Type: TxLock, Date: m.now(), Amount: amount})
+	return err
+}
+
+// UnlockTx releases locked funds back to the available balance inside
+// tx, with an Unlock TRANSACTION row.
+func (m *Manager) UnlockTx(tx *db.Tx, id ID, amount currency.Amount) error {
+	if !amount.IsPositive() {
+		return ErrBadAmount
+	}
+	a, err := getAccount(tx, id)
+	if err != nil {
+		return err
+	}
+	if err := unlock(a, amount); err != nil {
+		return err
+	}
+	if err := putAccount(tx, a); err != nil {
+		return err
+	}
+	_, err = m.appendTransaction(tx, &Transaction{AccountID: id, Type: TxUnlock, Date: m.now(), Amount: amount})
+	return err
+}
+
+func unlock(a *Account, amount currency.Amount) error {
+	if a.LockedBalance.Cmp(amount) < 0 {
+		return fmt.Errorf("%w: locked %s < %s", ErrInsufficientLock, a.LockedBalance, amount)
+	}
+	a.LockedBalance = a.LockedBalance.MustSub(amount)
+	a.AvailableBalance = a.AvailableBalance.MustAdd(amount)
+	return nil
+}
+
+// DebitTx applies the drawer's half of transfer rec inside tx, on the
+// drawer's store: opts.InTx, the balance (or lock) debit, the release
+// of opts.ReleaseLocked, the drawer-side TRANSACTION row(s), the
+// TRANSFER record and the opts.DedupKey marker. rec.TransactionID is
+// allocated when zero. recipientCur is the recipient's currency, which
+// the drawer's must match. Crediting the recipient — in this tx when it
+// shares the store, in a later one on its own shard when it does not —
+// is the caller's half; so is replaying a spent DedupKey.
+func (m *Manager) DebitTx(tx *db.Tx, rec *Transfer, recipientCur currency.Code, opts TransferOptions) error {
+	if opts.InTx != nil {
+		if err := opts.InTx(tx); err != nil {
+			return err
+		}
+	}
+	from, err := getAccount(tx, rec.DrawerAccountID)
+	if err != nil {
+		return err
+	}
+	if from.Closed {
+		return fmt.Errorf("%w: %s", ErrClosed, rec.DrawerAccountID)
+	}
+	if from.Currency != recipientCur {
+		return fmt.Errorf("%w: %s is %s, %s is %s", ErrCurrencyMismatch,
+			rec.DrawerAccountID, from.Currency, rec.RecipientAccountID, recipientCur)
+	}
+	if opts.FromLocked {
+		if from.LockedBalance.Cmp(rec.Amount) < 0 {
+			return fmt.Errorf("%w: locked %s < %s", ErrInsufficientLock, from.LockedBalance, rec.Amount)
+		}
+		from.LockedBalance = from.LockedBalance.MustSub(rec.Amount)
+	} else {
+		if from.Spendable().Cmp(rec.Amount) < 0 {
+			return fmt.Errorf("%w: spendable %s < %s", ErrInsufficient, from.Spendable(), rec.Amount)
+		}
+		from.AvailableBalance = from.AvailableBalance.MustSub(rec.Amount)
+	}
+	if opts.ReleaseLocked.IsPositive() {
+		if err := unlock(from, opts.ReleaseLocked); err != nil {
+			return err
+		}
+	}
+	if err := putAccount(tx, from); err != nil {
+		return err
+	}
+	neg, err := rec.Amount.Neg()
+	if err != nil {
+		return err
+	}
+	rec.TransactionID, err = m.appendTransaction(tx, &Transaction{
+		TransactionID: rec.TransactionID, AccountID: rec.DrawerAccountID, Type: TxTransfer, Date: rec.Date, Amount: neg,
+	})
+	if err != nil {
+		return err
+	}
+	if opts.ReleaseLocked.IsPositive() {
+		if _, err := m.appendTransaction(tx, &Transaction{
+			AccountID: rec.DrawerAccountID, Type: TxUnlock, Date: rec.Date, Amount: opts.ReleaseLocked,
+		}); err != nil {
+			return err
+		}
+	}
+	if opts.DedupKey != "" {
+		// Same transaction as the transfer rows: the key is spent
+		// exactly when the money moves, never before or after.
+		if err := m.PutDedupTx(tx, &DedupMarker{Key: opts.DedupKey, TxID: rec.TransactionID, Date: rec.Date}); err != nil {
+			return err
+		}
+	}
+	return m.InsertTransferTx(tx, rec)
+}
 
 // GetAccountTx reads and decodes an ACCOUNT row inside tx.
 func GetAccountTx(tx *db.Tx, id ID) (*Account, error) {

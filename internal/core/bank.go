@@ -17,8 +17,12 @@ import (
 	"gridbank/internal/pki"
 )
 
-// Instrument state tables. (Chain rows live in micropay.TableChains on
-// the drawer's shard store, owned by the chain redeemer.)
+// Instrument state tables. Cheque rows live on the drawer's shard store
+// — the same store as the drawer's ACCOUNT row — so issue, redemption
+// and release each commit the row and the ledger effect in ONE
+// transaction. (Chain rows live in micropay.TableChains, placed the same
+// way and owned by the chain redeemer.) The administrator table is
+// bank-global and lives on the metadata store.
 const (
 	tableCheques = "cheques"
 	tableAdmins  = "admins"
@@ -91,15 +95,6 @@ type Bank struct {
 	// callers that opt into batched receipts.
 	receipts *receiptBatcher
 
-	// instr serializes instrument check-then-act sequences (issue,
-	// redeem, release), keyed by instrument serial. Ledger atomicity
-	// lives in the db transaction layer; this lock closes the gap
-	// between reading an instrument row and writing its new state plus
-	// the ledger effect. Striping by serial lets redemptions against
-	// different instruments (hence different drawer accounts) proceed
-	// in parallel instead of queueing bank-wide.
-	instr stripedLock
-
 	// dedupTTL bounds op_dedup idempotency-marker retention; lastSweep
 	// (unix nanos) CAS-claims the periodic sweep so exactly one keyed
 	// mutation per interval pays the scan.
@@ -166,8 +161,11 @@ func NewBankWithLedger(led Ledger, cfg BankConfig) (*Bank, error) {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	for _, t := range []string{tableCheques, tableAdmins} {
-		if err := led.Store().EnsureTable(t); err != nil {
+	if err := led.Store().EnsureTable(tableAdmins); err != nil {
+		return nil, err
+	}
+	for i := 0; i < led.Shards(); i++ {
+		if err := led.ShardStore(i).EnsureTable(tableCheques); err != nil {
 			return nil, err
 		}
 	}
@@ -176,6 +174,9 @@ func NewBankWithLedger(led Ledger, cfg BankConfig) (*Bank, error) {
 	}
 	b := &Bank{led: led, id: cfg.Identity, ts: cfg.Trust, now: cfg.Now, notify: cfg.Notifier, dedupTTL: cfg.DedupTTL, obsReg: cfg.Obs}
 	b.lastSweep.Store(cfg.Now().UnixNano())
+	if err := b.moveChequesHome(); err != nil {
+		return nil, err
+	}
 	red, err := micropay.NewRedeemer(led, cfg.Now)
 	if err != nil {
 		return nil, err
@@ -414,8 +415,10 @@ func (b *Bank) maybeSweepDedup() {
 	_, _ = b.led.SweepDedup(now.Add(-ttl))
 }
 
-// RequestCheque implements §5.2 Request GridCheque: lock the amount
-// (§3.4 payment guarantee), persist the serial, sign and return.
+// RequestCheque implements §5.2 Request GridCheque: sign the cheque,
+// then lock the amount (§3.4 payment guarantee) and persist the serial
+// in one transaction on the drawer's shard. A cheque that fails to
+// commit was never handed out, so there is nothing to roll back.
 func (b *Bank) RequestCheque(caller string, req *RequestChequeRequest) (*RequestChequeResponse, error) {
 	acct, err := b.requireOwner(caller, req.AccountID)
 	if err != nil {
@@ -446,43 +449,94 @@ func (b *Bank) RequestCheque(caller string, req *RequestChequeRequest) (*Request
 	if err := cheque.Validate(); err != nil {
 		return nil, err
 	}
-	mu := b.instr.of(cheque.Serial)
-	mu.Lock()
-	defer mu.Unlock()
-	if err := b.led.CheckFunds(req.AccountID, req.Amount); err != nil {
-		return nil, err
-	}
 	signed, err := payment.IssueCheque(b.id, cheque)
 	if err != nil {
-		b.rollbackLock(req.AccountID, req.Amount)
 		return nil, err
 	}
-	if err := b.putChequeRow(&chequeRow{Cheque: cheque, State: stateOutstanding}); err != nil {
-		b.rollbackLock(req.AccountID, req.Amount)
+	raw, err := json.Marshal(&chequeRow{Cheque: cheque, State: stateOutstanding})
+	if err != nil {
+		return nil, err
+	}
+	home := b.led.ShardFor(req.AccountID)
+	mgr := b.led.ShardManager(home)
+	err = b.led.ShardStore(home).Update(func(tx *db.Tx) error {
+		if err := mgr.LockTx(tx, req.AccountID, req.Amount); err != nil {
+			return err
+		}
+		return tx.Insert(tableCheques, serial, raw)
+	})
+	if err != nil {
 		return nil, err
 	}
 	return &RequestChequeResponse{Cheque: *signed}, nil
 }
 
-// rollbackLock undoes a CheckFunds lock after a failed issue step.
-func (b *Bank) rollbackLock(id accounts.ID, amount currency.Amount) {
-	// Best effort: the lock row plus instrument absence keeps the ledger
-	// consistent even if this fails (funds merely stay locked).
-	_ = b.led.Unlock(id, amount)
-}
-
-func (b *Bank) putChequeRow(row *chequeRow) error {
-	raw, err := json.Marshal(row)
+// moveChequesHome moves cheque rows an older binary registered on the
+// metadata store to their drawers' shards. It runs before the bank
+// serves and is idempotent: the home copy is written first and never
+// overwritten, the stray deleted second, so a crash in between is
+// finished by the next boot.
+func (b *Bank) moveChequesHome() error {
+	if b.led.Shards() == 1 {
+		return nil // every row is home
+	}
+	meta := b.led.Store()
+	strays := make(map[int]map[string][]byte)
+	var scanErr error
+	err := meta.Scan(tableCheques, func(serial string, value []byte) bool {
+		var row chequeRow
+		if scanErr = json.Unmarshal(value, &row); scanErr != nil {
+			scanErr = fmt.Errorf("core: corrupt cheque row %s: %w", serial, scanErr)
+			return false
+		}
+		if home := b.led.ShardFor(row.Cheque.DrawerAccountID); b.led.ShardStore(home) != meta {
+			if strays[home] == nil {
+				strays[home] = make(map[string][]byte)
+			}
+			strays[home][serial] = append([]byte(nil), value...)
+		}
+		return true
+	})
 	if err != nil {
 		return err
 	}
-	return b.led.Store().Update(func(tx *db.Tx) error {
-		return tx.Put(tableCheques, row.Cheque.Serial, raw)
-	})
+	if scanErr != nil {
+		return scanErr
+	}
+	for home, rows := range strays {
+		err := b.led.ShardStore(home).Update(func(tx *db.Tx) error {
+			for serial, raw := range rows {
+				if ok, err := tx.Exists(tableCheques, serial); err != nil {
+					return err
+				} else if !ok {
+					if err := tx.Put(tableCheques, serial, raw); err != nil {
+						return err
+					}
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		err = meta.Update(func(tx *db.Tx) error {
+			for serial := range rows {
+				if err := tx.Delete(tableCheques, serial); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-func (b *Bank) getChequeRow(serial string) (*chequeRow, error) {
-	raw, err := b.led.Store().Get(tableCheques, serial)
+// chequeRowTx reads a cheque row inside tx.
+func chequeRowTx(tx *db.Tx, serial string) (*chequeRow, error) {
+	raw, err := tx.Get(tableCheques, serial)
 	if errors.Is(err, db.ErrNoRecord) {
 		return nil, fmt.Errorf("%w: cheque %s", ErrUnknownSerial, serial)
 	}
@@ -496,51 +550,38 @@ func (b *Bank) getChequeRow(serial string) (*chequeRow, error) {
 	return &row, nil
 }
 
+// putOutstandingTx moves an outstanding cheque row to its final state
+// inside tx; any other current state refuses with ErrAlreadyRedeemed.
+// Reading the row inside the transaction that also moves the money is
+// what makes a cheque pay (or release) exactly once.
+func putOutstandingTx(tx *db.Tx, row *chequeRow, state string, redeemed currency.Amount) error {
+	if row.State != stateOutstanding {
+		return fmt.Errorf("%w: cheque %s is %s", ErrAlreadyRedeemed, row.Cheque.Serial, row.State)
+	}
+	row.State, row.Redeemed = state, redeemed
+	raw, err := json.Marshal(row)
+	if err != nil {
+		return err
+	}
+	return tx.Put(tableCheques, row.Cheque.Serial, raw)
+}
+
 // RedeemCheque implements §5.2 Redeem GridCheque. The caller must be the
 // payee named on the cheque; the claim amount is paid from the drawer's
 // locked funds, the unspent remainder of the lock is released, and the
-// serial is marked redeemed (double-spend prevention). The RUR travels
-// into the TRANSFER record as evidence.
+// serial is marked redeemed (double-spend prevention) — all in one
+// transaction on the drawer's shard. The RUR travels into the TRANSFER
+// record as evidence.
 func (b *Bank) RedeemCheque(caller string, req *RedeemChequeRequest) (*RedeemChequeResponse, error) {
-	sc := req.Cheque
-	if _, err := payment.VerifyCheque(&sc, b.ts, caller, b.now()); err != nil {
-		return nil, err
-	}
-	cheque := sc.Cheque
-	if err := cheque.ValidateClaim(&req.Claim); err != nil {
+	cheque, err := b.verifiedClaim(req, caller)
+	if err != nil {
 		return nil, err
 	}
 	payeeAcct, err := b.led.FindByCertificate(caller, cheque.Currency)
 	if err != nil {
 		return nil, fmt.Errorf("core: payee has no %s account: %w", cheque.Currency, err)
 	}
-	mu := b.instr.of(cheque.Serial)
-	mu.Lock()
-	defer mu.Unlock()
-	row, err := b.getChequeRow(cheque.Serial)
-	if err != nil {
-		return nil, err
-	}
-	if row.State != stateOutstanding {
-		return nil, fmt.Errorf("%w: cheque %s is %s", ErrAlreadyRedeemed, cheque.Serial, row.State)
-	}
-	tr, err := b.led.Transfer(cheque.DrawerAccountID, payeeAcct.AccountID, req.Claim.Amount,
-		accounts.TransferOptions{FromLocked: true, RUR: req.Claim.RUR})
-	if err != nil {
-		return nil, err
-	}
-	released := cheque.Limit.MustSub(req.Claim.Amount)
-	if released.IsPositive() {
-		if err := b.led.Unlock(cheque.DrawerAccountID, released); err != nil {
-			return nil, fmt.Errorf("core: releasing cheque remainder: %w", err)
-		}
-	}
-	row.State = stateRedeemed
-	row.Redeemed = req.Claim.Amount
-	if err := b.putChequeRow(row); err != nil {
-		return nil, err
-	}
-	return &RedeemChequeResponse{TransactionID: tr.TransactionID, Paid: req.Claim.Amount, Released: released}, nil
+	return b.redeemCheque(cheque, &req.Claim, payeeAcct.AccountID)
 }
 
 // RedeemChequeInterbank settles a cheque claim presented by a
@@ -560,77 +601,102 @@ func (b *Bank) RedeemChequeInterbank(correspondent string, vostro accounts.ID, r
 	if vAcct.CertificateName != correspondent {
 		return nil, fmt.Errorf("%w: vostro %s is not owned by %s", ErrDenied, vostro, correspondent)
 	}
-	sc := req.Cheque
 	// Payee filter "" — the correspondent vouches for the payee.
-	if _, err := payment.VerifyCheque(&sc, b.ts, "", b.now()); err != nil {
-		return nil, err
-	}
-	cheque := sc.Cheque
-	if err := cheque.ValidateClaim(&req.Claim); err != nil {
-		return nil, err
-	}
-	mu := b.instr.of(cheque.Serial)
-	mu.Lock()
-	defer mu.Unlock()
-	row, err := b.getChequeRow(cheque.Serial)
+	cheque, err := b.verifiedClaim(req, "")
 	if err != nil {
 		return nil, err
 	}
-	if row.State != stateOutstanding {
-		return nil, fmt.Errorf("%w: cheque %s is %s", ErrAlreadyRedeemed, cheque.Serial, row.State)
+	return b.redeemCheque(cheque, &req.Claim, vostro)
+}
+
+// verifiedClaim verifies a presented cheque (payeeCert "" skips the
+// payee-identity check) and its claim, returning the signed payload.
+func (b *Bank) verifiedClaim(req *RedeemChequeRequest, payeeCert string) (*payment.Cheque, error) {
+	sc := req.Cheque
+	if _, err := payment.VerifyCheque(&sc, b.ts, payeeCert, b.now()); err != nil {
+		return nil, err
 	}
-	tr, err := b.led.Transfer(cheque.DrawerAccountID, vostro, req.Claim.Amount,
-		accounts.TransferOptions{FromLocked: true, RUR: req.Claim.RUR})
+	if err := sc.Cheque.ValidateClaim(&req.Claim); err != nil {
+		return nil, err
+	}
+	return &sc.Cheque, nil
+}
+
+// redeemCheque pays a verified claim into creditTo. One commit-point
+// transaction on the drawer's shard re-reads the row's state, pays from
+// the lock, releases the remainder and flips the row to redeemed; when
+// creditTo lives on another shard the ledger lands the credit there
+// before returning. A crash or timeout anywhere leaves the cheque either
+// untouched or redeemed with its money on the way — re-presenting it can
+// never pay twice.
+func (b *Bank) redeemCheque(cheque *payment.Cheque, claim *payment.ChequeClaim, creditTo accounts.ID) (*RedeemChequeResponse, error) {
+	released := cheque.Limit.MustSub(claim.Amount)
+	tr, err := b.led.Transfer(cheque.DrawerAccountID, creditTo, claim.Amount, accounts.TransferOptions{
+		FromLocked:    true,
+		RUR:           claim.RUR,
+		ReleaseLocked: released,
+		InTx: func(tx *db.Tx) error {
+			row, err := chequeRowTx(tx, cheque.Serial)
+			if err != nil {
+				return err
+			}
+			return putOutstandingTx(tx, row, stateRedeemed, claim.Amount)
+		},
+	})
 	if err != nil {
 		return nil, err
 	}
-	released := cheque.Limit.MustSub(req.Claim.Amount)
-	if released.IsPositive() {
-		if err := b.led.Unlock(cheque.DrawerAccountID, released); err != nil {
-			return nil, fmt.Errorf("core: releasing cheque remainder: %w", err)
-		}
-	}
-	row.State = stateRedeemed
-	row.Redeemed = req.Claim.Amount
-	if err := b.putChequeRow(row); err != nil {
-		return nil, err
-	}
-	return &RedeemChequeResponse{TransactionID: tr.TransactionID, Paid: req.Claim.Amount, Released: released}, nil
+	return &RedeemChequeResponse{TransactionID: tr.TransactionID, Paid: claim.Amount, Released: released}, nil
 }
 
 // ReleaseCheque returns an expired, unredeemed cheque's locked funds to
 // the drawer. Only the drawer (or an admin) may release, and only after
-// expiry — before that the payee still holds a valid guarantee.
+// expiry — before that the payee still holds a valid guarantee. The
+// unlock and the row's flip to released commit in one transaction on the
+// drawer's shard; the request names only the serial, so the row is
+// looked up across the shards first.
 func (b *Bank) ReleaseCheque(caller string, req *ReleaseRequest) (*ReleaseResponse, error) {
-	mu := b.instr.of(req.Serial)
-	mu.Lock()
-	defer mu.Unlock()
-	row, err := b.getChequeRow(req.Serial)
+	home := -1
+	for i := 0; i < b.led.Shards() && home < 0; i++ {
+		if _, err := b.led.ShardStore(i).Get(tableCheques, req.Serial); err == nil {
+			home = i
+		} else if !errors.Is(err, db.ErrNoRecord) {
+			return nil, err
+		}
+	}
+	if home < 0 {
+		return nil, fmt.Errorf("%w: cheque %s", ErrUnknownSerial, req.Serial)
+	}
+	admin := b.IsAdmin(caller)
+	mgr := b.led.ShardManager(home)
+	var released currency.Amount
+	err := b.led.ShardStore(home).Update(func(tx *db.Tx) error {
+		row, err := chequeRowTx(tx, req.Serial)
+		if err != nil {
+			return err
+		}
+		if row.Cheque.DrawerCert != caller && !admin {
+			return fmt.Errorf("%w: %s is not the drawer", ErrDenied, caller)
+		}
+		if err := putOutstandingTx(tx, row, stateReleased, 0); err != nil {
+			return err
+		}
+		if b.now().Before(row.Cheque.Expires) {
+			return fmt.Errorf("%w: expires %v", ErrNotExpired, row.Cheque.Expires)
+		}
+		released = row.Cheque.Limit
+		return mgr.UnlockTx(tx, row.Cheque.DrawerAccountID, released)
+	})
 	if err != nil {
 		return nil, err
 	}
-	if row.Cheque.DrawerCert != caller && !b.IsAdmin(caller) {
-		return nil, fmt.Errorf("%w: %s is not the drawer", ErrDenied, caller)
-	}
-	if row.State != stateOutstanding {
-		return nil, fmt.Errorf("%w: cheque %s is %s", ErrAlreadyRedeemed, req.Serial, row.State)
-	}
-	if b.now().Before(row.Cheque.Expires) {
-		return nil, fmt.Errorf("%w: expires %v", ErrNotExpired, row.Cheque.Expires)
-	}
-	if err := b.led.Unlock(row.Cheque.DrawerAccountID, row.Cheque.Limit); err != nil {
-		return nil, err
-	}
-	row.State = stateReleased
-	if err := b.putChequeRow(row); err != nil {
-		return nil, err
-	}
-	return &ReleaseResponse{Released: row.Cheque.Limit}, nil
+	return &ReleaseResponse{Released: released}, nil
 }
 
 // RequestChain implements §5.2 Request GridHash chain: the bank generates
-// the chain, locks its full value, signs the commitment and returns the
-// seed to the consumer (pay-as-you-go, §3.1).
+// the chain, signs the commitment, locks its full value together with
+// the chain row and returns the seed to the consumer (pay-as-you-go,
+// §3.1).
 func (b *Bank) RequestChain(caller string, req *RequestChainRequest) (*RequestChainResponse, error) {
 	acct, err := b.requireOwner(caller, req.AccountID)
 	if err != nil {
@@ -652,19 +718,11 @@ func (b *Bank) RequestChain(caller string, req *RequestChainRequest) (*RequestCh
 	if err != nil {
 		return nil, err
 	}
-	mu := b.instr.of(chain.Commitment.Serial)
-	mu.Lock()
-	defer mu.Unlock()
-	if err := b.led.CheckFunds(req.AccountID, total); err != nil {
-		return nil, err
-	}
 	signed, err := payment.IssueChain(b.id, chain.Commitment)
 	if err != nil {
-		b.rollbackLock(req.AccountID, total)
 		return nil, err
 	}
-	if err := b.chains.Put(&micropay.ChainRow{Commitment: chain.Commitment, State: micropay.StateOutstanding}); err != nil {
-		b.rollbackLock(req.AccountID, total)
+	if err := b.chains.Issue(&micropay.ChainRow{Commitment: chain.Commitment, State: micropay.StateOutstanding}, total); err != nil {
 		return nil, err
 	}
 	return &RequestChainResponse{Chain: *signed, Seed: chain.Seed}, nil

@@ -444,6 +444,14 @@ func (c *Client) register() (*clientConn, uint64, chan callResult, error) {
 	if cc.err != nil {
 		err := cc.err
 		cc.mu.Unlock()
+		// fail() marks the connection dead before it detaches it; detach
+		// here too, so the call after this one redials instead of
+		// meeting the same dead connection again.
+		c.mu.Lock()
+		if c.conn == cc {
+			c.conn = nil
+		}
+		c.mu.Unlock()
 		return nil, 0, nil, err
 	}
 	cc.pending[id] = ch

@@ -39,9 +39,9 @@ type Ledger interface {
 	CancelTransfer(txID uint64) error
 	CloseAccount(id, transferTo accounts.ID) error
 
-	// Store returns the metadata store: where the bank core keeps
-	// instrument and administrator tables (the whole ledger for a
-	// single-store bank, shard 0 for a sharded one).
+	// Store returns the metadata store: where the bank core keeps the
+	// administrator table (the whole ledger for a single-store bank,
+	// shard 0 for a sharded one).
 	Store() *db.Store
 
 	// Shards / ShardFor / ShardManager / ShardStore expose account

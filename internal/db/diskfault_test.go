@@ -419,6 +419,94 @@ func TestCompactDurableAcrossCrash(t *testing.T) {
 	}
 }
 
+// TestUpdateNoWaitDurabilityContract pins what a staged-but-unawaited
+// commit (Store.UpdateNoWait — the cross-shard outbox cleanup) may and
+// may not do at every boundary that touches it: it is lost only together
+// with everything staged after it, never reordered, never stranded by
+// Close, Checkpoint or Compact, and an fsync failure on the flush that
+// carries it still fail-stops the store.
+func TestUpdateNoWaitDurabilityContract(t *testing.T) {
+	putNoWait := func(t *testing.T, s *db.Store, k, v string) {
+		t.Helper()
+		if err := s.UpdateNoWait(func(tx *db.Tx) error { return tx.Put("kv", k, []byte(v)) }); err != nil {
+			t.Fatalf("unawaited put %s: %v", k, err)
+		}
+		wantKey(t, s, k, v) // applied to memory at once
+	}
+	boot := func(t *testing.T) (*diskfault.Disk, *db.Store, db.Journal) {
+		t.Helper()
+		d := diskfault.New(diskfault.Config{Seed: 13})
+		s, _, j := bootFS(t, d, wire.CodecBin1)
+		if err := s.CreateTable("kv"); err != nil {
+			t.Fatal(err)
+		}
+		putKey(t, s, "acked", "1")
+		return d, s, j
+	}
+
+	t.Run("lost alone when nothing flushes it", func(t *testing.T) {
+		d, s, _ := boot(t)
+		putNoWait(t, s, "cleanup", "x")
+		d.Crash()
+		s2, _, _ := bootFS(t, d, wire.CodecBin1)
+		wantKey(t, s2, "acked", "1")
+		wantAbsent(t, s2, "cleanup")
+	})
+	t.Run("rides the next awaited flush in staging order", func(t *testing.T) {
+		d, s, _ := boot(t)
+		putNoWait(t, s, "k", "staged-first")
+		putKey(t, s, "k", "staged-second")
+		d.Crash()
+		s2, _, _ := bootFS(t, d, wire.CodecBin1)
+		wantKey(t, s2, "k", "staged-second")
+	})
+	t.Run("fsync failure on its flush fail-stops the store", func(t *testing.T) {
+		d, s, _ := boot(t)
+		d.AddRule(diskfault.Rule{PathSuffix: ".wal", Op: diskfault.OpSync, Nth: 1, Err: diskfault.ErrIO})
+		putNoWait(t, s, "cleanup", "x") // staged: no I/O yet, no error yet
+		err := s.Update(func(tx *db.Tx) error { return tx.Put("kv", "next", []byte("y")) })
+		if !errors.Is(err, db.ErrStorageFailed) {
+			t.Fatalf("commit leading the failed flush = %v, want ErrStorageFailed", err)
+		}
+		if _, err := s.Get("kv", "acked"); !errors.Is(err, db.ErrStorageFailed) {
+			t.Fatalf("read after the failed flush = %v, want ErrStorageFailed", err)
+		}
+		if err := s.UpdateNoWait(func(tx *db.Tx) error { return tx.Put("kv", "later", nil) }); !errors.Is(err, db.ErrStorageFailed) {
+			t.Fatalf("unawaited commit after the failed flush = %v, want ErrStorageFailed", err)
+		}
+		d.Crash()
+		s2, _, _ := bootFS(t, d, wire.CodecBin1)
+		wantKey(t, s2, "acked", "1")
+		wantAbsent(t, s2, "next")
+	})
+	t.Run("Close flushes it", func(t *testing.T) {
+		d, s, _ := boot(t)
+		putNoWait(t, s, "cleanup", "x")
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		d.Crash()
+		s2, _, _ := bootFS(t, d, wire.CodecBin1)
+		wantKey(t, s2, "cleanup", "x")
+	})
+	t.Run("Checkpoint covers it and Compact writes it out first", func(t *testing.T) {
+		d, s, j := boot(t)
+		putNoWait(t, s, "cleanup", "x")
+		if _, err := s.CheckpointFS(d, ckptPath); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.(db.CompactableJournal).Compact(); err != nil {
+			t.Fatalf("compact with an unawaited batch staged: %v", err)
+		}
+		putKey(t, s, "post-compact", "pv")
+		d.Crash()
+		s2, _, _ := bootFS(t, d, wire.CodecBin1)
+		wantKey(t, s2, "acked", "1")
+		wantKey(t, s2, "cleanup", "x")
+		wantKey(t, s2, "post-compact", "pv")
+	})
+}
+
 // TestCheckpointRemovesTmpOnFailure (satellite): a failed publishing
 // rename or dir-fsync must not leave <path>.tmp behind.
 func TestCheckpointRemovesTmpOnFailure(t *testing.T) {

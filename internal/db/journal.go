@@ -589,8 +589,14 @@ func (j *fileJournal) Compact() error {
 		// only surviving copy of the acked prefix.
 		return j.err
 	}
-	if len(j.staged) > 0 {
-		return errors.New("db: compact with staged batches pending")
+	// Batches staged without a waiter (Store.UpdateNoWait) are written
+	// out first, in staging order, so the truncation discards them only
+	// together with everything else the checkpoint covers.
+	for len(j.staged) > 0 {
+		j.flushGroupLocked()
+	}
+	if j.err != nil {
+		return j.err
 	}
 	if err := j.w.Flush(); err != nil {
 		return err

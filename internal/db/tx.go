@@ -25,6 +25,9 @@ import (
 type Tx struct {
 	s    *Store
 	done bool
+	// noWait: Commit stages the batch in the journal but does not wait
+	// for it to become durable (UpdateNoWait).
+	noWait bool
 	// staged mutations, applied in order at commit
 	ops []txOp
 	// overlay of staged state per table: key -> value (nil = deleted)
@@ -72,11 +75,29 @@ func (s *Store) Begin() (*Tx, error) {
 // fn must be a pure function of the transaction (it may run more than
 // once).
 func (s *Store) Update(fn func(tx *Tx) error) error {
+	return s.update(fn, false)
+}
+
+// UpdateNoWait is Update without the durability wait: the transaction's
+// batch is staged in the journal (its position fixed, its effects
+// applied to memory and published) and becomes durable with the
+// journal's next group flush, which the next awaited commit or Close
+// drives. A crash before that flush loses the batch, so it is only for
+// idempotent clean-up the caller's recovery redoes when it finds the
+// work undone — never for anything a caller is told has happened. A
+// flush failure still fail-stops the store: the flush's leader is an
+// awaited commit, which poisons the store on the group's error.
+func (s *Store) UpdateNoWait(fn func(tx *Tx) error) error {
+	return s.update(fn, true)
+}
+
+func (s *Store) update(fn func(tx *Tx) error, noWait bool) error {
 	for attempt := 0; ; attempt++ {
 		tx, err := s.Begin()
 		if err != nil {
 			return err
 		}
+		tx.noWait = noWait
 		err = fn(tx)
 		if err == nil {
 			err = tx.Commit()
@@ -443,7 +464,7 @@ func (tx *Tx) Commit() error {
 	}
 	unlock()
 
-	if wait != nil {
+	if wait != nil && !tx.noWait {
 		if err := wait(); err != nil {
 			// The apply already happened: memory now runs ahead of a
 			// journal that could not persist the batch. Fail-stop the

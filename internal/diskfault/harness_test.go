@@ -478,6 +478,82 @@ func TestEveryDurabilityBoundaryFailStop(t *testing.T) {
 	}
 }
 
+// TestUnawaitedOutboxCleanupAtEveryBoundary follows the one record a
+// cross-shard transfer does not wait for — the outbox-row delete staged
+// on the debit shard's WAL — through everything that can happen to it
+// before the next group flush makes it durable: power loss (recovery
+// deletes the row again, the credit is not repeated), an fsync failure
+// on the flush that carries it (the store fail-stops, typed), and the
+// checkpoint + compact pass (neither strands it).
+func TestUnawaitedOutboxCleanupAtEveryBoundary(t *testing.T) {
+	acked := func(t *testing.T) (*diskfault.Disk, *world) {
+		t.Helper()
+		d := diskfault.New(diskfault.Config{Seed: 0xC1EA, TornCrash: true})
+		w := newWorld(t, d)
+		if _, err := w.led.Transfer(w.drawer, w.xferTo, currency.FromG(3), accounts.TransferOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		return d, w
+	}
+	settled := func(t *testing.T, w *world) {
+		t.Helper()
+		if err := w.assertConverged(); err != nil {
+			t.Fatal(err)
+		}
+		for i, st := range w.stores {
+			if n, err := st.Count("pc_transfers"); err != nil || n != 0 {
+				t.Fatalf("shard %d holds %d outbox rows after recovery (%v)", i, n, err)
+			}
+		}
+		if a, err := w.led.Details(w.xferTo); err != nil || a.AvailableBalance != currency.FromG(3) {
+			t.Fatalf("recipient = %+v, %v; want the acked 3 G$ exactly once", a, err)
+		}
+	}
+
+	t.Run("power loss before any flush carries it", func(t *testing.T) {
+		d, w := acked(t)
+		// No shutdown first: Close would flush the staged record.
+		d.Crash()
+		wal := string(d.Durable(shardWal(w.led.ShardFor(w.drawer))))
+		if !strings.Contains(wal, `"table":"pc_transfers"`) || strings.Contains(wal, `"op":"del","table":"pc_transfers"`) {
+			t.Fatal("the durable journal should hold the outbox row and not yet its delete")
+		}
+		if err := w.boot(); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := w.stores[w.led.ShardFor(w.drawer)].Count("pc_transfers"); err != nil || n != 0 {
+			t.Fatalf("outbox rows after recovery: %d, %v", n, err)
+		}
+		settled(t, w)
+	})
+	t.Run("fsync failure on the flush that carries it", func(t *testing.T) {
+		d, w := acked(t)
+		debit := w.led.ShardFor(w.drawer)
+		d.AddRule(diskfault.Rule{PathSuffix: fmt.Sprintf("ledger-%d.wal", debit), Op: diskfault.OpSync, Nth: 1, Err: diskfault.ErrIO})
+		if err := w.led.Deposit(w.drawer, currency.FromG(1)); !errors.Is(err, db.ErrStorageFailed) {
+			t.Fatalf("commit leading the failed flush = %v, want ErrStorageFailed", err)
+		}
+		if _, err := w.led.Details(w.drawer); !errors.Is(err, db.ErrStorageFailed) {
+			t.Fatalf("next operation on the shard = %v, want ErrStorageFailed", err)
+		}
+		d.ClearRules()
+		if err := w.reboot(); err != nil {
+			t.Fatal(err)
+		}
+		settled(t, w) // the refused deposit is not in the total
+	})
+	t.Run("checkpoint and compact with it still staged", func(t *testing.T) {
+		_, w := acked(t)
+		if err := w.maintenance(); err != nil {
+			t.Fatalf("maintenance with an unawaited record staged: %v", err)
+		}
+		if err := w.reboot(); err != nil {
+			t.Fatal(err)
+		}
+		settled(t, w)
+	})
+}
+
 // TestHarnessTypedRefusalOnUnrecoverableCorruption: when a shard's only
 // checkpoint generation rots after its journal was compacted, the node
 // must refuse to boot with ErrNoIntactHistory — never serve silently

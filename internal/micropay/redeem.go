@@ -129,7 +129,23 @@ func (r *Redeemer) hook(b Boundary, serial string) error {
 	return r.Hook(b, serial)
 }
 
-// Put registers a freshly issued chain on the drawer's home shard.
+// Issue registers a freshly issued chain on the drawer's home shard and
+// locks its full value there (§3.4), in one transaction: a chain
+// that fails to commit holds no funds.
+func (r *Redeemer) Issue(row *ChainRow, lock currency.Amount) error {
+	home := r.rs.home(row)
+	mgr := r.led.ShardManager(home)
+	raw := row.encode()
+	return r.led.ShardStore(home).Update(func(tx *db.Tx) error {
+		if err := mgr.LockTx(tx, row.Commitment.DrawerAccountID, lock); err != nil {
+			return err
+		}
+		return tx.Insert(TableChains, row.Commitment.Serial, raw)
+	})
+}
+
+// Put writes a chain row to the drawer's home shard (tests and
+// experiments that lock funds themselves).
 func (r *Redeemer) Put(row *ChainRow) error {
 	mu := r.lock(row.Commitment.Serial)
 	mu.Lock()

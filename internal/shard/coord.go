@@ -11,81 +11,89 @@ import (
 	"gridbank/internal/db"
 )
 
-// Two-phase commit for cross-shard transfers.
+// Cross-shard transfers: one commit-point transaction, one credit.
 //
 // The coordinator keeps no state of its own: every protocol step is a
 // single db transaction on one shard's store, riding that shard's
-// existing write-ahead journal, so a crash at any point leaves a
-// durable, recoverable picture. The coordinator log is co-located with
-// the debit participant (the classic "transfer of commit point"
-// optimization): the prepare record and the decision record are both
-// rows on the debit shard, so the only remote participant is the
-// credit shard and the protocol needs exactly one durable write per
-// store per phase.
+// existing write-ahead journal. The coordinator lives on the debit
+// shard and the credit side can never vote no (a recipient that closes
+// after the commit point is still credited), so there is nothing to
+// decide after the debit: the debit-shard transaction IS the commit
+// point, and the protocol costs one awaited durable commit per shard.
 //
 // Record format (documented alongside the journal format in README):
 //
-//	table "pc_transfers" (debit shard), key = GID:
+//	table "pc_transfers" (debit shard), key = GID — the outbox row:
 //	  {"gid":"00000000000000000042","txid":42,
 //	   "from":"01-0001-00000001","to":"01-0001-00000007",
-//	   "amount":1250000,"state":"prepared","date":"..."}
+//	   "amount":1250000,"state":"committed","date":"..."}
 //	  (from_locked, cancelled and rur are omitempty — present only
 //	  when true/non-empty)
-//	table "pc_applied" (credit shard), key = GID:
-//	  {"gid":"00000000000000000042","txid":42}
 //
 // Protocol, in durable steps (crash boundaries for the fault harness):
 //
-//	1. prepare   (debit):  escrow the funds out of the drawer's balance
-//	                       and insert the pc_transfers row, state
-//	                       "prepared", in one transaction. The escrowed
-//	                       amount now lives in the record itself.
-//	2. decide    (debit):  flip state to "committed" (or "aborted").
-//	                       This single-row update is the commit point.
-//	3. credit    (credit): add the amount to the recipient, write the
-//	                       recipient-side §5.1 TRANSACTION row and
-//	                       TRANSFER record, and insert the pc_applied
-//	                       marker — all one transaction, idempotent via
-//	                       the marker.
-//	4. finalize  (debit):  write the drawer-side TRANSACTION row and
-//	                       TRANSFER record and delete the pc_transfers
-//	                       row. Row deletion is the completion marker.
-//	5. cleanup   (credit): best-effort delete of the pc_applied marker
-//	                       (safe because the GID's transaction ID is
-//	                       never reused).
+//	1. commit   (debit, awaited):   one transaction debits the drawer
+//	                                (balance or lock, plus the release of
+//	                                an instrument's unspent lock and the
+//	                                caller's in-transaction callback),
+//	                                writes the drawer-side §5.1
+//	                                TRANSACTION row and TRANSFER record,
+//	                                spends the op_dedup marker of a keyed
+//	                                call, and inserts the outbox row,
+//	                                state "committed". The amount now
+//	                                lives in the outbox row (escrow).
+//	                                Before this commit nothing happened;
+//	                                after it completion is inevitable.
+//	2. credit   (credit, awaited):  add the amount to the recipient and
+//	                                write the recipient-side TRANSACTION
+//	                                row and TRANSFER record. Idempotent:
+//	                                the recipient-side TRANSFER record for
+//	                                the transaction ID is the witness that
+//	                                the credit landed. The caller is
+//	                                answered after this commit.
+//	3. cleanup  (debit, unawaited): delete the outbox row. Staged in the
+//	                                WAL without waiting (it rides the
+//	                                shard's next group flush); a crash
+//	                                that loses it leaves a live outbox
+//	                                row whose credit witness exists, and
+//	                                recovery deletes it again.
 //
-// Recovery (Ledger.Recover, run at startup) scans pc_transfers on
-// every shard: "prepared" rows are presumed-abort (decide abort, then
-// return the escrow); "committed" rows re-drive steps 3–5 (idempotent);
-// "aborted" rows re-drive the undo. Money is therefore never created
-// or destroyed across a crash: at every boundary the total of account
-// balances plus escrowed prepare records is constant.
+// Recovery (Ledger.Recover, run at startup; ResolveInDoubt for one ID)
+// re-drives steps 2–3 for every outbox row. Money is never created or
+// destroyed across a crash: at every boundary the total of account
+// balances plus outbox rows whose credit witness is missing is constant
+// (PendingEscrow).
+//
+// Journals written by older binaries may also hold rows of the retired
+// prepare/decide protocol, which recovery still resolves: "prepared"
+// and "aborted" rows (funds escrowed, no commit decision, no §5.1 rows)
+// are presumed-abort — the escrow returns to the drawer; "committed"
+// rows whose drawer-side §5.1 rows were to be written at the old
+// finalize step get them at cleanup; "pc_applied" credit markers
+// (always written together with the recipient-side TRANSFER record, so
+// never consulted) are deleted.
 
 // Shard-local table names for 2PC bookkeeping.
 const (
 	tablePC        = "pc_transfers"
-	tablePCApplied = "pc_applied"
+	tablePCApplied = "pc_applied" // legacy journals only
 )
 
-// pc record states.
+// pc record states. Only pcCommitted is ever written.
 const (
-	pcPrepared  = "prepared"
+	pcPrepared  = "prepared" // legacy journals only
 	pcCommitted = "committed"
-	pcAborted   = "aborted"
+	pcAborted   = "aborted" // legacy journals only
 )
 
-// Step identifies a durable 2PC step boundary, for fault injection.
+// Step identifies a durable step boundary, for fault injection.
 type Step int
 
-// The coordinator's durable steps, in protocol order. These are the
-// hookable crash boundaries of the live protocol; the abort-undo step
-// has no hook because a live abort only follows an already-injected
-// decision failure — its crash recovery is exercised instead by the
-// presumed-abort schedules (a prepared row left behind, resolved by
-// Recover, which the fault harness drives through double restarts).
+// The coordinator's durable steps, in protocol order. StepPrepared is
+// the commit point: a crash before it leaves no trace, a crash at or
+// after it completes exactly once after recovery.
 const (
 	StepPrepared Step = iota + 1
-	StepDecided
 	StepCreditApplied
 	StepFinalized
 )
@@ -95,8 +103,6 @@ func (s Step) String() string {
 	switch s {
 	case StepPrepared:
 		return "prepared"
-	case StepDecided:
-		return "decided"
 	case StepCreditApplied:
 		return "credit-applied"
 	case StepFinalized:
@@ -106,16 +112,15 @@ func (s Step) String() string {
 	}
 }
 
-// ErrInDoubt marks a cross-shard transfer interrupted after its prepare
-// became durable: the outcome is decided by the durable records, and
-// Recover resolves it on the next startup. Callers must not retry
-// blindly — the funds are escrowed (or already moving) under the
-// original transaction ID.
+// ErrInDoubt marks a cross-shard transfer interrupted after its commit
+// point: the money has left the drawer and will reach the recipient —
+// Recover (or ResolveInDoubt, or a retry under the same idempotency key)
+// completes it. Callers must not retry under a fresh key or ID.
 var ErrInDoubt = errors.New("shard: cross-shard transfer interrupted; recovery will resolve it")
 
-// pcRecord is the durable 2PC row. Amount is escrowed here between
-// prepare and finalize/abort: it has left the drawer's balance and not
-// yet reached the recipient's, and conservation counts it via
+// pcRecord is the durable outbox row. Amount is escrowed here between
+// the commit point and the credit: it has left the drawer's balance and
+// not yet reached the recipient's, and conservation counts it via
 // PendingEscrow.
 type pcRecord struct {
 	GID        string          `json:"gid"`
@@ -128,11 +133,6 @@ type pcRecord struct {
 	RUR        []byte          `json:"rur,omitempty"`
 	State      string          `json:"state"`
 	Date       time.Time       `json:"date"`
-}
-
-type pcAppliedMarker struct {
-	GID  string `json:"gid"`
-	TxID uint64 `json:"txid"`
 }
 
 func gidFor(txID uint64) string { return fmt.Sprintf("%020d", txID) }
@@ -152,18 +152,13 @@ func (l *Ledger) inDoubtf(format string, args ...any) error {
 	return fmt.Errorf(format, args...)
 }
 
-// crossTransfer drives the full 2PC protocol for a transfer whose two
-// accounts live on different shards. cancelled marks the written §5.1
-// records as a cancellation reversal.
-func (l *Ledger) crossTransfer(from, to accounts.ID, amount currency.Amount, opts accounts.TransferOptions, cancelled bool) (*accounts.Transfer, error) {
-	return l.crossTransferWithID(0, from, to, amount, opts, cancelled)
-}
-
-// crossTransferWithID is crossTransfer with a caller-pinned transaction
-// ID (0 = allocate). Cancellation retries pin the ID so a reversal that
-// may already have run — fully or partially — is re-driven under the
-// same GID instead of duplicated.
-func (l *Ledger) crossTransferWithID(txID uint64, from, to accounts.ID, amount currency.Amount, opts accounts.TransferOptions, cancelled bool) (*accounts.Transfer, error) {
+// crossTransfer moves funds between accounts on different shards.
+// txID pins the transaction ID (0 = allocate): pinning callers record
+// the ID durably first so a retry re-drives the same transfer instead
+// of minting a second one. cancelled marks the written §5.1 records as
+// a cancellation reversal. A spent opts.DedupKey replays the recorded
+// transfer — after making sure its credit has landed.
+func (l *Ledger) crossTransfer(txID uint64, from, to accounts.ID, amount currency.Amount, opts accounts.TransferOptions, cancelled bool) (*accounts.Transfer, error) {
 	fs, ts := l.ring.ShardFor(string(from)), l.ring.ShardFor(string(to))
 
 	// Pre-validate the credit side outside the protocol: existence,
@@ -179,9 +174,6 @@ func (l *Ledger) crossTransferWithID(txID uint64, from, to accounts.ID, amount c
 		return nil, fmt.Errorf("%w: %s", accounts.ErrClosed, to)
 	}
 
-	if txID == 0 {
-		txID = l.txSeq.Add(1)
-	}
 	rec := &pcRecord{
 		TxID:       txID,
 		From:       from,
@@ -190,132 +182,102 @@ func (l *Ledger) crossTransferWithID(txID uint64, from, to accounts.ID, amount c
 		FromLocked: opts.FromLocked,
 		Cancelled:  cancelled,
 		RUR:        opts.RUR,
-		State:      pcPrepared,
+		State:      pcCommitted,
 		Date:       l.now(),
 	}
-	rec.GID = gidFor(rec.TxID)
-
-	// Step 1: prepare. A failure here is a clean business error —
-	// nothing durable happened.
-	if err := l.prepare(fs, rec, toAcct.Currency); err != nil {
+	// Step 1: the commit point. A failure here is a clean business
+	// error — nothing durable happened.
+	replay, err := l.commit(fs, rec, toAcct.Currency, opts)
+	if err != nil {
 		return nil, err
 	}
+	if replay != nil {
+		if err := l.recoverOne(fs, gidFor(replay.TransactionID)); err != nil {
+			return nil, fmt.Errorf("shard: resolve keyed transfer %d: %w", replay.TransactionID, err)
+		}
+		return replay, nil
+	}
 	if err := l.hook(rec.GID, StepPrepared); err != nil {
-		return nil, l.inDoubtf("%w (after prepare): %w", ErrInDoubt, err)
+		return nil, l.inDoubtf("%w (after commit point): %w", ErrInDoubt, err)
 	}
 
-	// Step 2: decide commit. If the decision cannot be made durable the
-	// transfer is presumed aborted; try to undo now, and recovery picks
-	// it up if even that fails.
-	if err := l.decide(fs, rec.GID, pcCommitted); err != nil {
-		l.tryAbort(fs, rec.GID)
-		return nil, fmt.Errorf("shard: commit decision failed, transfer aborted: %w", err)
-	}
-	if err := l.hook(rec.GID, StepDecided); err != nil {
-		return nil, l.inDoubtf("%w (after commit decision): %w", ErrInDoubt, err)
-	}
-
-	// Steps 3-5: the transfer is committed; completion is inevitable.
-	// Any failure past this point leaves durable state Recover finishes.
+	// Steps 2-3: completion is inevitable. Any failure past this point
+	// leaves an outbox row Recover finishes.
 	if err := l.applyCredit(ts, rec); err != nil {
 		return nil, l.inDoubtf("%w (credit pending): %w", ErrInDoubt, err)
 	}
 	if err := l.hook(rec.GID, StepCreditApplied); err != nil {
 		return nil, l.inDoubtf("%w (after credit): %w", ErrInDoubt, err)
 	}
-	if err := l.finalizeDebit(fs, rec); err != nil {
-		return nil, l.inDoubtf("%w (finalize pending): %w", ErrInDoubt, err)
+	if err := l.cleanup(fs, rec); err != nil {
+		// Both sides are durable; only the outbox row is left, for
+		// Recover. That is the operator's to see, not the payer's.
+		l.markInDoubt()
 	}
 	if err := l.hook(rec.GID, StepFinalized); err != nil {
-		return nil, l.inDoubtf("%w (after finalize): %w", ErrInDoubt, err)
+		return nil, l.inDoubtf("%w (after cleanup): %w", ErrInDoubt, err)
 	}
-	l.clearApplied(ts, rec.GID) // best effort; orphan markers are harmless
-
-	return &accounts.Transfer{
-		TransactionID:       rec.TxID,
-		Date:                rec.Date,
-		DrawerAccountID:     from,
-		Amount:              amount,
-		RecipientAccountID:  to,
-		ResourceUsageRecord: opts.RUR,
-		Cancelled:           cancelled,
-	}, nil
+	return transferOf(rec), nil
 }
 
-// prepare escrows the funds on the debit shard and inserts the pc row,
-// in one transaction. The drawer's balance drops here; the amount lives
-// in the record until finalize (committed) or undo (aborted).
-func (l *Ledger) prepare(shardIdx int, rec *pcRecord, toCurrency currency.Code) error {
+// commit is the commit-point transaction on the debit shard: the
+// drawer's whole half of the transfer (accounts.DebitTx) plus the
+// outbox row. It fills in rec's TxID and GID. A spent opts.DedupKey
+// returns the recorded transfer instead and writes nothing.
+func (l *Ledger) commit(shardIdx int, rec *pcRecord, toCurrency currency.Code, opts accounts.TransferOptions) (replay *accounts.Transfer, err error) {
 	defer l.m2pcPrepare.ObserveSince(time.Now())
-	raw, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	return l.stores[shardIdx].Update(func(tx *db.Tx) error {
-		drawer, err := accounts.GetAccountTx(tx, rec.From)
-		if err != nil {
-			return err
-		}
-		if drawer.Closed {
-			return fmt.Errorf("%w: %s", accounts.ErrClosed, rec.From)
-		}
-		if drawer.Currency != toCurrency {
-			return fmt.Errorf("%w: %s is %s, %s is %s", accounts.ErrCurrencyMismatch,
-				rec.From, drawer.Currency, rec.To, toCurrency)
-		}
-		if rec.FromLocked {
-			if drawer.LockedBalance.Cmp(rec.Amount) < 0 {
-				return fmt.Errorf("%w: locked %s < %s", accounts.ErrInsufficientLock, drawer.LockedBalance, rec.Amount)
+	mgr := l.mgrs[shardIdx]
+	pinned := rec.TxID
+	err = l.stores[shardIdx].Update(func(tx *db.Tx) error {
+		replay = nil
+		rec.TxID = pinned
+		o := opts
+		if o.DedupKey != "" {
+			mk, err := mgr.GetDedupTx(tx, o.DedupKey)
+			if err != nil {
+				return err
 			}
-			drawer.LockedBalance = drawer.LockedBalance.MustSub(rec.Amount)
-		} else {
-			if drawer.Spendable().Cmp(rec.Amount) < 0 {
-				return fmt.Errorf("%w: spendable %s < %s", accounts.ErrInsufficient, drawer.Spendable(), rec.Amount)
+			if mk != nil {
+				replay, err = mgr.GetTransferTx(tx, mk.TxID)
+				if err == nil {
+					return nil
+				}
+				if !errors.Is(err, db.ErrNoRecord) {
+					return err
+				}
+				// A marker without its transfer: an older binary pinned
+				// the ID before driving its 2PC and never got to (or
+				// recovery aborted) the debit. Run under the pinned ID.
+				replay, rec.TxID, o.DedupKey = nil, mk.TxID, ""
 			}
-			drawer.AvailableBalance = drawer.AvailableBalance.MustSub(rec.Amount)
 		}
-		if err := accounts.PutAccountTx(tx, drawer); err != nil {
+		if rec.TxID == 0 {
+			rec.TxID = l.txSeq.Add(1)
+		}
+		rec.GID = gidFor(rec.TxID)
+		if err := mgr.DebitTx(tx, transferOf(rec), toCurrency, o); err != nil {
 			return err
 		}
-		return tx.Insert(tablePC, rec.GID, raw)
-	})
-}
-
-// decide makes the commit/abort decision durable by flipping the pc
-// row's state — the 2PC commit point.
-func (l *Ledger) decide(shardIdx int, gid, state string) error {
-	defer l.m2pcDecide.ObserveSince(time.Now())
-	return l.stores[shardIdx].Update(func(tx *db.Tx) error {
-		rec, err := getPC(tx, gid)
-		if err != nil {
-			return err
-		}
-		if rec.State == state {
-			return nil // idempotent (recovery re-drive)
-		}
-		if rec.State != pcPrepared {
-			return fmt.Errorf("shard: decision %s on %s transfer %s", state, rec.State, gid)
-		}
-		rec.State = state
 		raw, err := json.Marshal(rec)
 		if err != nil {
 			return err
 		}
-		return tx.Put(tablePC, gid, raw)
+		return tx.Insert(tablePC, rec.GID, raw)
 	})
+	return replay, err
 }
 
 // applyCredit lands the money on the credit shard: recipient balance,
-// recipient-side TRANSACTION row, the TRANSFER record's credit-shard
-// copy, and the idempotency marker — one transaction.
+// recipient-side TRANSACTION row and the TRANSFER record's credit-shard
+// copy — one transaction, a no-op when that copy already exists.
 func (l *Ledger) applyCredit(shardIdx int, rec *pcRecord) error {
 	defer l.m2pcCredit.ObserveSince(time.Now())
 	mgr := l.mgrs[shardIdx]
 	return l.stores[shardIdx].Update(func(tx *db.Tx) error {
-		if ok, err := tx.Exists(tablePCApplied, rec.GID); err != nil {
-			return err
-		} else if ok {
+		if _, err := mgr.GetTransferTx(tx, rec.TxID); err == nil {
 			return nil // already applied before a crash
+		} else if !errors.Is(err, db.ErrNoRecord) {
+			return err
 		}
 		recipient, err := accounts.GetAccountTx(tx, rec.To)
 		if err != nil {
@@ -333,58 +295,47 @@ func (l *Ledger) applyCredit(shardIdx int, rec *pcRecord) error {
 		}); err != nil {
 			return err
 		}
-		if err := mgr.InsertTransferTx(tx, transferOf(rec)); err != nil {
-			return err
-		}
-		marker, err := json.Marshal(pcAppliedMarker{GID: rec.GID, TxID: rec.TxID})
-		if err != nil {
-			return err
-		}
-		return tx.Insert(tablePCApplied, rec.GID, marker)
+		return mgr.InsertTransferTx(tx, transferOf(rec))
 	})
 }
 
-// finalizeDebit writes the drawer-side §5.1 records and deletes the pc
-// row; the deletion is the durable completion marker.
-func (l *Ledger) finalizeDebit(shardIdx int, rec *pcRecord) error {
+// cleanup deletes the outbox row of a transfer whose credit has landed.
+// Not awaited: losing it to a crash only means recovery repeats it. A
+// "committed" row an older binary left also gets the drawer-side §5.1
+// rows that binary deferred to this step.
+func (l *Ledger) cleanup(shardIdx int, rec *pcRecord) error {
 	defer l.m2pcFinal.ObserveSince(time.Now())
 	mgr := l.mgrs[shardIdx]
-	neg, err := rec.Amount.Neg()
-	if err != nil {
-		return err
-	}
-	return l.stores[shardIdx].Update(func(tx *db.Tx) error {
-		cur, err := getPC(tx, rec.GID)
-		if errors.Is(err, db.ErrNoRecord) {
-			return nil // already finalized before a crash
-		}
-		if err != nil {
+	return l.stores[shardIdx].UpdateNoWait(func(tx *db.Tx) error {
+		if ok, err := tx.Exists(tablePC, rec.GID); err != nil || !ok {
 			return err
 		}
-		if cur.State != pcCommitted {
-			return fmt.Errorf("shard: finalize of %s transfer %s", cur.State, rec.GID)
-		}
-		if _, err := mgr.AppendTransactionTx(tx, &accounts.Transaction{
-			TransactionID: rec.TxID, AccountID: rec.From, Type: accounts.TxTransfer, Date: rec.Date, Amount: neg,
-		}); err != nil {
-			return err
-		}
-		if err := mgr.InsertTransferTx(tx, transferOf(rec)); err != nil {
+		if _, err := mgr.GetTransferTx(tx, rec.TxID); errors.Is(err, db.ErrNoRecord) {
+			neg, err := rec.Amount.Neg()
+			if err != nil {
+				return err
+			}
+			if _, err := mgr.AppendTransactionTx(tx, &accounts.Transaction{
+				TransactionID: rec.TxID, AccountID: rec.From, Type: accounts.TxTransfer, Date: rec.Date, Amount: neg,
+			}); err != nil {
+				return err
+			}
+			if err := mgr.InsertTransferTx(tx, transferOf(rec)); err != nil {
+				return err
+			}
+		} else if err != nil {
 			return err
 		}
 		return tx.Delete(tablePC, rec.GID)
 	})
 }
 
-// abortUndo returns the escrowed funds to the drawer and deletes the pc
-// row.
-func (l *Ledger) abortUndo(shardIdx int, gid string) error {
+// abortUndo returns a legacy uncommitted row's escrow to the drawer and
+// deletes the row.
+func (l *Ledger) abortUndo(shardIdx int, rec *pcRecord) error {
+	defer l.m2pcDecide.ObserveSince(time.Now())
 	return l.stores[shardIdx].Update(func(tx *db.Tx) error {
-		rec, err := getPC(tx, gid)
-		if errors.Is(err, db.ErrNoRecord) {
-			return nil // already undone
-		}
-		if err != nil {
+		if ok, err := tx.Exists(tablePC, rec.GID); err != nil || !ok {
 			return err
 		}
 		drawer, err := accounts.GetAccountTx(tx, rec.From)
@@ -399,34 +350,13 @@ func (l *Ledger) abortUndo(shardIdx int, gid string) error {
 		if err := accounts.PutAccountTx(tx, drawer); err != nil {
 			return err
 		}
-		return tx.Delete(tablePC, gid)
-	})
-}
-
-// tryAbort makes a best-effort durable abort (decision + undo); if any
-// part fails the prepared row stays for Recover to presume-abort.
-func (l *Ledger) tryAbort(shardIdx int, gid string) {
-	if err := l.decide(shardIdx, gid, pcAborted); err != nil {
-		return
-	}
-	_ = l.abortUndo(shardIdx, gid)
-}
-
-// clearApplied removes the credit-side idempotency marker after a
-// completed transfer. Best-effort: the marker only guards re-application
-// of a still-live pc row, and the GID is never reused.
-func (l *Ledger) clearApplied(shardIdx int, gid string) {
-	_ = l.stores[shardIdx].Update(func(tx *db.Tx) error {
-		if ok, err := tx.Exists(tablePCApplied, gid); err != nil || !ok {
-			return err
-		}
-		return tx.Delete(tablePCApplied, gid)
+		return tx.Delete(tablePC, rec.GID)
 	})
 }
 
 // transferOf builds the §5.1 TRANSFER record for a pc record. The same
-// content is written on both shards (debit copy at finalize, credit
-// copy at apply) so each side's statements see the movement.
+// content is written on both shards (debit copy at the commit point,
+// credit copy at apply) so each side's statements see the movement.
 func transferOf(rec *pcRecord) *accounts.Transfer {
 	return &accounts.Transfer{
 		TransactionID:       rec.TxID,
@@ -439,37 +369,28 @@ func transferOf(rec *pcRecord) *accounts.Transfer {
 	}
 }
 
-func getPC(tx *db.Tx, gid string) (*pcRecord, error) {
-	raw, err := tx.Get(tablePC, gid)
-	if err != nil {
-		return nil, err
-	}
+func decodePC(key string, raw []byte) (*pcRecord, error) {
 	var rec pcRecord
 	if err := json.Unmarshal(raw, &rec); err != nil {
-		return nil, fmt.Errorf("shard: corrupt pc record %s: %w", gid, err)
+		return nil, fmt.Errorf("shard: corrupt pc record %s: %w", key, err)
 	}
 	return &rec, nil
 }
 
-// Recover resolves every in-doubt cross-shard transfer left by a crash:
-// prepared rows are presumed-abort, committed rows are re-driven to
-// completion, aborted rows are undone. It runs at Ledger construction
-// and is safe to call again at any quiescent point; all steps are
-// idempotent.
+// Recover completes every cross-shard transfer a crash left between its
+// commit point and its cleanup (and resolves rows of the retired
+// protocol an older binary journaled). It runs at Ledger construction
+// and is safe to call again at any time; all steps are idempotent.
 func (l *Ledger) Recover() error {
 	if len(l.stores) == 1 {
 		return nil // cross-shard transfers cannot exist
 	}
-	for i := range l.stores {
+	for i, st := range l.stores {
 		var gids []string
-		err := l.stores[i].Scan(tablePC, func(key string, _ []byte) bool {
+		if err := st.Scan(tablePC, func(key string, _ []byte) bool {
 			gids = append(gids, key)
 			return true
-		})
-		if err != nil {
-			if errors.Is(err, db.ErrNoTable) {
-				continue
-			}
+		}); err != nil {
 			return err
 		}
 		for _, gid := range gids {
@@ -477,35 +398,31 @@ func (l *Ledger) Recover() error {
 				return fmt.Errorf("shard: recovering transfer %s on shard %d: %w", gid, i, err)
 			}
 		}
-		// Orphaned credit markers: their pc row is gone (transfer fully
-		// finalized) so they will never be consulted again.
-		var orphans []string
-		err = l.stores[i].Scan(tablePCApplied, func(key string, _ []byte) bool {
-			orphans = append(orphans, key)
+		// Credit markers of the retired protocol: nothing reads them.
+		var markers []string
+		err := st.Scan(tablePCApplied, func(key string, _ []byte) bool {
+			markers = append(markers, key)
 			return true
 		})
 		if err != nil && !errors.Is(err, db.ErrNoTable) {
 			return err
 		}
-		for _, gid := range orphans {
-			if l.pcRowExists(gid) {
-				continue // still in flight; marker still guards idempotency
+		if len(markers) == 0 {
+			continue
+		}
+		err = st.UpdateNoWait(func(tx *db.Tx) error {
+			for _, gid := range markers {
+				if err := tx.Delete(tablePCApplied, gid); err != nil && !errors.Is(err, db.ErrNoRecord) {
+					return err
+				}
 			}
-			l.clearApplied(i, gid)
+			return nil
+		})
+		if err != nil {
+			return err
 		}
 	}
 	return nil
-}
-
-// pcRowExists reports whether any shard still holds a live pc row for
-// gid.
-func (l *Ledger) pcRowExists(gid string) bool {
-	for i := range l.stores {
-		if _, err := l.stores[i].Get(tablePC, gid); err == nil {
-			return true
-		}
-	}
-	return false
 }
 
 // recoverOne resolves a single pc row found on debit shard i.
@@ -517,39 +434,24 @@ func (l *Ledger) recoverOne(i int, gid string) error {
 	if err != nil {
 		return err
 	}
-	var rec pcRecord
-	if err := json.Unmarshal(raw, &rec); err != nil {
-		return fmt.Errorf("shard: corrupt pc record %s: %w", gid, err)
+	rec, err := decodePC(gid, raw)
+	if err != nil {
+		return err
 	}
 	switch rec.State {
-	case pcPrepared:
-		// No durable commit decision: presume abort.
-		if err := l.decide(i, gid, pcAborted); err != nil {
-			return err
-		}
-		if err := l.abortUndo(i, gid); err != nil {
-			return err
-		}
-		l.resolveInDoubtMark()
-		return nil
-	case pcAborted:
-		if err := l.abortUndo(i, gid); err != nil {
-			return err
-		}
-		l.resolveInDoubtMark()
-		return nil
+	case pcPrepared, pcAborted:
+		// Retired protocol, no durable commit decision: presume abort.
+		err = l.abortUndo(i, rec)
 	case pcCommitted:
-		ts := l.ring.ShardFor(string(rec.To))
-		if err := l.applyCredit(ts, &rec); err != nil {
-			return err
+		if err = l.applyCredit(l.ring.ShardFor(string(rec.To)), rec); err == nil {
+			err = l.cleanup(i, rec)
 		}
-		if err := l.finalizeDebit(i, &rec); err != nil {
-			return err
-		}
-		l.clearApplied(ts, gid)
-		l.resolveInDoubtMark()
-		return nil
 	default:
-		return fmt.Errorf("shard: pc record %s in unknown state %q", gid, rec.State)
+		err = fmt.Errorf("shard: pc record %s in unknown state %q", gid, rec.State)
 	}
+	if err != nil {
+		return err
+	}
+	l.resolveInDoubtMark()
+	return nil
 }

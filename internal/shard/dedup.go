@@ -1,81 +1,12 @@
 package shard
 
-import (
-	"errors"
-	"fmt"
-	"time"
-
-	"gridbank/internal/accounts"
-	"gridbank/internal/currency"
-	"gridbank/internal/db"
-)
-
-// Keyed (idempotent) cross-shard transfers.
-//
-// A same-shard keyed transfer is easy: the accounts manager checks and
-// spends the op_dedup marker inside the one transaction that moves the
-// money. A cross-shard transfer has no single transaction, so this file
-// applies the usage pipeline's write-ahead discipline instead: allocate
-// the transaction ID, durably pin it in the drawer shard's op_dedup
-// marker, then drive the ordinary 2PC transfer under that pinned ID. A
-// retry of the same key finds the marker, resolves the pinned GID's
-// in-doubt 2PC state, and either returns the recorded transfer or
-// re-drives the identical protocol — the money moves at most once.
-
-// keyedCrossTransfer runs one cross-shard transfer idempotently under
-// opts.DedupKey. fs is the drawer's shard (where the marker and the 2PC
-// coordinator log live).
-func (l *Ledger) keyedCrossTransfer(fs int, drawer, recipient accounts.ID, amount currency.Amount, opts accounts.TransferOptions) (*accounts.Transfer, error) {
-	l.dedupMu.Lock()
-	defer l.dedupMu.Unlock()
-	mgr := l.mgrs[fs]
-	mk, err := mgr.GetDedup(opts.DedupKey)
-	if err != nil {
-		return nil, err
-	}
-	if mk == nil {
-		// First attempt: pin the allocated ID before any 2PC row
-		// exists, so a crash at any later point leaves a marker a retry
-		// (or startup seeding) can see.
-		mk = &accounts.DedupMarker{Key: opts.DedupKey, TxID: l.txSeq.Add(1), Date: l.now()}
-		err := l.stores[fs].Update(func(tx *db.Tx) error {
-			return mgr.PutDedupTx(tx, mk)
-		})
-		if err != nil {
-			return nil, err
-		}
-		return l.crossTransferWithID(mk.TxID, drawer, recipient, amount, opts, false)
-	}
-	// Retry: settle the pinned ID's fate first. Recovery presume-aborts
-	// a prepared-only attempt and completes a committed one; either way
-	// the transfer record is then the single source of truth.
-	if err := l.recoverOne(fs, gidFor(mk.TxID)); err != nil {
-		return nil, fmt.Errorf("shard: resolve keyed transfer %d: %w", mk.TxID, err)
-	}
-	tr, err := l.GetTransfer(mk.TxID)
-	if err == nil {
-		return tr, nil
-	}
-	if !errors.Is(err, accounts.ErrNoSuchTransfer) {
-		return nil, err
-	}
-	// Pinned but never (or not completely) executed: re-drive the same
-	// transfer under the same ID.
-	return l.crossTransferWithID(mk.TxID, drawer, recipient, amount, opts, false)
-}
+import "time"
 
 // SweepDedup removes op_dedup markers older than cutoff on every shard,
-// reporting the total removed. Markers still pinning an unresolved
-// cross-shard transfer are settled by recovery before the sweep so the
-// pin is never yanked out from under an in-doubt GID.
+// reporting the total removed. A marker commits in the transaction that
+// moves its transfer's money, so sweeping one never disturbs a transfer
+// in flight — it only ends the key's replay protection.
 func (l *Ledger) SweepDedup(cutoff time.Time) (int, error) {
-	l.dedupMu.Lock()
-	defer l.dedupMu.Unlock()
-	if len(l.stores) > 1 {
-		if err := l.Recover(); err != nil {
-			return 0, err
-		}
-	}
 	total := 0
 	for _, mgr := range l.mgrs {
 		n, err := mgr.SweepDedup(cutoff)

@@ -70,13 +70,13 @@ func TestKeyedSameShardReplay(t *testing.T) {
 }
 
 // TestKeyedCrossTransferCrashRetry crashes the coordinator at every
-// durable 2PC boundary of a keyed transfer: the retry under the same
-// key must resolve the pinned transaction's fate and complete the move
-// exactly once, even across a full restart (fresh Ledger over the same
-// stores, which re-seeds the transaction-ID allocator from the pinned
-// markers).
+// durable boundary of a keyed transfer. Each is at or past the commit
+// point, where the key is already spent: the retry under the same key
+// must replay the recorded transaction — after its credit has landed —
+// and never move money again, even across a full restart (fresh Ledger
+// over the same stores).
 func TestKeyedCrossTransferCrashRetry(t *testing.T) {
-	for _, step := range []Step{StepPrepared, StepDecided, StepCreditApplied, StepFinalized} {
+	for _, step := range []Step{StepPrepared, StepCreditApplied, StepFinalized} {
 		t.Run(step.String(), func(t *testing.T) {
 			stores := make([]*db.Store, 4)
 			for i := range stores {
@@ -95,9 +95,13 @@ func TestKeyedCrossTransferCrashRetry(t *testing.T) {
 				}
 				return nil
 			}
-			tr1, err := l.Transfer(from, to, currency.FromG(40), accounts.TransferOptions{DedupKey: "crash-1"})
-			if err == nil && step != StepFinalized {
-				t.Fatalf("keyed transfer survived an injected crash at %s", step)
+			_, err = l.Transfer(from, to, currency.FromG(40), accounts.TransferOptions{DedupKey: "crash-1"})
+			if !errors.Is(err, ErrInDoubt) {
+				t.Fatalf("keyed transfer crashed at %s = %v, want ErrInDoubt", step, err)
+			}
+			mk, err := l.mgrs[l.ShardFor(from)].GetDedup("crash-1")
+			if err != nil || mk == nil {
+				t.Fatalf("key not spent at the commit point: %+v, %v", mk, err)
 			}
 
 			// Restart: a fresh ledger over the same stores, as a reboot
@@ -113,8 +117,8 @@ func TestKeyedCrossTransferCrashRetry(t *testing.T) {
 			if err != nil {
 				t.Fatalf("retry after crash at %s: %v", step, err)
 			}
-			if tr1 != nil && tr2.TransactionID != tr1.TransactionID {
-				t.Fatalf("retry minted transaction %d, want recorded %d", tr2.TransactionID, tr1.TransactionID)
+			if tr2.TransactionID != mk.TxID {
+				t.Fatalf("retry minted transaction %d, want recorded %d", tr2.TransactionID, mk.TxID)
 			}
 			fa, _ := l2.Details(from)
 			ta, _ := l2.Details(to)
@@ -136,10 +140,10 @@ func TestKeyedCrossTransferCrashRetry(t *testing.T) {
 	}
 }
 
-// TestKeyedTransferPinnedButNeverDriven covers the narrowest window: a
-// marker durably pinned an allocated ID but the process died before any
-// 2PC row was written. The retry must drive the transfer under that
-// pinned ID.
+// TestKeyedTransferPinnedButNeverDriven covers what an older binary can
+// leave behind: it pinned an allocated ID in the marker before driving
+// the transfer and died before any money moved. The retry must drive
+// the transfer under that pinned ID.
 func TestKeyedTransferPinnedButNeverDriven(t *testing.T) {
 	l := newTestLedger(t, 4)
 	from, to := fundPair(t, l, false, currency.FromG(50))
@@ -166,9 +170,8 @@ func TestKeyedTransferPinnedButNeverDriven(t *testing.T) {
 	}
 }
 
-// TestLedgerSweepDedup pins the sharded sweep: it settles in-doubt
-// state first, removes expired markers on every shard, and a swept key
-// then executes fresh.
+// TestLedgerSweepDedup pins the sharded sweep: it removes expired
+// markers on every shard, and a swept key then executes fresh.
 func TestLedgerSweepDedup(t *testing.T) {
 	l := newTestLedger(t, 4)
 	from, to := fundPair(t, l, false, currency.FromG(100))
@@ -192,5 +195,47 @@ func TestLedgerSweepDedup(t *testing.T) {
 	fa, _ := l.Details(from)
 	if fa.AvailableBalance != currency.FromG(80) {
 		t.Fatalf("drawer balance %v, want two 10 G$ debits", fa.AvailableBalance)
+	}
+}
+
+// TestKeyedCrossTransferSameKeyRace races many executions of one key:
+// the marker commits with the money, so exactly one moves it and every
+// caller gets that one transaction back.
+func TestKeyedCrossTransferSameKeyRace(t *testing.T) {
+	l := newTestLedger(t, 4)
+	from, to := fundPair(t, l, false, currency.FromG(100))
+	const callers = 8
+	ids := make(chan uint64, callers)
+	errs := make(chan error, callers)
+	for i := 0; i < callers; i++ {
+		go func() {
+			tr, err := l.Transfer(from, to, currency.FromG(10), accounts.TransferOptions{DedupKey: "race-1"})
+			if err != nil {
+				errs <- err
+				return
+			}
+			ids <- tr.TransactionID
+		}()
+	}
+	var first uint64
+	for i := 0; i < callers; i++ {
+		select {
+		case err := <-errs:
+			t.Fatal(err)
+		case id := <-ids:
+			if first == 0 {
+				first = id
+			} else if id != first {
+				t.Fatalf("same key returned transactions %d and %d", first, id)
+			}
+		}
+	}
+	fa, _ := l.Details(from)
+	ta, _ := l.Details(to)
+	if fa.AvailableBalance != currency.FromG(90) || ta.AvailableBalance != currency.FromG(10) {
+		t.Fatalf("after %d racing executions: from=%v to=%v, want one 10 G$ move", callers, fa.AvailableBalance, ta.AvailableBalance)
+	}
+	if esc, err := l.PendingEscrow(); err != nil || !esc.IsZero() {
+		t.Fatalf("escrow leaked: %v, %v", esc, err)
 	}
 }

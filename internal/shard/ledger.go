@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -14,7 +13,11 @@ import (
 	"gridbank/internal/currency"
 	"gridbank/internal/db"
 	"gridbank/internal/obs"
+	"gridbank/internal/strhash"
 )
+
+// keyStripes is the shard count of the per-idempotency-key lock.
+const keyStripes = 64
 
 // Config configures a sharded Ledger.
 type Config struct {
@@ -39,8 +42,9 @@ type Config struct {
 // coordinator in coord.go.
 //
 // Shard 0 doubles as the metadata shard: Store() hands it to the bank
-// core for the instrument and administrator tables, which are bank-
-// global rather than account-partitioned.
+// core for the administrator table, which is bank-global rather than
+// account-partitioned. (Instrument registry rows are partitioned: each
+// lives on its drawer's shard, via ShardStore.)
 type Ledger struct {
 	ring   *Ring
 	stores []*db.Store
@@ -61,14 +65,13 @@ type Ledger struct {
 	// through those steps could each run their own reversal.
 	cancelMu sync.Mutex
 
-	// dedupMu serializes keyed cross-shard transfers. A keyed transfer
-	// pins its transaction ID in an op_dedup marker before driving 2PC,
-	// and a retry of the same key resolves the pinned GID's in-doubt
-	// state; without the mutex a retry racing the original could
-	// presume-abort a prepare the original is still driving.
-	dedupMu sync.Mutex
+	// keyMu serializes cross-shard transfers per idempotency key. The
+	// op_dedup marker commits with the money, so racing executions of
+	// one key are already safe; the stripe makes a retry wait for the
+	// original's credit to be durable before it replays the outcome.
+	keyMu [keyStripes]sync.Mutex
 
-	// CrashHook, when set, is called after every durable 2PC step with
+	// CrashHook, when set, is called after every durable protocol step with
 	// the transfer's GID; returning an error abandons the in-flight
 	// protocol at that boundary (simulating a coordinator crash). Test
 	// instrumentation only — set it before the ledger serves traffic.
@@ -78,10 +81,10 @@ type Ledger struct {
 	mLocal      *obs.Counter   // same-shard transfers
 	mCross      *obs.Counter   // cross-shard (2PC) transfers
 	mInDoubt    *obs.Gauge     // transfers this process abandoned in-doubt
-	m2pcPrepare *obs.Histogram // 2PC phase latencies
-	m2pcDecide  *obs.Histogram
-	m2pcCredit  *obs.Histogram
-	m2pcFinal   *obs.Histogram
+	m2pcPrepare *obs.Histogram // commit-point transaction (debit shard)
+	m2pcDecide  *obs.Histogram // presumed-abort of a retired-protocol row (recovery only)
+	m2pcCredit  *obs.Histogram // credit transaction (credit shard)
+	m2pcFinal   *obs.Histogram // unawaited outbox-row cleanup
 
 	// inDoubtLocal shadows mInDoubt so recovery never drives the gauge
 	// negative: a fresh process's recoveries resolve in-doubt rows a
@@ -90,7 +93,8 @@ type Ledger struct {
 }
 
 // SetObs attaches a telemetry registry: same/cross-shard transfer
-// counters, per-phase 2PC latency histograms, and the in-doubt gauge.
+// counters, per-step cross-shard latency histograms, the in-doubt gauge
+// and the age of the oldest live outbox row.
 // It also forwards to every shard store (OCC and journal instruments
 // share the registry). Wiring-time only — call before the ledger
 // serves traffic.
@@ -102,6 +106,16 @@ func (l *Ledger) SetObs(reg *obs.Registry) {
 	l.m2pcDecide = reg.Histogram("shard.2pc.decide")
 	l.m2pcCredit = reg.Histogram("shard.2pc.credit")
 	l.m2pcFinal = reg.Histogram("shard.2pc.finalize")
+	reg.GaugeFunc("shard.2pc.oldest_in_doubt_seconds", func(now time.Time) int64 {
+		oldest := now
+		_ = l.scanPC(func(rec *pcRecord) error {
+			if rec.Date.Before(oldest) {
+				oldest = rec.Date
+			}
+			return nil
+		})
+		return int64(now.Sub(oldest) / time.Second)
+	})
 	for _, st := range l.stores {
 		st.SetObs(reg)
 	}
@@ -131,9 +145,9 @@ func (l *Ledger) resolveInDoubtMark() {
 
 // New builds a sharded ledger over the given stores (one per shard, at
 // least one). Each store gets its own accounts.Manager sharing one
-// transaction-ID allocator; 2PC bookkeeping tables are created when
-// sharding is real (N > 1), and any in-doubt cross-shard transfers left
-// by a crash are resolved before New returns.
+// transaction-ID allocator; the outbox table is created when sharding
+// is real (N > 1), and any cross-shard transfers a crash left past their
+// commit point are completed before New returns.
 //
 // The shard count is fixed by the stores slice and must match the data:
 // reopening existing shards under a different count would strand
@@ -176,25 +190,18 @@ func New(stores []*db.Store, cfg Config) (*Ledger, error) {
 			if err := st.EnsureTable(tablePC); err != nil {
 				return nil, err
 			}
-			if err := st.EnsureTable(tablePCApplied); err != nil {
-				return nil, err
-			}
-		}
-		// In-doubt 2PC rows may carry transaction IDs newer than any
-		// §5.1 record (prepare is durable before the transaction rows
-		// are written); the allocator must clear them too, or a fresh
-		// transfer could collide with an in-doubt GID.
-		for _, st := range stores {
-			for _, table := range []string{tablePC, tablePCApplied} {
-				err := st.Scan(table, func(key string, _ []byte) bool {
-					if n, err := strconv.ParseUint(key, 10, 64); err == nil && n > txMax {
-						txMax = n
-					}
-					return true
-				})
-				if err != nil {
-					return nil, err
+			// A retired-protocol row an older binary left may carry a
+			// transaction ID newer than any §5.1 record (its prepare was
+			// durable before the transaction rows were written); the
+			// allocator must clear it too.
+			err := st.Scan(tablePC, func(key string, _ []byte) bool {
+				if n, err := strconv.ParseUint(key, 10, 64); err == nil && n > txMax {
+					txMax = n
 				}
+				return true
+			})
+			if err != nil {
+				return nil, err
 			}
 		}
 		// Likewise reversal IDs pinned by a cancellation that crashed
@@ -209,9 +216,9 @@ func New(stores []*db.Store, cfg Config) (*Ledger, error) {
 				txMax = n
 			}
 		}
-		// And transaction IDs pinned in op_dedup markers: a keyed
-		// cross-shard transfer pins its ID before driving 2PC, so a
-		// crash in between leaves the ID recorded only in the marker.
+		// And transaction IDs pinned in op_dedup markers: an older
+		// binary pinned a keyed cross-shard transfer's ID before driving
+		// it, so its crash in between left the ID only in the marker.
 		for _, mgr := range l.mgrs {
 			n, err := mgr.MaxDedupTxID()
 			if err != nil {
@@ -276,14 +283,14 @@ func (l *Ledger) TransferWithID(txID uint64, drawer, recipient accounts.ID, amou
 	if fs == ts {
 		return nil, errors.New("shard: TransferWithID is cross-shard only")
 	}
-	return l.crossTransferWithID(txID, drawer, recipient, amount, opts, false)
+	return l.crossTransfer(txID, drawer, recipient, amount, opts, false)
 }
 
-// ResolveInDoubt resolves the 2PC state of one pinned transfer exactly
-// as startup recovery would: a prepared row is presumed-abort, a
-// committed row is re-driven to completion, nothing is a no-op. Safe to
-// call when no pc row exists for the ID. debitShard is the shard the
-// transfer debits (where its coordinator log lives).
+// ResolveInDoubt completes one pinned transfer exactly as startup
+// recovery would: a live outbox row is re-driven (credit, cleanup),
+// nothing is a no-op — after it returns, GetTransfer(txID) says whether
+// the transfer happened. debitShard is the shard the transfer debits
+// (where its outbox row lives).
 func (l *Ledger) ResolveInDoubt(debitShard int, txID uint64) error {
 	if debitShard < 0 || debitShard >= len(l.stores) {
 		return fmt.Errorf("shard: debit shard %d out of range [0,%d)", debitShard, len(l.stores))
@@ -311,7 +318,7 @@ func (l *Ledger) ShardStore(i int) *db.Store { return l.stores[i] }
 func (l *Ledger) ShardManager(i int) *accounts.Manager { return l.mgrs[i] }
 
 // Store returns the metadata shard's store (shard 0), where the bank
-// core keeps its instrument and administrator tables.
+// core keeps its administrator table.
 func (l *Ledger) Store() *db.Store { return l.stores[0] }
 
 // MetaManager returns the metadata shard's accounts manager.
@@ -429,8 +436,8 @@ func (l *Ledger) Unlock(id accounts.ID, amount currency.Amount) error {
 }
 
 // Transfer moves funds between any two accounts: a single-store ledger
-// transaction when both hash to the same shard, the 2PC protocol when
-// they do not.
+// transaction when both hash to the same shard, the commit-point
+// protocol of coord.go when they do not.
 func (l *Ledger) Transfer(drawer, recipient accounts.ID, amount currency.Amount, opts accounts.TransferOptions) (*accounts.Transfer, error) {
 	if !amount.IsPositive() {
 		return nil, accounts.ErrBadAmount
@@ -447,9 +454,11 @@ func (l *Ledger) Transfer(drawer, recipient accounts.ID, amount currency.Amount,
 	}
 	l.mCross.Inc()
 	if opts.DedupKey != "" {
-		return l.keyedCrossTransfer(fs, drawer, recipient, amount, opts)
+		mu := &l.keyMu[strhash.FNV32a(opts.DedupKey)%keyStripes]
+		mu.Lock()
+		defer mu.Unlock()
 	}
-	return l.crossTransfer(drawer, recipient, amount, opts, false)
+	return l.crossTransfer(0, drawer, recipient, amount, opts, false)
 }
 
 // Statement routes to the owning shard. Both sides of a cross-shard
@@ -496,37 +505,46 @@ func (l *Ledger) TotalBalance() (currency.Amount, error) {
 	return total.MustAdd(escrow), nil
 }
 
-// PendingEscrow sums the amounts held in pc records whose credit has
+// PendingEscrow sums the amounts held in outbox rows whose credit has
 // not yet landed: money that has left a drawer and not yet reached a
-// recipient. Zero on a quiesced, recovered ledger.
+// recipient. Zero on a quiesced, recovered ledger — and zero for a row
+// that merely awaits its cleanup.
 func (l *Ledger) PendingEscrow() (currency.Amount, error) {
 	var total currency.Amount
-	if len(l.stores) == 1 {
-		return 0, nil
-	}
-	for i := range l.stores {
-		var scanErr error
-		err := l.stores[i].Scan(tablePC, func(key string, value []byte) bool {
-			var rec pcRecord
-			if err := json.Unmarshal(value, &rec); err != nil {
-				scanErr = fmt.Errorf("shard: corrupt pc record %s: %w", key, err)
-				return false
-			}
-			ts := l.ring.ShardFor(string(rec.To))
-			if _, err := l.stores[ts].Get(tablePCApplied, rec.GID); err == nil {
-				return true // credit already applied; escrow has landed
-			}
+	err := l.scanPC(func(rec *pcRecord) error {
+		_, err := l.mgrFor(rec.To).GetTransfer(rec.TxID)
+		if errors.Is(err, accounts.ErrNoSuchTransfer) {
 			total = total.MustAdd(rec.Amount)
-			return true
-		})
-		if err != nil && !errors.Is(err, db.ErrNoTable) {
-			return 0, err
+			return nil
 		}
-		if scanErr != nil {
-			return 0, scanErr
+		return err // nil: the credit landed
+	})
+	return total, err
+}
+
+// scanPC visits every outbox row on every shard.
+func (l *Ledger) scanPC(visit func(rec *pcRecord) error) error {
+	if len(l.stores) == 1 {
+		return nil
+	}
+	for _, st := range l.stores {
+		var visitErr error
+		err := st.Scan(tablePC, func(key string, value []byte) bool {
+			rec, err := decodePC(key, value)
+			if err == nil {
+				err = visit(rec)
+			}
+			visitErr = err
+			return err == nil
+		})
+		if err != nil {
+			return err
+		}
+		if visitErr != nil {
+			return visitErr
 		}
 	}
-	return total, nil
+	return nil
 }
 
 // Accounts lists every account across all shards, in ID order.
@@ -560,7 +578,7 @@ func (l *Ledger) ChangeCreditLimit(id accounts.ID, limit currency.Amount) error 
 
 // CancelTransfer reverses a transfer (§5.2.1). Same-shard transfers
 // delegate to the shard's admin module. Cross-shard transfers run a
-// compensating 2PC transfer in the opposite direction under a
+// compensating cross-shard transfer in the opposite direction under a
 // write-ahead reversal ID: the ID is durably pinned on the original
 // record's authoritative (drawer-shard) copy before any money moves,
 // so a cancel that crashes anywhere — even after the reversal fully
@@ -577,6 +595,11 @@ func (l *Ledger) CancelTransfer(txID uint64) error {
 	}
 	l.cancelMu.Lock()
 	defer l.cancelMu.Unlock()
+	// The transfer itself may still be between its commit point and its
+	// credit; land it before pulling the money back.
+	if err := l.recoverOne(fs, gidFor(txID)); err != nil {
+		return err
+	}
 	// The drawer-shard copy is authoritative for the cancelled flag and
 	// the reversal ID.
 	auth, err := l.mgrs[fs].GetTransfer(txID)
@@ -620,14 +643,15 @@ func (l *Ledger) CancelTransfer(txID uint64) error {
 	if err := l.recoverOne(ts, gidFor(reversalID)); err != nil {
 		return err
 	}
-	// Completed reversals finalize on their debit shard last, so a
-	// transfer record for reversalID there means the money already
-	// moved back — skip straight to marking.
+	// A reversal writes its debit-shard transfer record at its commit
+	// point and was just driven to completion if it had one, so a record
+	// for reversalID there means the money already moved back — skip
+	// straight to marking.
 	if _, err := l.mgrs[ts].GetTransfer(reversalID); err != nil {
 		if !errors.Is(err, accounts.ErrNoSuchTransfer) {
 			return err
 		}
-		if _, err := l.crossTransferWithID(reversalID, tr.RecipientAccountID, tr.DrawerAccountID, tr.Amount, accounts.TransferOptions{}, true); err != nil {
+		if _, err := l.crossTransfer(reversalID, tr.RecipientAccountID, tr.DrawerAccountID, tr.Amount, accounts.TransferOptions{}, true); err != nil {
 			return err
 		}
 	}
@@ -652,7 +676,8 @@ func (l *Ledger) CancelTransfer(txID uint64) error {
 }
 
 // CloseAccount closes an account (§5.2.1), sweeping any balance to
-// transferTo first — via 2PC when the sweep crosses shards.
+// transferTo first — via the cross-shard protocol when the sweep
+// crosses shards.
 func (l *Ledger) CloseAccount(id, transferTo accounts.ID) error {
 	owner := l.mgrFor(id)
 	if transferTo == "" || l.ring.ShardFor(string(id)) == l.ring.ShardFor(string(transferTo)) {
@@ -666,7 +691,7 @@ func (l *Ledger) CloseAccount(id, transferTo accounts.ID) error {
 		return fmt.Errorf("%w: %s has %s locked", accounts.ErrNotEmpty, id, a.LockedBalance)
 	}
 	if a.AvailableBalance.IsPositive() {
-		if _, err := l.crossTransfer(id, transferTo, a.AvailableBalance, accounts.TransferOptions{}, false); err != nil {
+		if _, err := l.crossTransfer(0, id, transferTo, a.AvailableBalance, accounts.TransferOptions{}, false); err != nil {
 			return err
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"gridbank/internal/accounts"
 	"gridbank/internal/currency"
 	"gridbank/internal/db"
+	"gridbank/internal/obs"
 )
 
 var testEpoch = time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
@@ -191,12 +192,12 @@ func TestCrossShardCancelTransfer(t *testing.T) {
 }
 
 // TestCancelTransferRetryAfterCrashDoesNotDoubleReverse pins the
-// write-ahead reversal-ID protocol: a cancel that dies at any 2PC
+// write-ahead reversal-ID protocol: a cancel that dies at any durable
 // boundary of its compensating transfer — including after the reversal
 // fully completed but before the cancelled marks landed — must, on
 // retry, re-drive the same reversal exactly once.
 func TestCancelTransferRetryAfterCrashDoesNotDoubleReverse(t *testing.T) {
-	for _, step := range []Step{StepPrepared, StepDecided, StepCreditApplied, StepFinalized} {
+	for _, step := range []Step{StepPrepared, StepCreditApplied, StepFinalized} {
 		t.Run(step.String(), func(t *testing.T) {
 			l := newTestLedger(t, 4)
 			from, to := fundPair(t, l, false, currency.FromG(100))
@@ -241,6 +242,150 @@ func TestCancelTransferRetryAfterCrashDoesNotDoubleReverse(t *testing.T) {
 				t.Fatalf("conservation after cancel retries: %v, %v", total, err)
 			}
 		})
+	}
+}
+
+// TestCancelTransferResolvesLiveOutboxRowFirst cancels a transfer that
+// was abandoned at its commit point: the drawer is debited, the credit
+// has not landed. Cancel must land it before pulling the money back —
+// reversing first would overdraw (or refuse on) a recipient that never
+// received the funds.
+func TestCancelTransferResolvesLiveOutboxRowFirst(t *testing.T) {
+	l := newTestLedger(t, 4)
+	from, to := fundPair(t, l, false, currency.FromG(100))
+	l.CrashHook = func(string, Step) error { return errors.New("injected coordinator crash") }
+	_, err := l.Transfer(from, to, currency.FromG(40), accounts.TransferOptions{DedupKey: "live-1"})
+	if !errors.Is(err, ErrInDoubt) {
+		t.Fatalf("transfer = %v, want ErrInDoubt", err)
+	}
+	l.CrashHook = nil
+	mk, err := l.mgrs[l.ShardFor(from)].GetDedup("live-1")
+	if err != nil || mk == nil {
+		t.Fatal("no marker at the commit point", err)
+	}
+	if esc, _ := l.PendingEscrow(); esc != currency.FromG(40) {
+		t.Fatalf("escrow before cancel = %v, want the 40 G$ in the outbox row", esc)
+	}
+	if err := l.CancelTransfer(mk.TxID); err != nil {
+		t.Fatal(err)
+	}
+	fa, _ := l.Details(from)
+	ta, _ := l.Details(to)
+	if fa.AvailableBalance != currency.FromG(100) || !ta.AvailableBalance.IsZero() {
+		t.Fatalf("after cancel: from=%v to=%v", fa.AvailableBalance, ta.AvailableBalance)
+	}
+	if esc, err := l.PendingEscrow(); err != nil || !esc.IsZero() {
+		t.Fatalf("escrow after cancel: %v, %v", esc, err)
+	}
+	if total, err := l.TotalBalance(); err != nil || total != currency.FromG(100) {
+		t.Fatalf("conservation: %v, %v", total, err)
+	}
+}
+
+// TestCommitPointCarriesReleaseAndCallback checks what an instrument
+// redemption needs from a cross-shard transfer: the unspent lock is
+// released and the caller's rows are written in the commit-point
+// transaction on the drawer's shard — and a callback error aborts the
+// transfer with nothing written.
+func TestCommitPointCarriesReleaseAndCallback(t *testing.T) {
+	l := newTestLedger(t, 4)
+	from, to := fundPair(t, l, false, currency.FromG(50))
+	if err := l.CheckFunds(from, currency.FromG(20)); err != nil {
+		t.Fatal(err)
+	}
+	fs := l.ShardFor(from)
+	if err := l.stores[fs].EnsureTable("instr"); err != nil {
+		t.Fatal(err)
+	}
+	refuse := errors.New("instrument already spent")
+	_, err := l.Transfer(from, to, currency.FromG(15), accounts.TransferOptions{
+		FromLocked: true, ReleaseLocked: currency.FromG(5),
+		InTx: func(*db.Tx) error { return refuse },
+	})
+	if !errors.Is(err, refuse) {
+		t.Fatalf("refusing callback = %v", err)
+	}
+	if fa, _ := l.Details(from); fa.LockedBalance != currency.FromG(20) {
+		t.Fatalf("refused transfer touched the lock: %v", fa.LockedBalance)
+	}
+	// Stop at the commit point: everything the drawer's side owes is
+	// already there.
+	l.CrashHook = func(string, Step) error { return errors.New("injected coordinator crash") }
+	_, err = l.Transfer(from, to, currency.FromG(15), accounts.TransferOptions{
+		FromLocked: true, ReleaseLocked: currency.FromG(5),
+		InTx: func(tx *db.Tx) error { return tx.Put("instr", "s-1", []byte("redeemed")) },
+	})
+	if !errors.Is(err, ErrInDoubt) {
+		t.Fatalf("transfer = %v, want ErrInDoubt", err)
+	}
+	l.CrashHook = nil
+	fa, _ := l.Details(from)
+	if !fa.LockedBalance.IsZero() || fa.AvailableBalance != currency.FromG(35) {
+		t.Fatalf("at the commit point: available=%v locked=%v, want 35/0", fa.AvailableBalance, fa.LockedBalance)
+	}
+	if raw, err := l.stores[fs].Get("instr", "s-1"); err != nil || string(raw) != "redeemed" {
+		t.Fatalf("callback row: %q, %v", raw, err)
+	}
+	if err := l.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if ta, _ := l.Details(to); ta.AvailableBalance != currency.FromG(15) {
+		t.Fatalf("recipient after recovery = %v", ta.AvailableBalance)
+	}
+	if total, err := l.TotalBalance(); err != nil || total != currency.FromG(50) {
+		t.Fatalf("conservation: %v, %v", total, err)
+	}
+}
+
+// TestOldestInDoubtGauge reads the operator's view of a stuck transfer:
+// the gauge is the age of the oldest live outbox row and drops to zero
+// once recovery has completed it; the four step histograms stay
+// registered under their names.
+func TestOldestInDoubtGauge(t *testing.T) {
+	stores := make([]*db.Store, 3)
+	for i := range stores {
+		stores[i] = db.MustOpenMemory()
+	}
+	l, err := New(stores, Config{Now: func() time.Time { return testEpoch }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	l.SetObs(reg)
+	from, to := fundPair(t, l, false, currency.FromG(10))
+	gauge := func(at time.Time) int64 {
+		t.Helper()
+		for _, g := range reg.SnapshotAt(at).Gauges {
+			if g.Name == "shard.2pc.oldest_in_doubt_seconds" {
+				return g.Value
+			}
+		}
+		t.Fatal("gauge shard.2pc.oldest_in_doubt_seconds not registered")
+		return 0
+	}
+	if got := gauge(testEpoch.Add(time.Hour)); got != 0 {
+		t.Fatalf("gauge with no outbox row = %d", got)
+	}
+	l.CrashHook = func(string, Step) error { return errors.New("injected coordinator crash") }
+	_, _ = l.Transfer(from, to, currency.FromG(1), accounts.TransferOptions{})
+	l.CrashHook = nil
+	if got := gauge(testEpoch.Add(90 * time.Second)); got != 90 {
+		t.Fatalf("gauge 90 s after the commit point = %d", got)
+	}
+	if err := l.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if got := gauge(testEpoch.Add(time.Hour)); got != 0 {
+		t.Fatalf("gauge after recovery = %d", got)
+	}
+	names := map[string]bool{}
+	for _, h := range reg.SnapshotAt(testEpoch).Hists {
+		names[h.Name] = true
+	}
+	for _, step := range []string{"prepare", "decide", "credit", "finalize"} {
+		if !names["shard.2pc."+step] {
+			t.Fatalf("histogram shard.2pc.%s no longer registered", step)
+		}
 	}
 }
 
@@ -291,7 +436,7 @@ func TestSingleShardDelegatesWithoutPCTables(t *testing.T) {
 	if _, err := l.Transfer(a.AccountID, b.AccountID, currency.FromG(4), accounts.TransferOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	// A 1-shard ledger must not grow 2PC tables: its store stays
+	// A 1-shard ledger must not grow outbox tables: its store stays
 	// byte-compatible with an unsharded deployment's.
 	for _, table := range st.Tables() {
 		if table == tablePC || table == tablePCApplied {

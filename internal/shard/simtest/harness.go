@@ -1,11 +1,11 @@
 // Package simtest is the deterministic fault-injection harness for the
-// sharded ledger's two-phase commit. It stands up N shards on
-// crash-survivable in-memory journals, drives cross-shard transfers to
-// an exact 2PC step boundary, kills the coordinator or a participant
+// sharded ledger's cross-shard transfer protocol. It stands up N shards
+// on crash-survivable in-memory journals, drives cross-shard transfers
+// to an exact step boundary, kills the coordinator or a participant
 // shard there, "reboots" every store by replaying its journal, runs
-// recovery, and asserts that the ledger converged: every in-doubt
-// transfer fully applied or fully rolled back, no escrow left behind,
-// and not a micro-G$ of money created or destroyed.
+// recovery, and asserts that the ledger converged: every transfer past
+// its commit point applied exactly once, no escrow or outbox row left
+// behind, and not a micro-G$ of money created or destroyed.
 //
 // Everything is deterministic: crash points are enumerated exhaustively
 // (every step boundary × every victim) and the randomized soak runs on
@@ -245,8 +245,8 @@ func (h *Harness) TotalBalance() (currency.Amount, error) {
 }
 
 // AssertConverged checks the post-recovery invariants: no pending
-// escrow, no pc rows on any shard, and the conservation total equal to
-// want. It returns a descriptive error rather than failing a *testing.T
+// escrow, no outbox rows on any shard, and the conservation total equal
+// to want. It returns a descriptive error rather than failing a *testing.T
 // so the soak test can wrap it with schedule context.
 func (h *Harness) AssertConverged(want currency.Amount) error {
 	esc, err := h.ledger.PendingEscrow()
@@ -255,6 +255,11 @@ func (h *Harness) AssertConverged(want currency.Amount) error {
 	}
 	if !esc.IsZero() {
 		return fmt.Errorf("simtest: escrow %v left after recovery", esc)
+	}
+	for i, st := range h.ledger.Stores() {
+		if n, err := st.Count("pc_transfers"); err != nil || n != 0 {
+			return fmt.Errorf("simtest: shard %d holds %d outbox rows after recovery (%v)", i, n, err)
+		}
 	}
 	total, err := h.ledger.TotalBalance()
 	if err != nil {

@@ -11,18 +11,20 @@ import (
 	"gridbank/internal/shard"
 )
 
-// TestEveryCrashPointConverges enumerates every 2PC step boundary ×
-// every victim, kills exactly there, reboots the deployment from its
-// journals, and asserts recovery converges: the transfer is atomically
-// applied or rolled back, no escrow survives, and total funds across
-// all shards equal the pre-crash total.
+var allSteps = []shard.Step{shard.StepPrepared, shard.StepCreditApplied, shard.StepFinalized}
+
+// TestEveryCrashPointConverges enumerates every step boundary × every
+// victim, kills exactly there, reboots the deployment from its journals
+// and asserts the transfer completed exactly once. StepPrepared is the
+// commit point, so every schedule that reaches a hook has passed it:
+// none may roll back. Conservation (balances + escrow) must already
+// hold on the mid-crash durable state, before any recovery runs.
 func TestEveryCrashPointConverges(t *testing.T) {
-	steps := []shard.Step{shard.StepPrepared, shard.StepDecided, shard.StepCreditApplied, shard.StepFinalized}
 	victims := []Victim{KillCoordinator, KillDebitShard, KillCreditShard}
 	const fund = 100
 	amount := currency.FromG(30)
 
-	for _, step := range steps {
+	for _, step := range allSteps {
 		for _, victim := range victims {
 			t.Run(fmt.Sprintf("%s/%s", step, victim), func(t *testing.T) {
 				h, err := New(4)
@@ -35,14 +37,18 @@ func TestEveryCrashPointConverges(t *testing.T) {
 				}
 
 				err = h.TransferWithCrash(from, to, amount, &Crash{Step: step, Victim: victim})
-
-				// A commit decision that never became durable must abort;
-				// everything after the decision must apply. The only
-				// pre-decision schedule that still commits is killing the
-				// credit shard, which cannot stop the debit-side decision.
-				wantApplied := !(step == shard.StepPrepared && victim != KillCreditShard)
-				if !wantApplied && err == nil {
-					t.Fatalf("transfer reported success on a schedule that must abort")
+				if err != nil && !errors.Is(err, shard.ErrInDoubt) {
+					t.Fatalf("past the commit point the only error is ErrInDoubt, got %v", err)
+				}
+				// An acknowledged transfer has its credit on the credit
+				// shard already — the payee can read its payment.
+				if err == nil {
+					if ta, derr := h.Ledger().Details(to); derr != nil || ta.AvailableBalance != amount {
+						t.Fatalf("acked before the credit landed: to=%+v, %v", ta, derr)
+					}
+				}
+				if total, terr := h.TotalBalance(); terr != nil || total != currency.FromG(fund) {
+					t.Fatalf("mid-crash conservation (balances + escrow): %v, %v", total, terr)
 				}
 
 				// Reboot everything from the journals; shard.New replays
@@ -64,23 +70,17 @@ func TestEveryCrashPointConverges(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if wantApplied {
-					if fa.AvailableBalance != currency.FromG(fund-30) || ta.AvailableBalance != amount {
-						t.Fatalf("want applied; balances from=%v to=%v", fa.AvailableBalance, ta.AvailableBalance)
+				if fa.AvailableBalance != currency.FromG(fund-30) || ta.AvailableBalance != amount {
+					t.Fatalf("want applied exactly once; balances from=%v to=%v", fa.AvailableBalance, ta.AvailableBalance)
+				}
+				// Both sides hold exactly one copy of the §5.1 record.
+				for _, id := range []accounts.ID{from, to} {
+					st, err := h.Ledger().Statement(id, h.now.Add(-1e9), h.now.Add(1e9))
+					if err != nil {
+						t.Fatal(err)
 					}
-					// Both sides hold their copy of the §5.1 record.
-					for _, id := range []accounts.ID{from, to} {
-						st, err := h.Ledger().Statement(id, h.now.Add(-1e9), h.now.Add(1e9))
-						if err != nil {
-							t.Fatal(err)
-						}
-						if len(st.Transfers) != 1 || st.Transfers[0].Amount != amount {
-							t.Fatalf("statement of %s after recovery: %+v", id, st.Transfers)
-						}
-					}
-				} else {
-					if fa.AvailableBalance != currency.FromG(fund) || !ta.AvailableBalance.IsZero() {
-						t.Fatalf("want aborted; balances from=%v to=%v", fa.AvailableBalance, ta.AvailableBalance)
+					if len(st.Transfers) != 1 || st.Transfers[0].Amount != amount {
+						t.Fatalf("statement of %s after recovery: %+v", id, st.Transfers)
 					}
 				}
 				if !fa.LockedBalance.IsZero() || !ta.LockedBalance.IsZero() {
@@ -91,78 +91,112 @@ func TestEveryCrashPointConverges(t *testing.T) {
 	}
 }
 
-// TestCrashPointsFromLocked runs the cheque-redemption-shaped path
-// (transfer out of locked funds) through the abort and commit schedules
-// and checks the lock is restored or consumed, never leaked.
-func TestCrashPointsFromLocked(t *testing.T) {
-	for _, tc := range []struct {
-		step    shard.Step
-		victim  Victim
-		applied bool
-	}{
-		{shard.StepPrepared, KillCoordinator, false},
-		{shard.StepPrepared, KillDebitShard, false},
-		{shard.StepDecided, KillCreditShard, true},
-		{shard.StepCreditApplied, KillDebitShard, true},
-	} {
-		t.Run(fmt.Sprintf("%s/%s", tc.step, tc.victim), func(t *testing.T) {
-			h, err := New(3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			from, to, err := h.CrossShardPair("locked", currency.FromG(50))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := h.Ledger().CheckFunds(from, currency.FromG(20)); err != nil {
-				t.Fatal(err)
-			}
+// TestCrashBeforeCommitPointLeavesNoTrace kills the debit shard before
+// the commit-point transaction can land: the transfer fails cleanly,
+// and after a reboot there is no outbox row, no spent idempotency key
+// and no moved money — the same key then executes fresh.
+func TestCrashBeforeCommitPointLeavesNoTrace(t *testing.T) {
+	h, err := New(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	from, to, err := h.CrossShardPair("early", currency.FromG(50))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.journals[h.Ledger().ShardFor(from)].Kill()
+	_, err = h.Ledger().Transfer(from, to, currency.FromG(20), accounts.TransferOptions{DedupKey: "early-1"})
+	if err == nil || errors.Is(err, shard.ErrInDoubt) {
+		t.Fatalf("transfer on a dead debit shard = %v, want a clean failure", err)
+	}
+	if err := h.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.AssertConverged(currency.FromG(50)); err != nil {
+		t.Fatal(err)
+	}
+	l := h.Ledger()
+	if mk, err := l.Managers()[l.ShardFor(from)].GetDedup("early-1"); err != nil || mk != nil {
+		t.Fatalf("idempotency key spent by a transfer that never committed: %+v, %v", mk, err)
+	}
+	for i, st := range l.Stores() {
+		if n, err := st.Count("pc_transfers"); err != nil || n != 0 {
+			t.Fatalf("shard %d holds %d outbox rows (%v)", i, n, err)
+		}
+	}
+	if fa, _ := l.Details(from); fa.AvailableBalance != currency.FromG(50) {
+		t.Fatalf("drawer balance %v after a transfer that never committed", fa.AvailableBalance)
+	}
+	if _, err := l.Transfer(from, to, currency.FromG(20), accounts.TransferOptions{DedupKey: "early-1"}); err != nil {
+		t.Fatalf("same key after the clean failure: %v", err)
+	}
+	if ta, _ := l.Details(to); ta.AvailableBalance != currency.FromG(20) {
+		t.Fatalf("recipient = %v, want 20 G$", ta.AvailableBalance)
+	}
+}
 
-			l := h.Ledger()
-			fs, ts := l.ShardFor(from), l.ShardFor(to)
-			l.CrashHook = func(gid string, step shard.Step) error {
-				if step != tc.step {
+// TestCrashPointsFromLocked runs the cheque-redemption-shaped path
+// (transfer out of locked funds, unspent remainder released in the
+// commit-point transaction) through every schedule and checks the lock
+// is consumed and the remainder released exactly once, never leaked.
+func TestCrashPointsFromLocked(t *testing.T) {
+	for _, step := range allSteps {
+		for _, victim := range []Victim{KillCoordinator, KillDebitShard, KillCreditShard} {
+			t.Run(fmt.Sprintf("%s/%s", step, victim), func(t *testing.T) {
+				h, err := New(3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				from, to, err := h.CrossShardPair("locked", currency.FromG(50))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := h.Ledger().CheckFunds(from, currency.FromG(20)); err != nil {
+					t.Fatal(err)
+				}
+
+				l := h.Ledger()
+				fs, ts := l.ShardFor(from), l.ShardFor(to)
+				l.CrashHook = func(gid string, s shard.Step) error {
+					if s != step {
+						return nil
+					}
+					switch victim {
+					case KillCoordinator:
+						return ErrCrash
+					case KillDebitShard:
+						h.journals[fs].Kill()
+					case KillCreditShard:
+						h.journals[ts].Kill()
+					}
 					return nil
 				}
-				switch tc.victim {
-				case KillCoordinator:
-					return ErrCrash
-				case KillDebitShard:
-					h.journals[fs].Kill()
-				case KillCreditShard:
-					h.journals[ts].Kill()
-				}
-				return nil
-			}
-			_, _ = l.Transfer(from, to, currency.FromG(20), accounts.TransferOptions{FromLocked: true})
-			l.CrashHook = nil
+				_, _ = l.Transfer(from, to, currency.FromG(15), accounts.TransferOptions{FromLocked: true, ReleaseLocked: currency.FromG(5)})
+				l.CrashHook = nil
 
-			if err := h.Restart(); err != nil {
-				t.Fatal(err)
-			}
-			if err := h.AssertConverged(currency.FromG(50)); err != nil {
-				t.Fatal(err)
-			}
-			fa, _ := h.Ledger().Details(from)
-			ta, _ := h.Ledger().Details(to)
-			if tc.applied {
-				if !fa.LockedBalance.IsZero() || ta.AvailableBalance != currency.FromG(20) {
-					t.Fatalf("want applied: from locked=%v, to=%v", fa.LockedBalance, ta.AvailableBalance)
+				if err := h.Restart(); err != nil {
+					t.Fatal(err)
 				}
-			} else {
-				if fa.LockedBalance != currency.FromG(20) || !ta.AvailableBalance.IsZero() {
-					t.Fatalf("want aborted with lock restored: from locked=%v, to=%v", fa.LockedBalance, ta.AvailableBalance)
+				if err := h.AssertConverged(currency.FromG(50)); err != nil {
+					t.Fatal(err)
 				}
-			}
-		})
+				fa, _ := h.Ledger().Details(from)
+				ta, _ := h.Ledger().Details(to)
+				if !fa.LockedBalance.IsZero() || fa.AvailableBalance != currency.FromG(35) || ta.AvailableBalance != currency.FromG(15) {
+					t.Fatalf("want 15 paid and 5 released: from=%v/%v locked, to=%v", fa.AvailableBalance, fa.LockedBalance, ta.AvailableBalance)
+				}
+			})
+		}
 	}
 }
 
 // TestSeededCrashSchedule is the randomized soak: a fixed-seed PRNG
 // drives a mixed same-shard/cross-shard transfer workload and keeps
 // injecting random (step, victim) crashes, rebooting and recovering
-// after each. Conservation must hold at every recovery point and at the
-// end; the fixed seed makes any failure exactly reproducible.
+// after each. A transfer moved money exactly once if it was acknowledged
+// or left in doubt (it passed the commit point) and not at all otherwise;
+// every recovery point must match that model balance for balance, with
+// no escrow left. The fixed seed makes any failure exactly reproducible.
 func TestSeededCrashSchedule(t *testing.T) {
 	const (
 		seed     = 0x9dB4_2026
@@ -186,8 +220,27 @@ func TestSeededCrashSchedule(t *testing.T) {
 		ids[i] = id
 	}
 	want := currency.FromG(nAccts * perAcct)
+	model := make(map[accounts.ID]currency.Amount, nAccts)
+	for _, id := range ids {
+		model[id] = currency.FromG(perAcct)
+	}
+	checkModel := func(when string) {
+		t.Helper()
+		if err := h.AssertConverged(want); err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		for _, id := range ids {
+			a, err := h.Ledger().Details(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.AvailableBalance != model[id] || !a.LockedBalance.IsZero() {
+				t.Fatalf("%s: account %s = %v (locked %v), model says %v", when, id, a.AvailableBalance, a.LockedBalance, model[id])
+			}
+		}
+	}
 
-	steps := []shard.Step{shard.StepPrepared, shard.StepDecided, shard.StepCreditApplied, shard.StepFinalized}
+	steps := allSteps
 	victims := []Victim{KillCoordinator, KillDebitShard, KillCreditShard}
 	crashes := 0
 	for round := 0; round < rounds; round++ {
@@ -201,47 +254,36 @@ func TestSeededCrashSchedule(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			crash = &Crash{Step: steps[rng.Intn(len(steps))], Victim: victims[rng.Intn(len(victims))]}
 		}
-		_ = h.TransferWithCrash(from, to, amount, crash)
+		if err := h.TransferWithCrash(from, to, amount, crash); err == nil || errors.Is(err, shard.ErrInDoubt) {
+			model[from] = model[from].MustSub(amount)
+			model[to] = model[to].MustAdd(amount)
+		}
 		if crash != nil {
 			crashes++
 			if err := h.Restart(); err != nil {
 				t.Fatalf("round %d (%s/%s): restart: %v", round, crash.Step, crash.Victim, err)
 			}
-			if err := h.AssertConverged(want); err != nil {
-				t.Fatalf("round %d (%s/%s): %v", round, crash.Step, crash.Victim, err)
-			}
+			checkModel(fmt.Sprintf("round %d (%s/%s)", round, crash.Step, crash.Victim))
 		}
 	}
 	if crashes == 0 {
 		t.Fatal("seed produced no crash schedules; raise rounds")
 	}
 	// Final sweep: recovery already ran after each crash; one more
-	// restart must be a no-op, balances non-negative, totals conserved.
+	// restart must be a no-op.
 	if err := h.Restart(); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.AssertConverged(want); err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range ids {
-		a, err := h.Ledger().Details(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.AvailableBalance.IsNegative() || a.LockedBalance.IsNegative() {
-			t.Fatalf("account %s negative after soak: %v/%v", id, a.AvailableBalance, a.LockedBalance)
-		}
-	}
+	checkModel("final")
 }
 
 // TestPinnedReversalIDSurvivesRestartSeeding covers the cancellation
-// write-ahead across reboots: a cancel that crashed right after its
-// reversal's prepare leaves the pinned ReversalID durable (eventually
-// only inside the original transfer record's JSON, once recovery
-// aborts the prepared row). The transaction-ID allocator must reseed
-// above that pin on every restart — a fresh transfer colliding with it
-// would make a retried cancel adopt the wrong transfer as "reversal
-// already done".
+// write-ahead across reboots: a cancel that crashed after pinning its
+// ReversalID but before the reversal's commit point leaves the pin
+// durable only inside the original transfer record's JSON. The
+// transaction-ID allocator must reseed above that pin on every restart
+// — a fresh transfer colliding with it would make a retried cancel
+// adopt the wrong transfer as "reversal already done".
 func TestPinnedReversalIDSurvivesRestartSeeding(t *testing.T) {
 	h, err := New(3)
 	if err != nil {
@@ -255,13 +297,12 @@ func TestPinnedReversalIDSurvivesRestartSeeding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Cancel dies at the reversal's first durable step.
-	h.Ledger().CrashHook = func(string, shard.Step) error { return ErrCrash }
-	_ = h.Ledger().CancelTransfer(tr.TransactionID)
-	h.Ledger().CrashHook = nil
-
-	// Two reboots: the first aborts the prepared reversal row, the
-	// second sees the pin only inside the transfer record's value.
+	// The reversal debits the recipient's shard: with that shard dead
+	// the pin lands (drawer shard) and the reversal never commits.
+	h.journals[h.Ledger().ShardFor(to)].Kill()
+	if err := h.Ledger().CancelTransfer(tr.TransactionID); err == nil {
+		t.Fatal("cancel succeeded with the reversal's debit shard dead")
+	}
 	for i := 0; i < 2; i++ {
 		if err := h.Restart(); err != nil {
 			t.Fatal(err)
@@ -276,6 +317,9 @@ func TestPinnedReversalIDSurvivesRestartSeeding(t *testing.T) {
 	if pinned.ReversalID == 0 {
 		t.Fatal("reversal ID pin did not survive the crash")
 	}
+	if _, err := h.Ledger().GetTransfer(pinned.ReversalID); !errors.Is(err, accounts.ErrNoSuchTransfer) {
+		t.Fatalf("reversal %d ran before its commit point: %v", pinned.ReversalID, err)
+	}
 	// A fresh transfer must allocate past the pin.
 	from2, to2, err := h.CrossShardPair("pin2", currency.FromG(10))
 	if err != nil {
@@ -288,7 +332,7 @@ func TestPinnedReversalIDSurvivesRestartSeeding(t *testing.T) {
 	if fresh.TransactionID <= pinned.ReversalID {
 		t.Fatalf("fresh transfer got txid %d, colliding with pinned reversal %d", fresh.TransactionID, pinned.ReversalID)
 	}
-	// The retried cancel re-drives the pinned reversal exactly once.
+	// The retried cancel drives the pinned reversal exactly once.
 	if err := h.Ledger().CancelTransfer(tr.TransactionID); err != nil {
 		t.Fatal(err)
 	}
@@ -302,9 +346,9 @@ func TestPinnedReversalIDSurvivesRestartSeeding(t *testing.T) {
 	}
 }
 
-// TestRecoveryDoesNotDoubleCredit reboots mid-commit several times in a
-// row and checks the credit lands exactly once (the pc_applied marker's
-// whole job).
+// TestRecoveryDoesNotDoubleCredit reboots with the outbox row still live
+// several times in a row and checks the credit lands exactly once (the
+// recipient-side TRANSFER record is the witness).
 func TestRecoveryDoesNotDoubleCredit(t *testing.T) {
 	h, err := New(4)
 	if err != nil {
@@ -314,7 +358,7 @@ func TestRecoveryDoesNotDoubleCredit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Die right after the credit applied but before the debit finalized.
+	// Die right after the credit applied, before the outbox row is gone.
 	err = h.TransferWithCrash(from, to, currency.FromG(4), &Crash{Step: shard.StepCreditApplied, Victim: KillCoordinator})
 	if !errors.Is(err, shard.ErrInDoubt) {
 		t.Fatalf("coordinator error = %v, want ErrInDoubt", err)

@@ -460,7 +460,7 @@ func TestCrossShardSettlementConserves(t *testing.T) {
 // inside the 2PC protocol and checks the pipeline's pinned-ID retry
 // re-drives the same transfer instead of duplicating it.
 func TestCrossShard2PCCrashRetriesExactlyOnce(t *testing.T) {
-	for _, step := range []shard.Step{shard.StepPrepared, shard.StepDecided, shard.StepCreditApplied, shard.StepFinalized} {
+	for _, step := range []shard.Step{shard.StepPrepared, shard.StepCreditApplied, shard.StepFinalized} {
 		t.Run(step.String(), func(t *testing.T) {
 			w := newShardedWorld(t, 2, currency.FromG(10))
 			p := w.pipeline(t, usage.Config{Workers: -1})
