@@ -189,24 +189,6 @@ func run(server, caPath, certPath, keyPath string, args []string) error {
 		}
 		fmt.Printf("queue_depth=%d in_flight=%d parked=%d pending=%d settled_ticks=%d\n%s\n",
 			st.QueueDepth, st.InFlight, st.Failed, st.Pending, st.SettledTicks, b)
-	case "micropay-drain":
-		timeout := 30 * time.Second
-		if len(rest) > 0 {
-			secs, err := strconv.Atoi(rest[0])
-			if err != nil {
-				return fmt.Errorf("bad timeout %q: %w", rest[0], err)
-			}
-			timeout = time.Duration(secs) * time.Second
-		}
-		st, err := client.MicropayDrain(timeout)
-		if err != nil {
-			return err
-		}
-		b, err := json.MarshalIndent(st, "", "  ")
-		if err != nil {
-			return err
-		}
-		fmt.Printf("drained\n%s\n", b)
 	case "metrics":
 		snap, err := client.MetricsSnapshot()
 		if err != nil {
@@ -221,7 +203,7 @@ func run(server, caPath, certPath, keyPath string, args []string) error {
 			return err
 		}
 		fmt.Println(string(b))
-	case "usage-drain":
+	case "usage-drain", "micropay-drain":
 		timeout := 30 * time.Second
 		if len(rest) > 0 {
 			secs, err := strconv.Atoi(rest[0])
@@ -230,7 +212,13 @@ func run(server, caPath, certPath, keyPath string, args []string) error {
 			}
 			timeout = time.Duration(secs) * time.Second
 		}
-		st, err := client.UsageDrain(timeout)
+		var st any
+		var err error
+		if op == "usage-drain" {
+			st, err = client.UsageDrain(timeout)
+		} else {
+			st, err = client.MicropayDrain(timeout)
+		}
 		if err != nil {
 			return err
 		}

@@ -60,6 +60,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -335,43 +336,51 @@ func run(dataDir, vo, branch, listen, issue, publish string, shards int, syncWAL
 	if shards > 1 {
 		log.Printf("gridbankd: ledger partitioned over %d shards (consistent hash, %d vnodes/shard)", shards, ledger.Ring().Vnodes())
 	}
-	if ucfg.enabled {
-		// The spool gets the same durability treatment as a shard:
-		// WAL-backed with a startup checkpoint, so crash recovery
-		// replays pending charges and the journal stays proportional to
-		// one run. Built before serving, so recovered transaction-ID
-		// pins reseed the allocator ahead of any traffic.
-		spool, err := openSpool(dataDir, "usage", syncWAL, checkpoint, walCodec, tele)
+	// enable boots one settlement pipeline if its flag group asks for
+	// it. The spool gets the same durability treatment as a shard —
+	// WAL-backed with a startup checkpoint, so a crash replays accepted-
+	// but-unsettled work and the journal stays proportional to one run —
+	// then build constructs the pipeline over it and attaches it to the
+	// bank. All before serving, so recovered transaction-ID pins reseed
+	// the allocator ahead of any traffic.
+	enable := func(name, label string, f pipelineFlags, build func(spool *db.Store, lg *obs.Logger) (pipe io.Closer, pending int, err error)) (io.Closer, error) {
+		if !f.enabled {
+			return io.NopCloser(nil), nil
+		}
+		spool, err := openSpool(dataDir, name, syncWAL, checkpoint, walCodec, tele)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		spool.SetObs(reg)
+		pipe, pending, err := build(spool, obs.NewLogger(os.Stderr, obs.LevelWarn))
+		if err != nil {
+			return nil, err
+		}
+		log.Printf("gridbankd: %s pipeline enabled (%d workers, batch %d, queue bound %d, %d pending recovered)",
+			label, f.workers, f.batch, f.queue, pending)
+		return pipe, nil
+	}
+	upipe, err := enable("usage", "usage settlement", ucfg, func(spool *db.Store, lg *obs.Logger) (io.Closer, int, error) {
 		pipe, err := usage.New(usage.Config{
 			Ledger:     usage.WrapSharded(ledger),
 			Spool:      spool,
 			BatchSize:  ucfg.batch,
 			Workers:    ucfg.workers,
 			MaxPending: ucfg.queue,
-			Log:        obs.NewLogger(os.Stderr, obs.LevelWarn),
+			Log:        lg,
 			Obs:        reg,
 		})
 		if err != nil {
-			return err
+			return nil, 0, err
 		}
-		defer pipe.Close()
 		bank.SetUsage(pipe)
-		log.Printf("gridbankd: usage settlement pipeline enabled (%d workers, batch %d, queue bound %d, %d pending recovered)",
-			ucfg.workers, ucfg.batch, ucfg.queue, pipe.Status().Pending)
+		return pipe, pipe.Status().Pending, nil
+	})
+	if err != nil {
+		return err
 	}
-	if mcfg.enabled {
-		// Same durability treatment as the usage spool: WAL-backed
-		// claim intake with a startup checkpoint, so a crash replays
-		// accepted-but-unsettled ticks instead of dropping them.
-		spool, err := openSpool(dataDir, "micropay", syncWAL, checkpoint, walCodec, tele)
-		if err != nil {
-			return err
-		}
-		spool.SetObs(reg)
+	defer upipe.Close()
+	mpipe, err := enable("micropay", "micropay streaming", mcfg, func(spool *db.Store, lg *obs.Logger) (io.Closer, int, error) {
 		pipe, err := micropay.New(micropay.Config{
 			Redeemer:    bank.ChainRedeemer(),
 			FindAccount: bank.Ledger().FindByCertificate,
@@ -379,17 +388,19 @@ func run(dataDir, vo, branch, listen, issue, publish string, shards int, syncWAL
 			BatchSize:   mcfg.batch,
 			Workers:     mcfg.workers,
 			MaxPending:  mcfg.queue,
-			Log:         obs.NewLogger(os.Stderr, obs.LevelWarn),
+			Log:         lg,
 			Obs:         reg,
 		})
 		if err != nil {
-			return err
+			return nil, 0, err
 		}
-		defer pipe.Close()
 		bank.SetMicropay(pipe)
-		log.Printf("gridbankd: micropay streaming pipeline enabled (%d workers, batch %d, queue bound %d, %d pending recovered)",
-			mcfg.workers, mcfg.batch, mcfg.queue, pipe.Status().Pending)
+		return pipe, pipe.Status().Pending, nil
+	})
+	if err != nil {
+		return err
 	}
+	defer mpipe.Close()
 	// Checkpoint provenance gauges: generation is fixed at boot (every
 	// store is open by now); age is a callback so it stays live between
 	// scrapes without a background updater.

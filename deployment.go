@@ -375,39 +375,53 @@ func branchOf(cfg DeploymentConfig) string {
 // Sharded returns the shard ledger, or nil on an unsharded deployment.
 func (d *Deployment) Sharded() *shard.Ledger { return d.sharded }
 
+// enablePipeline is what EnableUsage and EnableMicropay share: it is
+// idempotent per deployment (slot holds the pipeline once built), opens
+// the spool store over the configured journal and hands it to build,
+// which constructs the pipeline and attaches it to the bank.
+func enablePipeline[P any](slot **P, opts PipelineOptions, build func(spool *db.Store) (*P, error)) (*P, error) {
+	if *slot != nil {
+		return *slot, nil
+	}
+	spool, err := db.Open(opts.SpoolJournal)
+	if err != nil {
+		return nil, err
+	}
+	pipe, err := build(spool)
+	if err != nil {
+		return nil, err
+	}
+	*slot = pipe
+	return pipe, nil
+}
+
 // EnableUsage attaches the batched asynchronous usage-settlement
 // pipeline to the deployment's bank, opening the Usage.Submit /
 // Usage.Status / Usage.Drain operations to clients. Call it after
 // EnableSharding (the pipeline binds to the ledger's final shape) and
 // before handing out the address. Idempotent per deployment.
 func (d *Deployment) EnableUsage(opts UsageOptions) (*usage.Pipeline, error) {
-	if d.usagePipe != nil {
-		return d.usagePipe, nil
-	}
-	spool, err := db.Open(opts.SpoolJournal)
-	if err != nil {
-		return nil, err
-	}
-	var led usage.Ledger
-	if d.sharded != nil {
-		led = usage.WrapSharded(d.sharded)
-	} else {
-		led = usage.WrapManager(d.Bank.Manager())
-	}
-	pipe, err := usage.New(usage.Config{
-		Ledger:     led,
-		Spool:      spool,
-		BatchSize:  opts.BatchSize,
-		Workers:    opts.Workers,
-		MaxPending: opts.MaxPending,
-		Now:        d.cfg.Now,
+	return enablePipeline(&d.usagePipe, opts, func(spool *db.Store) (*usage.Pipeline, error) {
+		var led usage.Ledger
+		if d.sharded != nil {
+			led = usage.WrapSharded(d.sharded)
+		} else {
+			led = usage.WrapManager(d.Bank.Manager())
+		}
+		pipe, err := usage.New(usage.Config{
+			Ledger:     led,
+			Spool:      spool,
+			BatchSize:  opts.BatchSize,
+			Workers:    opts.Workers,
+			MaxPending: opts.MaxPending,
+			Now:        d.cfg.Now,
+		})
+		if err != nil {
+			return nil, err
+		}
+		d.Bank.SetUsage(pipe)
+		return pipe, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	d.Bank.SetUsage(pipe)
-	d.usagePipe = pipe
-	return pipe, nil
 }
 
 // Usage returns the settlement pipeline, or nil when EnableUsage was
@@ -425,29 +439,22 @@ type MicropayOptions = PipelineOptions
 // calls serialize per serial. Call it after EnableSharding and before
 // handing out the address. Idempotent per deployment.
 func (d *Deployment) EnableMicropay(opts MicropayOptions) (*micropay.Pipeline, error) {
-	if d.micropayPipe != nil {
-		return d.micropayPipe, nil
-	}
-	spool, err := db.Open(opts.SpoolJournal)
-	if err != nil {
-		return nil, err
-	}
-	led := d.Bank.Ledger()
-	pipe, err := micropay.New(micropay.Config{
-		Redeemer:    d.Bank.ChainRedeemer(),
-		FindAccount: led.FindByCertificate,
-		Spool:       spool,
-		BatchSize:   opts.BatchSize,
-		Workers:     opts.Workers,
-		MaxPending:  opts.MaxPending,
-		Now:         d.cfg.Now,
+	return enablePipeline(&d.micropayPipe, opts, func(spool *db.Store) (*micropay.Pipeline, error) {
+		pipe, err := micropay.New(micropay.Config{
+			Redeemer:    d.Bank.ChainRedeemer(),
+			FindAccount: d.Bank.Ledger().FindByCertificate,
+			Spool:       spool,
+			BatchSize:   opts.BatchSize,
+			Workers:     opts.Workers,
+			MaxPending:  opts.MaxPending,
+			Now:         d.cfg.Now,
+		})
+		if err != nil {
+			return nil, err
+		}
+		d.Bank.SetMicropay(pipe)
+		return pipe, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	d.Bank.SetMicropay(pipe)
-	d.micropayPipe = pipe
-	return pipe, nil
 }
 
 // Micropay returns the streaming redemption pipeline, or nil when

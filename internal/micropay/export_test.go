@@ -1,0 +1,8 @@
+package micropay
+
+// SessionCount reports how many chains have a cached intake session.
+func (p *Pipeline) SessionCount() int {
+	p.sessMu.Lock()
+	defer p.sessMu.Unlock()
+	return len(p.sessions)
+}

@@ -7,12 +7,10 @@
 //
 //   - Redeemer: chain redemption done right. The chain row advance and
 //     the money movement commit in ONE store transaction on the
-//     drawer's shard (accounts tx API, like the usage pipeline's
-//     settled markers), so a crash can never replay a paid delta. When
-//     the payee lives on another shard the redemption pins its
-//     transaction ID write-ahead in the chain row and drives the 2PC
-//     transfer under it, exactly like the usage pipeline's cross-shard
-//     path.
+//     drawer's shard (accounts tx API), so a crash can never replay a
+//     paid delta. When the payee lives on another shard the redemption
+//     pins its transaction ID write-ahead in the chain row and drives
+//     the 2PC transfer under it.
 //   - Pipeline: streaming claim intake and batched redemption. GSPs
 //     submit chain claims in batches (Micropay.Submit); intake verifies
 //     each preimage against the highest word already accepted —
@@ -23,17 +21,14 @@
 //     of micro-payments amortize into a few signatures' worth of work
 //     and a handful of group-committed ledger transactions.
 //
-// Contract (mirroring internal/usage):
+// The spool, queue, worker, retry, backpressure and Drain lifecycle is
+// internal/settle's. What the pipeline adds:
 //
-//   - Durable intake: an acknowledged claim is journaled to the spool
-//     and survives a crash.
 //   - Exactly-once settlement: the chain row's RedeemedIndex advances
 //     monotonically in the same transaction that moves the money, so a
 //     replayed or crash-recovered claim is recognized as stale and
 //     pays nothing. No separate marker table is needed — the row IS
 //     the marker.
-//   - Backpressure: Submit refuses batches with ErrOverloaded once
-//     settlement lags past the configured bound.
 //   - Malformed-vs-transient: a claim that can never settle (unknown
 //     serial, bad preimage, expired chain, wrong payee) is rejected at
 //     intake with a per-claim reason; transient faults surface as
@@ -210,3 +205,9 @@ type spoolRow struct {
 func spoolKey(serial string, index int) string {
 	return fmt.Sprintf("%s/%012d", serial, index)
 }
+
+// The settlement engine's view of a row (settle.Row).
+func (r *spoolRow) SpoolKey() string      { return r.Key }
+func (r *spoolRow) DrawerID() accounts.ID { return r.Drawer }
+func (r *spoolRow) Parked() bool          { return r.State == stateFailed }
+func (r *spoolRow) Park(reason string)    { r.State, r.Reason = stateFailed, reason }

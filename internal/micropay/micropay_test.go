@@ -613,3 +613,131 @@ func TestPipelineBackgroundWorkersSettle(t *testing.T) {
 		t.Fatalf("payee = %s", got)
 	}
 }
+
+// TestSessionsForgetChainsThatCanTakeNoMoreClaims: the per-chain intake
+// session is a cache, and a long-running bank must not keep one for
+// every serial ever claimed. An exhausted chain's session goes when its
+// last word settles, an expired chain's when it is next visited (or
+// swept); a replayed claim then reloads the chain row and is refused
+// there — never paid twice.
+func TestSessionsForgetChainsThatCanTakeNoMoreClaims(t *testing.T) {
+	w := newWorld(t, 2)
+	type stream struct {
+		ch   *payment.Chain
+		cert string
+	}
+	var streams []stream
+	for i := 0; i < 6; i++ {
+		cert := w.sameCert
+		if i%2 == 1 {
+			cert = w.crossCert
+		}
+		ch := w.issue(cert, 10, currency.FromG(1), time.Hour)
+		streams = append(streams, stream{ch, cert})
+		if _, err := w.pipe.Submit(cert, claimsFor(t, ch, 4, 10)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := w.pipe.SessionCount(); n != len(streams) {
+		t.Fatalf("%d sessions cached at intake, want %d", n, len(streams))
+	}
+	if _, err := w.pipe.Drain(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if n := w.pipe.SessionCount(); n != 0 {
+		t.Errorf("%d sessions survive their chains' exhaustion", n)
+	}
+	for _, s := range streams {
+		res, err := w.pipe.Submit(s.cert, claimsFor(t, s.ch, 10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Accepted != 0 || res.Duplicates+len(res.Rejected) != 1 {
+			t.Errorf("replayed final claim = %+v, want a duplicate or a rejection", res)
+		}
+	}
+	if _, err := w.pipe.Drain(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.avail(w.sameAcct); got != currency.FromG(30) {
+		t.Errorf("same-shard payee = %s, want 30 G$ (exactly-once violated)", got)
+	}
+	if got := w.avail(w.crossAcct); got != currency.FromG(30) {
+		t.Errorf("cross-shard payee = %s, want 30 G$ (exactly-once violated)", got)
+	}
+	w.assertConserved()
+
+	// A partially claimed chain is forgotten on the first visit after
+	// it expires.
+	short := w.issue(w.sameCert, 10, currency.FromG(1), time.Minute)
+	if _, err := w.pipe.Submit(w.sameCert, claimsFor(t, short, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.pipe.Drain(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if n := w.pipe.SessionCount(); n != 1 {
+		t.Fatalf("%d sessions for one live chain", n)
+	}
+	w.clock = w.clock.Add(2 * time.Minute)
+	res, err := w.pipe.Submit(w.sameCert, claimsFor(t, short, 5))
+	if err != nil || len(res.Rejected) != 1 {
+		t.Fatalf("claim on expired chain = %+v, %v", res, err)
+	}
+	if n := w.pipe.SessionCount(); n != 0 {
+		t.Errorf("%d sessions survive their chain's expiry", n)
+	}
+
+	// Chains nobody visits again are swept once the cache has doubled.
+	for i := 0; i < 100; i++ {
+		ch := w.issue(w.sameCert, 2, currency.MustParse("0.01"), time.Minute)
+		if _, err := w.pipe.Submit(w.sameCert, claimsFor(t, ch, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.clock = w.clock.Add(2 * time.Minute)
+	for i := 0; i < 40; i++ {
+		ch := w.issue(w.sameCert, 2, currency.MustParse("0.01"), time.Hour)
+		if _, err := w.pipe.Submit(w.sameCert, claimsFor(t, ch, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := w.pipe.SessionCount(); n > 40 {
+		t.Errorf("%d sessions cached; the 100 expired ones were never swept", n)
+	}
+}
+
+// TestStatusDuplicatesCountEveryDuplicateReported: Status().Duplicates
+// is the sum of what Submit results reported — spool-key duplicates and
+// delta-rule duplicates alike — plus the claims settlement found stale.
+func TestStatusDuplicatesCountEveryDuplicateReported(t *testing.T) {
+	w := newWorld(t, 1)
+	ch := w.issue(w.sameCert, 100, currency.MustParse("0.01"), time.Hour)
+	reported := 0
+	for _, indices := range [][]int{{10, 20}, {5, 10, 20, 30}, {35}} {
+		res, err := w.pipe.Submit(w.sameCert, claimsFor(t, ch, indices...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		reported += res.Duplicates
+	}
+	if reported != 3 {
+		t.Fatalf("submit results reported %d duplicates, want 3 (5, 10, 20 under the delta rule)", reported)
+	}
+	// The synchronous path redeems past every spooled claim, so all four
+	// (10, 20, 30, 35) are stale when the pipeline gets to them.
+	if _, err := w.red.Redeem(ch.Commitment.Serial, w.sameAcct, 40, w.word(ch, 40), nil); err != nil {
+		t.Fatal(err)
+	}
+	st, err := w.pipe.Drain(10 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := uint64(reported + 4); st.Duplicates != want {
+		t.Errorf("Status().Duplicates = %d, want %d (%d reported at intake + 4 stale at settlement)", st.Duplicates, want, reported)
+	}
+	if got := w.avail(w.sameAcct); got != currency.MustParse("0.40") {
+		t.Errorf("payee = %s, want 0.40", got)
+	}
+	w.assertConserved()
+}

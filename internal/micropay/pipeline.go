@@ -2,7 +2,6 @@ package micropay
 
 import (
 	"crypto/sha256"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -15,6 +14,7 @@ import (
 	"gridbank/internal/db"
 	"gridbank/internal/obs"
 	"gridbank/internal/payment"
+	"gridbank/internal/settle"
 )
 
 // tableSpool is the intake spool table (on the spool store).
@@ -62,14 +62,6 @@ type Config struct {
 	CrashHook func(b Boundary, serial string) error
 }
 
-// groupKey buckets pending claims for batching: all chains drawn on one
-// account live on one shard, so their redemptions land on one store's
-// group-committed journal back to back.
-type groupKey struct {
-	shard  int
-	drawer accounts.ID
-}
-
 // session is the per-chain intake state: the verified commitment, the
 // resolved payee, and the highest word accepted so far — the anchor the
 // next preimage verifies against in O(delta) hashes.
@@ -80,69 +72,42 @@ type session struct {
 	headWord []byte // empty at head 0 (anchor = root) or for legacy rows
 }
 
-// verify checks a claimed word against the session anchor. A legacy
-// anchor (head advanced before words were cached) verifies the slow way
-// back to the root; the first accepted claim re-anchors it.
-func (s *session) verify(i int, word []byte) error {
-	if s.head > 0 && len(s.headWord) == 0 {
-		return payment.VerifyWord(&s.cc, i, word)
-	}
-	return payment.VerifyWordAfter(&s.cc, s.head, s.headWord, i, word)
-}
-
-// Pipeline is the streaming micropayment engine. Construct with New —
-// which also runs crash recovery — and Close when done.
+// Pipeline is the streaming micropayment path: per-chain sessions and
+// the delta rule at intake, per-serial collapse and one redemption per
+// chain at settlement. The spool, queue, worker, retry and Drain
+// lifecycle is internal/settle's. Construct with New — which also runs
+// crash recovery — and Close when done.
 type Pipeline struct {
-	red   *Redeemer
-	spool *db.Store
-	cfg   Config
-	now   func() time.Time
-
-	// Log records transient settlement faults. Prefer Config.Log; with
-	// background workers this field may only be reassigned while the
-	// pipeline is provably idle (Workers < 0).
-	Log *obs.Logger
+	red  *Redeemer
+	find func(cert string, cur currency.Code) (*accounts.Account, error)
+	now  func() time.Time
+	hook func(b Boundary, serial string) error // never nil; an error abandons processing
+	eng  *settle.Engine[*spoolRow]
 
 	// intakeMu serializes claim verification so session anchors advance
-	// consistently; it is never held across a settlement.
+	// consistently; it is held across the spool commit and never taken by
+	// settlement. sessMu guards the sessions map alone, which settlement
+	// also reaches (to drop an exhausted chain's session) and must not
+	// wait a spool commit for. A session's fields are intake's: only a
+	// Submit, under intakeMu, reads or advances them.
 	intakeMu sync.Mutex
+	sessMu   sync.Mutex
 	sessions map[string]*session
-
-	mu       sync.Mutex
-	queue    map[groupKey][]string
-	reserved int
-	inflight int
-	failed   int
-	lastErr  string
-	closed   bool
+	sweepAt  int // session count that triggers the next expiry sweep
 
 	settledTicks  atomic.Uint64
 	settledClaims atomic.Uint64
-	duplicates    atomic.Uint64
 	rejected      atomic.Uint64
 	batches       atomic.Uint64
 	crossShard    atomic.Uint64
-
-	mQueue       *obs.Gauge
-	mInflight    *obs.Gauge
-	mBatchClaims *obs.Histogram
-	mTicks       *obs.Counter
-	mClaims      *obs.Counter
-	mParked      *obs.Counter
-	mOverloaded  *obs.Counter
-
-	kick chan struct{}
-	stop chan struct{}
-	wg   sync.WaitGroup
+	mTicks        *obs.Counter
+	mClaims       *obs.Counter
 }
-
-// errAbandoned wraps a crash-hook abandon so a settlement pass stops
-// cold without requeueing (simulated process death loses the in-memory
-// queue by design; recovery rebuilds it from the spool).
-var errAbandoned = errors.New("micropay: processing abandoned by crash hook")
 
 // New builds a pipeline over the redeemer and spool store, recovers any
 // claims a crash left pending, and starts the settlement workers.
+// (Pinned cross-shard redemptions live in chain rows and are recovered
+// by NewRedeemer.)
 func New(cfg Config) (*Pipeline, error) {
 	if cfg.Redeemer == nil {
 		return nil, errors.New("micropay: pipeline requires a redeemer")
@@ -150,142 +115,72 @@ func New(cfg Config) (*Pipeline, error) {
 	if cfg.FindAccount == nil {
 		return nil, errors.New("micropay: pipeline requires an account resolver")
 	}
-	if cfg.Spool == nil {
-		return nil, errors.New("micropay: pipeline requires a spool store")
-	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 64
-	}
-	if cfg.Workers == 0 {
-		cfg.Workers = 2
-	}
-	if cfg.Workers < 0 {
-		cfg.Workers = 0 // synchronous mode: SettleOnce/Drain only
-	}
-	if cfg.MaxPending <= 0 {
-		cfg.MaxPending = 4096
-	}
-	if cfg.RetryInterval <= 0 {
-		cfg.RetryInterval = 25 * time.Millisecond
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
 	p := &Pipeline{
 		red:      cfg.Redeemer,
-		spool:    cfg.Spool,
-		cfg:      cfg,
+		find:     cfg.FindAccount,
 		now:      cfg.Now,
-		Log:      cfg.Log,
+		hook:     settle.Hook(cfg.CrashHook),
 		sessions: make(map[string]*session),
-		queue:    make(map[groupKey][]string),
-		kick:     make(chan struct{}, cfg.Workers+1),
-		stop:     make(chan struct{}),
-
-		mQueue:       cfg.Obs.Gauge("micropay.queue_depth"),
-		mInflight:    cfg.Obs.Gauge("micropay.inflight"),
-		mBatchClaims: cfg.Obs.Histogram("micropay.batch_claims"),
-		mTicks:       cfg.Obs.Counter("micropay.settled_ticks"),
-		mClaims:      cfg.Obs.Counter("micropay.settled_claims"),
-		mParked:      cfg.Obs.Counter("micropay.parked"),
-		mOverloaded:  cfg.Obs.Counter("micropay.overloaded"),
+		sweepAt:  minSweep,
+		mTicks:   cfg.Obs.Counter("micropay.settled_ticks"),
+		mClaims:  cfg.Obs.Counter("micropay.settled_claims"),
 	}
 	if cfg.CrashHook != nil && p.red.Hook == nil {
-		p.red.Hook = func(b Boundary, serial string) error {
-			if err := cfg.CrashHook(b, serial); err != nil {
-				return fmt.Errorf("%w: %v", errAbandoned, err)
-			}
-			return nil
-		}
+		p.red.Hook = p.hook // Pinned/Settled/Advanced fire from inside redemption
 	}
-	if err := p.spool.EnsureTable(tableSpool); err != nil {
-		return nil, err
-	}
-	if err := p.recover(); err != nil {
-		return nil, err
-	}
-	for i := 0; i < cfg.Workers; i++ {
-		p.wg.Add(1)
-		go p.worker()
-	}
-	return p, nil
-}
+	eng, err := settle.New(settle.Config[*spoolRow]{
+		Name:          "micropay",
+		BatchMetric:   "batch_claims",
+		Table:         tableSpool,
+		Spool:         cfg.Spool,
+		ShardFor:      cfg.Redeemer.Ledger().ShardFor,
+		BatchSize:     cfg.BatchSize,
+		Workers:       cfg.Workers,
+		MaxPending:    cfg.MaxPending,
+		RetryInterval: cfg.RetryInterval,
+		Log:           cfg.Log,
+		Obs:           cfg.Obs,
 
-// recover re-queues every pending spool row. (Pinned cross-shard
-// redemptions live in chain rows and are recovered by NewRedeemer.)
-func (p *Pipeline) recover() error {
-	var scanErr error
-	err := p.spool.Scan(tableSpool, func(key string, value []byte) bool {
-		var row spoolRow
-		if err := json.Unmarshal(value, &row); err != nil {
-			scanErr = fmt.Errorf("micropay: corrupt spool row %s: %w", key, err)
-			return false
-		}
-		switch row.State {
-		case statePending:
-			k := groupKey{shard: p.red.Ledger().ShardFor(row.Drawer), drawer: row.Drawer}
-			p.queue[k] = append(p.queue[k], row.Key)
-			p.mQueue.Inc()
-		case stateFailed:
-			p.failed++
-		}
-		return true
+		ErrOverloaded:   ErrOverloaded,
+		ErrClosed:       ErrClosed,
+		ErrDrainStalled: ErrDrainStalled,
+		ErrDrainTimeout: ErrDrainTimeout,
+
+		Spooled: func(first *spoolRow) error { return p.hook(BoundarySpooled, first.Serial) },
+		Settle:  p.settleGroup,
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return scanErr
+	p.eng = eng
+	eng.Start()
+	return p, nil
 }
 
 // Close stops the workers. Pending claims stay durably spooled and
 // settle when a new pipeline is constructed over the same stores.
-func (p *Pipeline) Close() error {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return nil
-	}
-	p.closed = true
-	p.mu.Unlock()
-	close(p.stop)
-	p.wg.Wait()
-	return nil
-}
-
-func (p *Pipeline) pendingLocked() int {
-	n := p.reserved + p.inflight
-	for _, ids := range p.queue {
-		n += len(ids)
-	}
-	return n
-}
+func (p *Pipeline) Close() error { return p.eng.Close() }
 
 // Status reports the pipeline's observable state.
 func (p *Pipeline) Status() *Stats {
-	p.mu.Lock()
-	pending := p.pendingLocked()
-	queued := 0
-	for _, ids := range p.queue {
-		queued += len(ids)
-	}
-	inflight := p.inflight
-	failed := p.failed
-	lastErr := p.lastErr
-	p.mu.Unlock()
+	st := p.eng.Status()
 	return &Stats{
-		Pending:       pending,
-		QueueDepth:    queued,
-		InFlight:      inflight,
-		Failed:        failed,
+		Pending:       st.Pending,
+		QueueDepth:    st.QueueDepth,
+		InFlight:      st.InFlight,
+		Failed:        st.Failed,
 		SettledTicks:  p.settledTicks.Load(),
 		SettledClaims: p.settledClaims.Load(),
-		Duplicates:    p.duplicates.Load(),
+		Duplicates:    st.Duplicates,
 		Rejected:      p.rejected.Load(),
 		Batches:       p.batches.Load(),
 		CrossShard:    p.crossShard.Load(),
-		Workers:       p.cfg.Workers,
-		BatchSize:     p.cfg.BatchSize,
-		LastError:     lastErr,
+		Workers:       st.Workers,
+		BatchSize:     st.BatchSize,
+		LastError:     st.LastError,
 	}
 }
 
@@ -299,9 +194,6 @@ func (p *Pipeline) Status() *Stats {
 // and its ticks will be paid exactly once.
 func (p *Pipeline) Submit(payeeCert string, batch []Claim) (*SubmitResult, error) {
 	res := &SubmitResult{}
-	if len(batch) == 0 {
-		return res, nil
-	}
 
 	// Verify under the intake lock: each claim extends a per-chain
 	// anchor, so a burst of N claims on one chain costs O(maxIndex)
@@ -312,20 +204,23 @@ func (p *Pipeline) Submit(payeeCert string, batch []Claim) (*SubmitResult, error
 		word []byte
 	}
 	adv := make(map[string]advance)
-	var rows []spoolRow
-	var ticks int
+	var rows []*spoolRow
+	var ticks, redundant int
 	p.intakeMu.Lock()
+	defer p.intakeMu.Unlock()
+	p.sweepExpired()
+	reject := func(cl *Claim, reason string) {
+		res.Rejected = append(res.Rejected, Rejection{Serial: cl.Serial, Index: cl.Index, Reason: reason})
+	}
 	for i := range batch {
 		cl := &batch[i]
 		if reason := ValidClaimShape(cl); reason != "" {
-			p.rejected.Add(1)
-			res.Rejected = append(res.Rejected, Rejection{Serial: cl.Serial, Index: cl.Index, Reason: reason})
+			reject(cl, reason)
 			continue
 		}
 		sess, reason := p.sessionFor(cl.Serial, payeeCert)
 		if reason != "" {
-			p.rejected.Add(1)
-			res.Rejected = append(res.Rejected, Rejection{Serial: cl.Serial, Index: cl.Index, Reason: reason})
+			reject(cl, reason)
 			continue
 		}
 		head, headWord := sess.head, sess.headWord
@@ -335,18 +230,16 @@ func (p *Pipeline) Submit(payeeCert string, batch []Claim) (*SubmitResult, error
 		if cl.Index <= head {
 			// The delta rule makes a lower claim redundant: the accepted
 			// higher word already pays for it.
-			res.Duplicates++
+			redundant++
 			continue
 		}
-		eff := session{cc: sess.cc, payee: sess.payee, head: head, headWord: headWord}
-		if err := eff.verify(cl.Index, cl.Word); err != nil {
-			p.rejected.Add(1)
-			res.Rejected = append(res.Rejected, Rejection{Serial: cl.Serial, Index: cl.Index, Reason: err.Error()})
+		if err := verifyWordAfter(&sess.cc, head, headWord, cl.Index, cl.Word); err != nil {
+			reject(cl, err.Error())
 			continue
 		}
 		ticks += cl.Index - head
 		adv[cl.Serial] = advance{idx: cl.Index, word: cl.Word}
-		rows = append(rows, spoolRow{
+		rows = append(rows, &spoolRow{
 			Key:      spoolKey(cl.Serial, cl.Index),
 			Serial:   cl.Serial,
 			Index:    cl.Index,
@@ -358,109 +251,27 @@ func (p *Pipeline) Submit(payeeCert string, batch []Claim) (*SubmitResult, error
 			Enqueued: p.now(),
 		})
 	}
-	if len(rows) == 0 {
-		p.intakeMu.Unlock()
-		return res, nil
-	}
+	p.rejected.Add(uint64(len(res.Rejected)))
 
-	// Backpressure: reserve capacity before any durable write.
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		p.intakeMu.Unlock()
-		return nil, ErrClosed
+	in, err := p.eng.Submit(rows)
+	if in == nil {
+		return nil, err
 	}
-	if p.pendingLocked()+len(rows) > p.cfg.MaxPending {
-		pending := p.pendingLocked()
-		p.mu.Unlock()
-		p.intakeMu.Unlock()
-		p.mOverloaded.Inc()
-		return nil, fmt.Errorf("%w: %d pending + %d offered exceeds bound %d",
-			ErrOverloaded, pending, len(rows), p.cfg.MaxPending)
-	}
-	p.reserved += len(rows)
-	p.mu.Unlock()
-	release := len(rows)
-	defer func() {
-		p.mu.Lock()
-		p.reserved -= release
-		p.mu.Unlock()
-	}()
-
-	// Durable intake: one spool transaction for the whole batch,
-	// deduplicating against rows already spooled. A row parked failed
-	// resurrects for another attempt.
-	var accepted []spoolRow
-	var dups, revived int
-	err := p.spool.Update(func(tx *db.Tx) error {
-		accepted, dups, revived = accepted[:0], 0, 0 // Update may retry fn
-		for i := range rows {
-			raw, err := tx.Get(tableSpool, rows[i].Key)
-			switch {
-			case err == nil:
-				var cur spoolRow
-				if err := json.Unmarshal(raw, &cur); err != nil {
-					return fmt.Errorf("micropay: corrupt spool row %s: %w", rows[i].Key, err)
-				}
-				if cur.State != stateFailed {
-					dups++
-					continue
-				}
-				revived++
-			case !errors.Is(err, db.ErrNoRecord):
-				return err
-			}
-			out, err := json.Marshal(&rows[i])
-			if err != nil {
-				return err
-			}
-			if err := tx.Put(tableSpool, rows[i].Key, out); err != nil {
-				return err
-			}
-			accepted = append(accepted, rows[i])
-		}
-		return nil
-	})
-	if err != nil {
-		p.intakeMu.Unlock()
-		return nil, fmt.Errorf("micropay: spooling claim batch: %w", err)
-	}
-	// Commit the anchor advances now that the claims are durable.
+	// The claims are durable: commit the anchor advances before the
+	// intake lock drops.
+	p.sessMu.Lock()
 	for serial, a := range adv {
 		if sess := p.sessions[serial]; sess != nil && a.idx > sess.head {
 			sess.head = a.idx
 			sess.headWord = a.word
 		}
 	}
-	p.intakeMu.Unlock()
-
-	if revived > 0 {
-		p.mu.Lock()
-		p.failed -= revived
-		p.mu.Unlock()
-	}
-	res.Accepted = len(accepted)
+	p.sessMu.Unlock()
+	p.eng.CountDuplicates(redundant)
+	res.Accepted = in.Accepted
 	res.AcceptedTicks = ticks
-	res.Duplicates += dups
-	p.duplicates.Add(uint64(dups))
-	if len(accepted) == 0 {
-		return res, nil
-	}
-	if err := p.crashHook(BoundarySpooled, accepted[0].Serial); err != nil {
-		// Simulated death after the durable append: the rows are in the
-		// spool and recovery will settle them; nothing is enqueued here.
-		return res, err
-	}
-
-	p.mu.Lock()
-	for i := range accepted {
-		k := groupKey{shard: p.red.Ledger().ShardFor(accepted[i].Drawer), drawer: accepted[i].Drawer}
-		p.queue[k] = append(p.queue[k], accepted[i].Key)
-	}
-	p.mu.Unlock()
-	p.mQueue.Add(int64(len(accepted)))
-	p.kickWorkers()
-	return res, nil
+	res.Duplicates = redundant + in.Duplicates
+	return res, err
 }
 
 // sessionFor loads (or returns) the intake session for a chain,
@@ -470,6 +281,8 @@ func (p *Pipeline) sessionFor(serial, payeeCert string) (*session, string) {
 	if serial == "" {
 		return nil, "empty chain serial"
 	}
+	p.sessMu.Lock()
+	defer p.sessMu.Unlock()
 	sess := p.sessions[serial]
 	if sess == nil {
 		row, err := p.red.Get(serial)
@@ -482,7 +295,7 @@ func (p *Pipeline) sessionFor(serial, payeeCert string) (*session, string) {
 		if row.State != StateOutstanding {
 			return nil, fmt.Sprintf("chain is %s", row.State)
 		}
-		acct, err := p.cfg.FindAccount(row.Commitment.PayeeCert, row.Commitment.Currency)
+		acct, err := p.find(row.Commitment.PayeeCert, row.Commitment.Currency)
 		if err != nil {
 			return nil, fmt.Sprintf("payee has no %s account: %v", row.Commitment.Currency, err)
 		}
@@ -501,204 +314,56 @@ func (p *Pipeline) sessionFor(serial, payeeCert string) (*session, string) {
 		return nil, fmt.Sprintf("chain is payable to %s, not %s", sess.cc.PayeeCert, payeeCert)
 	}
 	if !p.now().Before(sess.cc.Expires) {
+		delete(p.sessions, serial) // can never accept another claim
 		return nil, "chain expired"
 	}
 	return sess, ""
 }
 
-// crashHook fires the pipeline-level crash hook, if any.
-func (p *Pipeline) crashHook(b Boundary, serial string) error {
-	if p.cfg.CrashHook == nil {
-		return nil
-	}
-	if err := p.cfg.CrashHook(b, serial); err != nil {
-		return fmt.Errorf("%w: %v", errAbandoned, err)
-	}
-	return nil
-}
+// minSweep is the smallest session count worth sweeping.
+const minSweep = 64
 
-func (p *Pipeline) kickWorkers() {
-	select {
-	case p.kick <- struct{}{}:
-	default:
+// sweepExpired forgets the sessions of expired chains once the map has
+// doubled since the last sweep, so a chain nobody claims against again
+// does not stay cached for the life of the process. Caller holds
+// intakeMu.
+func (p *Pipeline) sweepExpired() {
+	p.sessMu.Lock()
+	defer p.sessMu.Unlock()
+	if len(p.sessions) < p.sweepAt {
+		return
 	}
-}
-
-func (p *Pipeline) worker() {
-	defer p.wg.Done()
-	t := time.NewTicker(p.cfg.RetryInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-p.stop:
-			return
-		case <-p.kick:
-		case <-t.C:
-		}
-		if _, err := p.drainPass(); err != nil {
-			p.noteErr(err)
+	now := p.now()
+	for serial, sess := range p.sessions {
+		if !now.Before(sess.cc.Expires) {
+			delete(p.sessions, serial)
 		}
 	}
-}
-
-func (p *Pipeline) noteErr(err error) {
-	p.mu.Lock()
-	p.lastErr = err.Error()
-	p.mu.Unlock()
-	p.Log.Warn("micropay settlement fault", "err", err)
+	p.sweepAt = max(minSweep, 2*len(p.sessions))
 }
 
 // SettleOnce runs one synchronous settlement pass over every group that
 // had pending work when the pass started, and reports how many claims
 // reached a terminal outcome.
-func (p *Pipeline) SettleOnce() (int, error) {
-	return p.drainPass()
-}
+func (p *Pipeline) SettleOnce() (int, error) { return p.eng.SettleOnce() }
 
-func (p *Pipeline) drainPass() (int, error) {
-	p.mu.Lock()
-	keys := make([]groupKey, 0, len(p.queue))
-	for k := range p.queue {
-		keys = append(keys, k)
-	}
-	p.mu.Unlock()
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].shard != keys[j].shard {
-			return keys[i].shard < keys[j].shard
-		}
-		return keys[i].drawer < keys[j].drawer
-	})
-	var done int
-	var firstErr error
-	for _, k := range keys {
-		for {
-			ids := p.takeGroup(k)
-			if len(ids) == 0 {
-				break
-			}
-			n, err := p.settleGroup(k, ids)
-			done += n
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				break // leave this group for the next pass
-			}
-		}
-		if firstErr != nil && errors.Is(firstErr, errAbandoned) {
-			break // simulated death: stop the whole pass
-		}
-	}
-	return done, firstErr
-}
-
-// takeGroup pops up to BatchSize claim keys from one group, moving them
-// into the in-flight count.
-func (p *Pipeline) takeGroup(k groupKey) []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	ids := p.queue[k]
-	if len(ids) == 0 {
-		delete(p.queue, k)
-		return nil
-	}
-	n := len(ids)
-	if n > p.cfg.BatchSize {
-		n = p.cfg.BatchSize
-	}
-	taken := ids[:n:n]
-	rest := ids[n:]
-	if len(rest) == 0 {
-		delete(p.queue, k)
-	} else {
-		p.queue[k] = rest
-	}
-	p.inflight += n
-	p.mQueue.Add(int64(-n))
-	p.mInflight.Add(int64(n))
-	p.mBatchClaims.Observe(int64(n))
-	return taken
-}
-
-// requeue returns unfinished claims to the queue (transient faults).
-func (p *Pipeline) requeue(k groupKey, keys []string) {
-	if len(keys) == 0 {
-		return
-	}
-	p.mu.Lock()
-	p.queue[k] = append(p.queue[k], keys...)
-	p.mu.Unlock()
-	p.mQueue.Add(int64(len(keys)))
-}
-
-func (p *Pipeline) requeueRows(k groupKey, rows []spoolRow) {
-	keys := make([]string, len(rows))
-	for i := range rows {
-		keys[i] = rows[i].Key
-	}
-	p.requeue(k, keys)
-}
-
-// failure is a claim parked by a terminal settlement outcome.
-type failure struct {
-	row    spoolRow
-	reason string
-}
-
-// terminalRedeemErr classifies redemption errors retrying cannot fix.
-func terminalRedeemErr(err error) bool {
-	if errors.Is(err, db.ErrStorageFailed) {
-		// Fail-stopped storage is an instance outage, not a verdict on
-		// the claim: it must stay queued and redeem after restart, even
-		// if the failure surfaced wrapped in a business error.
-		return false
-	}
-	return errors.Is(err, ErrUnknownChain) ||
-		errors.Is(err, ErrChainState) ||
-		errors.Is(err, payment.ErrBadWord) ||
-		errors.Is(err, payment.ErrBadIndex) ||
-		errors.Is(err, accounts.ErrNotFound) ||
-		errors.Is(err, accounts.ErrClosed) ||
-		errors.Is(err, accounts.ErrCurrencyMismatch) ||
-		errors.Is(err, accounts.ErrInsufficient) ||
-		errors.Is(err, accounts.ErrInsufficientLock) ||
-		errors.Is(err, accounts.ErrBadAmount)
+// Drain blocks until every pending claim reaches a terminal outcome, or
+// the timeout elapses. With background workers it kicks and waits; in
+// synchronous mode (Workers < 0) it runs settlement passes itself and
+// reports ErrDrainStalled if a full pass makes no progress.
+func (p *Pipeline) Drain(timeout time.Duration) (*Stats, error) {
+	err := p.eng.Drain(timeout)
+	return p.Status(), err
 }
 
 // settleGroup settles one batch of claims drawn from a single account.
 // Claims collapse per chain: only the highest index redeems (one
 // transaction per chain), and the lower claims it subsumes finish as
-// part of the same advance. Returns how many claims reached a terminal
-// outcome.
-func (p *Pipeline) settleGroup(k groupKey, keys []string) (int, error) {
-	defer func() {
-		p.mu.Lock()
-		p.inflight -= len(keys)
-		p.mu.Unlock()
-		p.mInflight.Add(int64(-len(keys)))
-	}()
-
-	// Load the durable rows; keys whose row vanished were finished by
-	// an earlier generation's cleanup.
-	bySerial := make(map[string][]spoolRow)
+// part of the same advance.
+func (p *Pipeline) settleGroup(b *settle.Batch[*spoolRow]) error {
+	bySerial := make(map[string][]*spoolRow)
 	serials := make([]string, 0, 4)
-	for _, key := range keys {
-		raw, err := p.spool.Get(tableSpool, key)
-		if errors.Is(err, db.ErrNoRecord) {
-			continue
-		}
-		if err != nil {
-			p.requeue(k, keys)
-			return 0, err
-		}
-		var row spoolRow
-		if err := json.Unmarshal(raw, &row); err != nil {
-			p.requeue(k, keys)
-			return 0, fmt.Errorf("micropay: corrupt spool row %s: %w", key, err)
-		}
-		if row.State != statePending {
-			continue // parked failed by an earlier pass
-		}
+	for _, row := range b.Rows {
 		if _, seen := bySerial[row.Serial]; !seen {
 			serials = append(serials, row.Serial)
 		}
@@ -706,17 +371,15 @@ func (p *Pipeline) settleGroup(k groupKey, keys []string) (int, error) {
 	}
 	sort.Strings(serials)
 
-	done := 0
-	for si, serial := range serials {
+	for _, serial := range serials {
 		rows := bySerial[serial]
 		// The delta rule: the highest claim pays for everything below it.
-		best := 0
-		for i := range rows {
-			if rows[i].Index > rows[best].Index {
-				best = i
+		top := rows[0]
+		for _, row := range rows[1:] {
+			if row.Index > top.Index {
+				top = row
 			}
 		}
-		top := rows[best]
 		out, err := p.red.Redeem(serial, top.Payee, top.Index, top.Word, top.RUR)
 		switch {
 		case err == nil:
@@ -732,128 +395,34 @@ func (p *Pipeline) settleGroup(k groupKey, keys []string) (int, error) {
 			p.mClaims.Add(int64(len(rows)))
 		case errors.Is(err, ErrStaleIndex):
 			// Already paid (replay, or subsumed by an earlier advance).
-			p.duplicates.Add(uint64(len(rows)))
-		case errors.Is(err, errAbandoned):
-			return done, err
-		case terminalRedeemErr(err):
-			failures := make([]failure, len(rows))
-			for i := range rows {
-				failures[i] = failure{row: rows[i], reason: err.Error()}
+			p.eng.CountDuplicates(len(rows))
+		case settle.Terminal(err, ErrUnknownChain, ErrChainState, payment.ErrBadWord, payment.ErrBadIndex):
+			failures := make([]settle.Parked[*spoolRow], len(rows))
+			for i, row := range rows {
+				failures[i] = settle.Parked[*spoolRow]{Row: row, Reason: err.Error()}
 			}
-			if cerr := p.cleanup(nil, failures); cerr != nil {
-				p.requeueRows(k, rows)
-				return done, cerr
+			if err := b.Finish(nil, failures); err != nil {
+				return err
 			}
-			done += len(rows)
 			continue
-		default:
-			p.requeueRows(k, rows)
-			for _, rest := range serials[si+1:] {
-				p.requeueRows(k, bySerial[rest])
-			}
-			return done, fmt.Errorf("micropay: redeeming chain %s: %w", serial, err)
+		default: // transient fault, or a crash hook's abandon
+			return fmt.Errorf("micropay: redeeming chain %s: %w", serial, err)
 		}
-		if err := p.cleanup(rows, nil); err != nil {
-			p.requeueRows(k, rows)
-			return done, err
+		if err := b.Finish(rows, nil); err != nil {
+			return err
 		}
-		done += len(rows)
-		if err := p.crashHook(BoundaryCleaned, serial); err != nil {
-			return done, err
+		if out != nil && out.State == StateRedeemed {
+			// Exhausted: the chain can never accept another claim, and a
+			// replay reloads the row and is refused there.
+			p.sessMu.Lock()
+			delete(p.sessions, serial)
+			p.sessMu.Unlock()
 		}
-	}
-	return done, nil
-}
-
-// cleanup finishes claims durably: settled/duplicate rows leave the
-// spool; failed rows are parked with their reason for the operator.
-func (p *Pipeline) cleanup(finished []spoolRow, failures []failure) error {
-	if len(finished) == 0 && len(failures) == 0 {
-		return nil
-	}
-	err := p.spool.Update(func(tx *db.Tx) error {
-		for i := range finished {
-			ok, err := tx.Exists(tableSpool, finished[i].Key)
-			if err != nil {
-				return err
-			}
-			if ok {
-				if err := tx.Delete(tableSpool, finished[i].Key); err != nil {
-					return err
-				}
-			}
+		if err := p.hook(BoundaryCleaned, serial); err != nil {
+			return err
 		}
-		for i := range failures {
-			row := failures[i].row
-			row.State = stateFailed
-			row.Reason = failures[i].reason
-			raw, err := json.Marshal(&row)
-			if err != nil {
-				return err
-			}
-			if err := tx.Put(tableSpool, row.Key, raw); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return fmt.Errorf("micropay: spool cleanup: %w", err)
-	}
-	if len(failures) > 0 {
-		p.mu.Lock()
-		p.failed += len(failures)
-		p.mu.Unlock()
-		p.mParked.Add(int64(len(failures)))
 	}
 	return nil
-}
-
-// Drain blocks until every pending claim reaches a terminal outcome, or
-// the timeout elapses. With background workers it kicks and waits; in
-// synchronous mode (Workers < 0) it runs settlement passes itself and
-// reports ErrDrainStalled if a full pass makes no progress.
-func (p *Pipeline) Drain(timeout time.Duration) (*Stats, error) {
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
-	deadline := time.Now().Add(timeout)
-	for {
-		p.mu.Lock()
-		pending := p.pendingLocked()
-		closed := p.closed
-		p.mu.Unlock()
-		if closed {
-			return p.Status(), ErrClosed
-		}
-		if pending == 0 {
-			return p.Status(), nil
-		}
-		if time.Now().After(deadline) {
-			return p.Status(), fmt.Errorf("%w: %d still pending", ErrDrainTimeout, pending)
-		}
-		if p.cfg.Workers == 0 {
-			n, err := p.drainPass()
-			if err != nil {
-				return p.Status(), err
-			}
-			if n == 0 {
-				p.mu.Lock()
-				settleable := p.inflight
-				for _, ids := range p.queue {
-					settleable += len(ids)
-				}
-				p.mu.Unlock()
-				if settleable > 0 {
-					return p.Status(), fmt.Errorf("%w: %d pending", ErrDrainStalled, settleable)
-				}
-				time.Sleep(time.Millisecond) // reservations only: wait them out
-			}
-			continue
-		}
-		p.kickWorkers()
-		time.Sleep(2 * time.Millisecond)
-	}
 }
 
 // wordSize guards claim shape at the wire layer.

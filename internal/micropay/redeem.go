@@ -210,7 +210,7 @@ func (r *Redeemer) Redeem(serial string, payee accounts.ID, target int, word, ru
 	if row.State != StateOutstanding {
 		return nil, fmt.Errorf("%w: chain %s is %s", ErrChainState, serial, row.State)
 	}
-	if err := row.verifyClaimWord(target, word); err != nil {
+	if err := verifyWordAfter(&row.Commitment, row.RedeemedIndex, row.RedeemedWord, target, word); err != nil {
 		return nil, err
 	}
 	delta, err := row.Commitment.PerWord.MulInt(int64(target - row.RedeemedIndex))

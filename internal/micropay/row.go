@@ -71,16 +71,16 @@ func (r *ChainRow) encode() []byte {
 	return raw
 }
 
-// verifyClaimWord checks a claimed word against the row's redemption
-// anchor: the cached RedeemedWord when present, the commitment root at
-// index zero. Rows advanced before the incremental fix have an index
-// but no cached word; those verify the slow way (hashes back to the
-// root) exactly once — the next advance caches the word.
-func (r *ChainRow) verifyClaimWord(target int, word []byte) error {
-	if r.RedeemedIndex > 0 && len(r.RedeemedWord) == 0 {
-		return payment.VerifyWord(&r.Commitment, target, word)
+// verifyWordAfter checks a claimed word against an anchor: the chain
+// word cached at index from, or the commitment root at index zero. An
+// anchor advanced before words were cached has an index but no word;
+// it verifies the slow way (hashes back to the root) exactly once — the
+// next advance caches the word.
+func verifyWordAfter(cc *payment.ChainCommitment, from int, anchor []byte, target int, word []byte) error {
+	if from > 0 && len(anchor) == 0 {
+		return payment.VerifyWord(cc, target, word)
 	}
-	return payment.VerifyWordAfter(&r.Commitment, r.RedeemedIndex, r.RedeemedWord, target, word)
+	return payment.VerifyWordAfter(cc, from, anchor, target, word)
 }
 
 // rows locates and moves chain rows across shard stores.

@@ -1,0 +1,442 @@
+package settle_test
+
+import (
+	"errors"
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"gridbank/internal/accounts"
+	"gridbank/internal/db"
+	"gridbank/internal/settle"
+)
+
+// item is the fake pipeline's spool row.
+type item struct {
+	Key    string      `json:"key"`
+	Drawer accounts.ID `json:"drawer"`
+	State  string      `json:"state"`
+	Reason string      `json:"reason,omitempty"`
+}
+
+func (r *item) SpoolKey() string      { return r.Key }
+func (r *item) DrawerID() accounts.ID { return r.Drawer }
+func (r *item) Parked() bool          { return r.State == "failed" }
+func (r *item) Park(reason string)    { r.State, r.Reason = "failed", reason }
+
+var (
+	errOverloaded = errors.New("fake: overloaded")
+	errClosed     = errors.New("fake: closed")
+	errStalled    = errors.New("fake: drain stalled")
+	errTimeout    = errors.New("fake: drain timeout")
+)
+
+// fake is an in-memory strategy: settle decides each batch's outcome,
+// defaulting to "finish everything".
+type fake struct {
+	mu     sync.Mutex
+	settle func(b *settle.Batch[*item]) error
+	admit  func(incoming, parked *item) bool
+}
+
+func (f *fake) set(fn func(b *settle.Batch[*item]) error) {
+	f.mu.Lock()
+	f.settle = fn
+	f.mu.Unlock()
+}
+
+func (f *fake) run(b *settle.Batch[*item]) error {
+	f.mu.Lock()
+	fn := f.settle
+	f.mu.Unlock()
+	if fn == nil {
+		return b.Finish(b.Rows, nil)
+	}
+	return fn(b)
+}
+
+func newEngine(t *testing.T, spool *db.Store, f *fake, tune func(*settle.Config[*item])) *settle.Engine[*item] {
+	t.Helper()
+	cfg := settle.Config[*item]{
+		Name:            "fake",
+		BatchMetric:     "batch",
+		Table:           "fake_spool",
+		Spool:           spool,
+		ShardFor:        func(id accounts.ID) int { return len(id) % 2 },
+		Workers:         -1,
+		ErrOverloaded:   errOverloaded,
+		ErrClosed:       errClosed,
+		ErrDrainStalled: errStalled,
+		ErrDrainTimeout: errTimeout,
+		Settle:          f.run,
+	}
+	if f.admit != nil {
+		cfg.Admit = f.admit
+	}
+	if tune != nil {
+		tune(&cfg)
+	}
+	e, err := settle.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Start()
+	t.Cleanup(func() { e.Close() })
+	return e
+}
+
+func items(drawer string, keys ...string) []*item {
+	out := make([]*item, len(keys))
+	for i, k := range keys {
+		out[i] = &item{Key: k, Drawer: accounts.ID(drawer), State: "pending"}
+	}
+	return out
+}
+
+func TestBackpressureNeverOvershootsUnderConcurrentSubmit(t *testing.T) {
+	const bound, submitters, perBatch = 40, 16, 5
+	var peak atomic.Int64
+	var e *settle.Engine[*item]
+	f := &fake{admit: func(*item, *item) bool {
+		// Inside the intake transaction: the reservation is held here.
+		if p := int64(e.Status().Pending); p > peak.Load() {
+			peak.Store(p)
+		}
+		return true
+	}}
+	e = newEngine(t, db.MustOpenMemory(), f, func(c *settle.Config[*item]) { c.MaxPending = bound })
+	var accepted atomic.Int64
+	var wg sync.WaitGroup
+	for s := 0; s < submitters; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			keys := make([]string, perBatch)
+			for i := range keys {
+				keys[i] = fmt.Sprintf("s%d-%d", s, i)
+			}
+			in, err := e.Submit(items(fmt.Sprintf("d%d", s%3), keys...))
+			switch {
+			case err == nil:
+				accepted.Add(int64(in.Accepted))
+			case !errors.Is(err, errOverloaded):
+				t.Errorf("submit: %v", err)
+			}
+		}(s)
+	}
+	wg.Wait()
+	if got := accepted.Load(); got != bound {
+		t.Errorf("accepted %d of %d offered, want exactly the bound %d", got, submitters*perBatch, bound)
+	}
+	if st := e.Status(); st.Pending != bound || st.QueueDepth != bound {
+		t.Errorf("after intake: %+v", st)
+	}
+	if p := peak.Load(); p > bound {
+		t.Errorf("pending peaked at %d, bound %d", p, bound)
+	}
+}
+
+func TestParkedRowRevivesOnResubmit(t *testing.T) {
+	f := &fake{}
+	e := newEngine(t, db.MustOpenMemory(), f, nil)
+	f.set(func(b *settle.Batch[*item]) error {
+		return b.Finish(nil, []settle.Parked[*item]{{Row: b.Rows[0], Reason: "no funds"}})
+	})
+	if _, err := e.Submit(items("d", "a")); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := e.SettleOnce(); n != 1 || err != nil {
+		t.Fatalf("settle = %d, %v", n, err)
+	}
+	if st := e.Status(); st.Failed != 1 || st.Pending != 0 {
+		t.Fatalf("after park: %+v", st)
+	}
+	// Draining does not retry a parked row.
+	if err := e.Drain(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	f.set(nil)
+	in, err := e.Submit(items("d", "a"))
+	if err != nil || in.Accepted != 1 || in.Duplicates != 0 {
+		t.Fatalf("resubmit = %+v, %v", in, err)
+	}
+	if st := e.Status(); st.Failed != 0 || st.Pending != 1 {
+		t.Fatalf("after revive: %+v", st)
+	}
+	if err := e.Drain(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Status(); st.Failed != 0 || st.Pending != 0 {
+		t.Fatalf("after drain: %+v", st)
+	}
+}
+
+func TestPendingKeyIsDuplicateAndAdmitCanRefuse(t *testing.T) {
+	f := &fake{admit: func(incoming, _ *item) bool { return incoming.Key != "settled-elsewhere" }}
+	e := newEngine(t, db.MustOpenMemory(), f, nil)
+	if _, err := e.Submit(items("d", "a")); err != nil {
+		t.Fatal(err)
+	}
+	in, err := e.Submit(items("d", "a", "settled-elsewhere", "b"))
+	if err != nil || in.Accepted != 1 || in.Duplicates != 2 {
+		t.Fatalf("intake = %+v, %v", in, err)
+	}
+	e.CountDuplicates(3) // e.g. stale claims recognised at settlement
+	if st := e.Status(); st.Duplicates != 5 || st.Pending != 2 {
+		t.Fatalf("status: %+v", st)
+	}
+}
+
+func TestTransientErrorRequeuesEveryUnfinishedRow(t *testing.T) {
+	f := &fake{}
+	e := newEngine(t, db.MustOpenMemory(), f, nil)
+	if _, err := e.Submit(items("d", "a", "b", "c", "e")); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("ledger hiccup")
+	f.set(func(b *settle.Batch[*item]) error {
+		if err := b.Finish(b.Rows[:1], nil); err != nil {
+			return err
+		}
+		return boom // b fails; c and e were never touched
+	})
+	n, err := e.SettleOnce()
+	if n != 1 || !errors.Is(err, boom) {
+		t.Fatalf("settle = %d, %v", n, err)
+	}
+	if st := e.Status(); st.Pending != 3 || st.QueueDepth != 3 || st.InFlight != 0 {
+		t.Fatalf("siblings not visible after the fault: %+v", st)
+	}
+	f.set(nil)
+	if err := e.Drain(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Status(); st.Pending != 0 {
+		t.Fatalf("after drain: %+v", st)
+	}
+}
+
+func TestAbandonRequeuesNothingAndRecoveryRebuildsTheQueue(t *testing.T) {
+	j := db.NewMemJournal()
+	spool, err := db.Open(j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := &fake{}
+	e := newEngine(t, spool, f, nil)
+	if _, err := e.Submit(items("d1", "a", "b")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Submit(items("d22", "c")); err != nil {
+		t.Fatal(err)
+	}
+	f.set(func(b *settle.Batch[*item]) error {
+		if err := b.Finish(nil, []settle.Parked[*item]{{Row: b.Rows[0], Reason: "parked before death"}}); err != nil {
+			return err
+		}
+		return settle.Abandon(errors.New("injected death"))
+	})
+	if _, err := e.SettleOnce(); !errors.Is(err, settle.ErrAbandoned) {
+		t.Fatalf("settle err = %v", err)
+	}
+	// The dead process lost its queue: the first group's survivor is not
+	// requeued, and the pass stopped before the second group was taken.
+	if st := e.Status(); st.Pending != 1 || st.Failed != 1 {
+		t.Fatalf("after abandon: %+v", st)
+	}
+	e.Close()
+
+	spool2, err := db.Open(j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seen []string
+	e2 := newEngine(t, spool2, &fake{}, func(c *settle.Config[*item]) {
+		c.Recovered = func(r *item) { seen = append(seen, r.Key) }
+	})
+	if st := e2.Status(); st.Pending != 2 || st.QueueDepth != 2 || st.Failed != 1 {
+		t.Fatalf("recovered: %+v", st)
+	}
+	if len(seen) != 3 {
+		t.Fatalf("Recovered saw %v, want all three rows", seen)
+	}
+	if err := e2.Drain(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if st := e2.Status(); st.Pending != 0 || st.Failed != 1 {
+		t.Fatalf("after recovery drain: %+v", st)
+	}
+}
+
+func TestSpooledHookLeavesRowsDurableButUnqueued(t *testing.T) {
+	j := db.NewMemJournal()
+	spool, err := db.Open(j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := newEngine(t, spool, &fake{}, func(c *settle.Config[*item]) {
+		c.Spooled = func(first *item) error { return settle.Abandon(errors.New("died after " + first.Key)) }
+	})
+	in, err := e.Submit(items("d", "a", "b"))
+	if !errors.Is(err, settle.ErrAbandoned) || in == nil || in.Accepted != 2 {
+		t.Fatalf("submit = %+v, %v", in, err)
+	}
+	if st := e.Status(); st.Pending != 0 {
+		t.Fatalf("rows queued despite the hook: %+v", st)
+	}
+	spool2, err := db.Open(j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := newEngine(t, spool2, &fake{}, nil).Status(); st.Pending != 2 {
+		t.Fatalf("recovered: %+v", st)
+	}
+}
+
+func TestSyncDrainStallsOnlyOnSettleableWork(t *testing.T) {
+	t.Run("reservation is waited out", func(t *testing.T) {
+		inTx, release := make(chan struct{}), make(chan struct{})
+		f := &fake{admit: func(*item, *item) bool {
+			close(inTx)
+			<-release
+			return true
+		}}
+		e := newEngine(t, db.MustOpenMemory(), f, nil)
+		submitted := make(chan error, 1)
+		go func() {
+			_, err := e.Submit(items("d", "a"))
+			submitted <- err
+		}()
+		<-inTx // the Submit holds a reservation, nothing is queued yet
+		drained := make(chan error, 1)
+		go func() { drained <- e.Drain(5 * time.Second) }()
+		select {
+		case err := <-drained:
+			t.Fatalf("drain returned %v while only a reservation was pending", err)
+		case <-time.After(20 * time.Millisecond):
+		}
+		close(release)
+		if err := <-submitted; err != nil {
+			t.Fatal(err)
+		}
+		if err := <-drained; err != nil {
+			t.Fatalf("drain = %v", err)
+		}
+		if st := e.Status(); st.Pending != 0 {
+			t.Fatalf("after drain: %+v", st)
+		}
+	})
+	t.Run("work another pass holds in flight is a stall", func(t *testing.T) {
+		taken, release := make(chan struct{}), make(chan struct{})
+		f := &fake{}
+		e := newEngine(t, db.MustOpenMemory(), f, nil)
+		f.set(func(b *settle.Batch[*item]) error {
+			close(taken)
+			<-release
+			return b.Finish(b.Rows, nil)
+		})
+		if _, err := e.Submit(items("d", "a")); err != nil {
+			t.Fatal(err)
+		}
+		passed := make(chan error, 1)
+		go func() {
+			_, err := e.SettleOnce()
+			passed <- err
+		}()
+		<-taken
+		if err := e.Drain(time.Second); !errors.Is(err, errStalled) {
+			t.Fatalf("drain = %v, want the stall verdict", err)
+		}
+		close(release)
+		if err := <-passed; err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+func TestWorkersSettleRetryAndClose(t *testing.T) {
+	f := &fake{}
+	var faults atomic.Int64
+	f.set(func(b *settle.Batch[*item]) error {
+		if faults.Add(1) <= 2 {
+			return errors.New("transient")
+		}
+		return b.Finish(b.Rows, nil)
+	})
+	e := newEngine(t, db.MustOpenMemory(), f, func(c *settle.Config[*item]) {
+		c.Workers, c.RetryInterval, c.BatchSize = 3, time.Millisecond, 2
+	})
+	for i := 0; i < 20; i++ {
+		if _, err := e.Submit(items(fmt.Sprintf("d%d", i%4), fmt.Sprintf("k%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Drain(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	// Close waits for the workers, so the one that hit the fault has
+	// recorded it by now.
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st := e.Status()
+	if st.Pending != 0 || st.LastError == "" || st.Workers != 3 || st.BatchSize != 2 {
+		t.Fatalf("status: %+v", st)
+	}
+	if _, err := e.Submit(items("d", "late")); !errors.Is(err, errClosed) {
+		t.Fatalf("submit after close = %v", err)
+	}
+	if err := e.Drain(time.Second); !errors.Is(err, errClosed) {
+		t.Fatalf("drain after close = %v", err)
+	}
+}
+
+func TestDrainTimesOut(t *testing.T) {
+	inTx, release := make(chan struct{}), make(chan struct{})
+	e := newEngine(t, db.MustOpenMemory(), &fake{admit: func(*item, *item) bool {
+		close(inTx)
+		<-release
+		return true
+	}}, nil)
+	submitted := make(chan error, 1)
+	go func() {
+		_, err := e.Submit(items("d", "a"))
+		submitted <- err
+	}()
+	<-inTx
+	if err := e.Drain(20 * time.Millisecond); !errors.Is(err, errTimeout) {
+		t.Fatalf("drain = %v, want timeout", err)
+	}
+	close(release)
+	if err := <-submitted; err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestStorageFailureIsNeverTerminal(t *testing.T) {
+	verdict := errors.New("fake: chain released")
+	for _, tc := range []struct {
+		err  error
+		want bool
+	}{
+		{accounts.ErrInsufficient, true},
+		{fmt.Errorf("settling: %w", accounts.ErrClosed), true},
+		{verdict, true},
+		{errors.New("connection reset"), false},
+		{db.ErrStorageFailed, false},
+		{fmt.Errorf("%w: %w", accounts.ErrInsufficient, db.ErrStorageFailed), false},
+		{fmt.Errorf("%w: %w", verdict, db.ErrStorageFailed), false},
+	} {
+		if got := settle.Terminal(tc.err, verdict); got != tc.want {
+			t.Errorf("Terminal(%v) = %v, want %v", tc.err, got, tc.want)
+		}
+	}
+}
+
+func TestNewRequiresSpool(t *testing.T) {
+	if _, err := settle.New(settle.Config[*item]{Name: "fake"}); err == nil {
+		t.Fatal("engine built without a spool store")
+	}
+}

@@ -9,6 +9,7 @@ package usage_test
 // twice and never lost, no matter where the crash landed.
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -16,6 +17,7 @@ import (
 	"gridbank/internal/accounts"
 	"gridbank/internal/currency"
 	"gridbank/internal/db"
+	"gridbank/internal/settle"
 	"gridbank/internal/shard"
 	"gridbank/internal/shard/simtest"
 	"gridbank/internal/usage"
@@ -30,6 +32,7 @@ type crashWorld struct {
 	led       *shard.Ledger
 	spool     *db.Store
 	pipe      *usage.Pipeline
+	crash     func(usage.Boundary, string) error // injected via Config.CrashHook; dies with the process
 	drawer    accounts.ID
 	sameRecip accounts.ID // same shard as drawer
 	crossRec  accounts.ID // different shard
@@ -107,6 +110,12 @@ func (w *crashWorld) boot() {
 		Workers: -1, // deterministic: settlement only via SettleOnce/Drain
 		Now:     func() time.Time { return testEpoch },
 		Log:     testLogger(w.t),
+		CrashHook: func(b usage.Boundary, chargeID string) error {
+			if w.crash != nil {
+				return w.crash(b, chargeID)
+			}
+			return nil
+		},
 	})
 	if err != nil {
 		w.t.Fatal(err)
@@ -118,6 +127,7 @@ func (w *crashWorld) boot() {
 func (w *crashWorld) reboot() {
 	w.t.Helper()
 	w.pipe.Close()
+	w.crash = nil
 	w.boot()
 }
 
@@ -165,7 +175,7 @@ func (w *crashWorld) assertConverged(recip accounts.ID, want currency.Amount) {
 func (w *crashWorld) runCrash(id string, recip accounts.ID, at usage.Boundary) {
 	w.t.Helper()
 	died := false
-	w.pipe.CrashHook = func(b usage.Boundary, chargeID string) error {
+	w.crash = func(b usage.Boundary, chargeID string) error {
 		if b == at && !died {
 			died = true
 			return fmt.Errorf("injected death at %s", b)
@@ -230,7 +240,7 @@ func TestDoubleCrashCrossShard(t *testing.T) {
 				// The charge settled during the first recovery; a second
 				// crash-and-recover cycle must change nothing.
 				died := false
-				w.pipe.CrashHook = func(b usage.Boundary, _ string) error {
+				w.crash = func(b usage.Boundary, _ string) error {
 					if b == second && !died {
 						died = true
 						return fmt.Errorf("second injected death at %s", b)
@@ -311,4 +321,29 @@ func TestSpoolJournalDeathDuringSubmit(t *testing.T) {
 		t.Fatalf("drain = %+v, %v", st, err)
 	}
 	w.assertConverged(w.sameRecip, 0)
+}
+
+// TestDeathAfterSpoolIsMarkedAbandoned: a crash hook's death during
+// Submit surfaces like every other boundary's — marked as an abandon,
+// with the intake counts — and leaves the charge durable but unqueued.
+func TestDeathAfterSpoolIsMarkedAbandoned(t *testing.T) {
+	w := newCrashWorld(t, 2)
+	w.crash = func(b usage.Boundary, _ string) error {
+		if b == usage.BoundarySpooled {
+			return errors.New("injected death")
+		}
+		return nil
+	}
+	res, err := w.pipe.Submit([]usage.Submission{w.submission("spool-death", w.sameRecip)})
+	if !errors.Is(err, settle.ErrAbandoned) || res == nil || res.Accepted != 1 {
+		t.Fatalf("submit = %+v, %v; want the counts and an abandon", res, err)
+	}
+	if st := w.pipe.Status(); st.Pending != 0 {
+		t.Fatalf("charge queued despite the death: %+v", st)
+	}
+	w.reboot()
+	if _, err := w.pipe.Drain(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	w.assertConverged(w.sameRecip, currency.FromG(1))
 }

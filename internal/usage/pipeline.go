@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -13,6 +11,7 @@ import (
 	"gridbank/internal/db"
 	"gridbank/internal/obs"
 	"gridbank/internal/rur"
+	"gridbank/internal/settle"
 	"gridbank/internal/shard"
 )
 
@@ -47,29 +46,22 @@ type Config struct {
 	// Now supplies timestamps; defaults to time.Now.
 	Now func() time.Time
 	// Log records transient settlement faults; nil discards them.
-	// Configured here (not assigned after New) because recovery can
-	// hand workers settleable rows before New even returns.
 	Log *obs.Logger
 	// Obs names the pipeline's instruments (usage.queue_depth,
 	// usage.inflight, usage.batch_size, usage.settled, usage.parked,
-	// usage.overloaded). Nil leaves telemetry off. Configured here, not
-	// after New, for the same reason as Log: workers may be settling
-	// before New returns.
+	// usage.overloaded). Nil leaves telemetry off.
 	Obs *obs.Registry
-	// CrashHook installs fault injection before the workers start; see
-	// Pipeline.CrashHook.
+	// CrashHook fires after every durable settlement step with the
+	// boundary and a representative charge ID; returning an error
+	// abandons processing at that point (simulated process death).
+	// Test instrumentation only.
 	CrashHook func(b Boundary, chargeID string) error
 }
 
-// groupKey buckets pending charges for batching: all charges drawn from
-// one account settle on one shard, so one ledger transaction can apply
-// many of them.
-type groupKey struct {
-	shard  int
-	drawer accounts.ID
-}
-
-// Pipeline is the batched asynchronous settlement engine. Construct
+// Pipeline is the batched asynchronous usage settlement: pricing and
+// validation at intake, exactly-once markers, the one-transaction
+// same-shard batch and the pinned cross-shard path. The spool, queue,
+// worker, retry and Drain lifecycle is internal/settle's. Construct
 // with New — which also runs crash recovery — and Close when done.
 // Constructing the pipeline must happen before the ledger serves
 // traffic, so recovered transaction-ID pins reseed the allocator ahead
@@ -78,75 +70,25 @@ type Pipeline struct {
 	led   Ledger
 	cross CrossShardLedger // nil when the ledger cannot cross shards
 	spool *db.Store
-	cfg   Config
 	now   func() time.Time
-
-	// Log records transient settlement faults. Prefer Config.Log: with
-	// background workers this field may only be reassigned while the
-	// pipeline is provably idle (e.g. Workers < 0), since workers read
-	// it when a settlement fails.
-	Log *obs.Logger
-	// CrashHook fires after every durable settlement step with the
-	// boundary and a representative charge ID; returning an error
-	// abandons processing at that point (simulated process death).
-	// Test instrumentation only. Prefer Config.CrashHook; direct
-	// reassignment is safe only in synchronous mode (Workers < 0).
-	CrashHook func(b Boundary, chargeID string) error
-
-	mu       sync.Mutex
-	queue    map[groupKey][]string
-	reserved int // Submit capacity holds not yet spooled/enqueued
-	inflight int
-	failed   int
-	lastErr  string
-	closed   bool
+	hook  func(b Boundary, chargeID string) error // never nil; an error abandons processing
+	eng   *settle.Engine[*spoolRow]
 
 	settled    atomic.Uint64
-	duplicates atomic.Uint64
 	rejected   atomic.Uint64
 	batches    atomic.Uint64
 	crossShard atomic.Uint64
-
-	// Telemetry handles (nil no-ops when Config.Obs is nil). The queue
-	// and inflight gauges mirror the mu-guarded state incrementally so
-	// scrapes never take the pipeline lock.
-	mQueue      *obs.Gauge
-	mInflight   *obs.Gauge
-	mBatchSize  *obs.Histogram
-	mSettled    *obs.Counter
-	mParked     *obs.Counter
-	mOverloaded *obs.Counter
-
-	kick chan struct{}
-	stop chan struct{}
-	wg   sync.WaitGroup
+	mSettled   *obs.Counter
 }
 
 // New builds a pipeline over the ledger and spool store, recovers any
 // charges a crash left pending (re-queueing them and reseeding the
-// ledger's transaction-ID allocator above every pinned ID), and starts
-// the settlement workers.
+// ledger's transaction-ID allocator above every pinned ID, so a fresh
+// transfer can never collide with a pinned-but-unfinished settlement),
+// and starts the settlement workers.
 func New(cfg Config) (*Pipeline, error) {
 	if cfg.Ledger == nil {
 		return nil, errors.New("usage: pipeline requires a ledger")
-	}
-	if cfg.Spool == nil {
-		return nil, errors.New("usage: pipeline requires a spool store")
-	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 64
-	}
-	if cfg.Workers == 0 {
-		cfg.Workers = 2
-	}
-	if cfg.Workers < 0 {
-		cfg.Workers = 0 // synchronous mode: SettleOnce/Drain only
-	}
-	if cfg.MaxPending <= 0 {
-		cfg.MaxPending = 4096
-	}
-	if cfg.RetryInterval <= 0 {
-		cfg.RetryInterval = 25 * time.Millisecond
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -156,25 +98,42 @@ func New(cfg Config) (*Pipeline, error) {
 		return nil, errors.New("usage: a multi-shard ledger must implement CrossShardLedger")
 	}
 	p := &Pipeline{
-		led:       cfg.Ledger,
-		cross:     cross,
-		spool:     cfg.Spool,
-		cfg:       cfg,
-		now:       cfg.Now,
-		Log:       cfg.Log,
-		CrashHook: cfg.CrashHook,
-		queue:     make(map[groupKey][]string),
-		kick:      make(chan struct{}, cfg.Workers+1),
-		stop:      make(chan struct{}),
-
-		mQueue:      cfg.Obs.Gauge("usage.queue_depth"),
-		mInflight:   cfg.Obs.Gauge("usage.inflight"),
-		mBatchSize:  cfg.Obs.Histogram("usage.batch_size"),
-		mSettled:    cfg.Obs.Counter("usage.settled"),
-		mParked:     cfg.Obs.Counter("usage.parked"),
-		mOverloaded: cfg.Obs.Counter("usage.overloaded"),
+		led:      cfg.Ledger,
+		cross:    cross,
+		spool:    cfg.Spool,
+		now:      cfg.Now,
+		hook:     settle.Hook(cfg.CrashHook),
+		mSettled: cfg.Obs.Counter("usage.settled"),
 	}
-	if err := p.spool.EnsureTable(tableSpool); err != nil {
+	var maxPin uint64
+	eng, err := settle.New(settle.Config[*spoolRow]{
+		Name:          "usage",
+		BatchMetric:   "batch_size",
+		Table:         tableSpool,
+		Spool:         cfg.Spool,
+		ShardFor:      cfg.Ledger.ShardFor,
+		BatchSize:     cfg.BatchSize,
+		Workers:       cfg.Workers,
+		MaxPending:    cfg.MaxPending,
+		RetryInterval: cfg.RetryInterval,
+		Log:           cfg.Log,
+		Obs:           cfg.Obs,
+
+		ErrOverloaded:   ErrOverloaded,
+		ErrClosed:       ErrClosed,
+		ErrDrainStalled: ErrDrainStalled,
+		ErrDrainTimeout: ErrDrainTimeout,
+
+		Admit: p.admit,
+		Recovered: func(row *spoolRow) {
+			if row.PinTxID > maxPin {
+				maxPin = row.PinTxID
+			}
+		},
+		Spooled: func(first *spoolRow) error { return p.hook(BoundarySpooled, first.ID) },
+		Settle:  p.settleGroup,
+	})
+	if err != nil {
 		return nil, err
 	}
 	for i := 0; i < p.led.Shards(); i++ {
@@ -182,105 +141,37 @@ func New(cfg Config) (*Pipeline, error) {
 			return nil, err
 		}
 	}
-	if err := p.recover(); err != nil {
-		return nil, err
-	}
-	for i := 0; i < cfg.Workers; i++ {
-		p.wg.Add(1)
-		go p.worker()
-	}
-	return p, nil
-}
-
-// recover re-queues every pending spool row and reseeds the ledger's
-// transaction-ID allocator above the highest pinned ID, so a fresh
-// transfer can never collide with a pinned-but-unfinished settlement.
-func (p *Pipeline) recover() error {
-	var maxPin uint64
-	var scanErr error
-	err := p.spool.Scan(tableSpool, func(key string, value []byte) bool {
-		var row spoolRow
-		if err := json.Unmarshal(value, &row); err != nil {
-			scanErr = fmt.Errorf("usage: corrupt spool row %s: %w", key, err)
-			return false
-		}
-		if row.PinTxID > maxPin {
-			maxPin = row.PinTxID
-		}
-		switch row.State {
-		case statePending:
-			k := groupKey{shard: p.led.ShardFor(row.Drawer), drawer: row.Drawer}
-			p.queue[k] = append(p.queue[k], row.ID)
-			p.mQueue.Inc()
-		case stateFailed:
-			p.failed++
-		}
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	if scanErr != nil {
-		return scanErr
-	}
 	if maxPin > 0 {
-		if p.cross == nil {
-			return fmt.Errorf("usage: spool holds pinned transaction IDs (max %d) but the ledger cannot cross shards", maxPin)
+		if cross == nil {
+			return nil, fmt.Errorf("usage: spool holds pinned transaction IDs (max %d) but the ledger cannot cross shards", maxPin)
 		}
-		p.cross.SeedTxIDsAbove(maxPin)
+		cross.SeedTxIDsAbove(maxPin)
 	}
-	return nil
+	p.eng = eng
+	eng.Start()
+	return p, nil
 }
 
 // Close stops the workers. Pending charges stay durably spooled and
 // settle when a new pipeline is constructed over the same stores.
-func (p *Pipeline) Close() error {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return nil
-	}
-	p.closed = true
-	p.mu.Unlock()
-	close(p.stop)
-	p.wg.Wait()
-	return nil
-}
-
-// pendingLocked counts charges not yet fully settled. Caller holds mu.
-func (p *Pipeline) pendingLocked() int {
-	n := p.reserved + p.inflight
-	for _, ids := range p.queue {
-		n += len(ids)
-	}
-	return n
-}
+func (p *Pipeline) Close() error { return p.eng.Close() }
 
 // Status reports the pipeline's observable state.
 func (p *Pipeline) Status() *Stats {
-	p.mu.Lock()
-	pending := p.pendingLocked()
-	queued := 0
-	for _, ids := range p.queue {
-		queued += len(ids)
-	}
-	inflight := p.inflight
-	failed := p.failed
-	lastErr := p.lastErr
-	p.mu.Unlock()
+	st := p.eng.Status()
 	return &Stats{
-		Pending:    pending,
-		QueueDepth: queued,
-		InFlight:   inflight,
-		Failed:     failed,
+		Pending:    st.Pending,
+		QueueDepth: st.QueueDepth,
+		InFlight:   st.InFlight,
+		Failed:     st.Failed,
 		Settled:    p.settled.Load(),
-		Duplicates: p.duplicates.Load(),
+		Duplicates: st.Duplicates,
 		Rejected:   p.rejected.Load(),
 		Batches:    p.batches.Load(),
 		CrossShard: p.crossShard.Load(),
-		Workers:    p.cfg.Workers,
-		BatchSize:  p.cfg.BatchSize,
-		LastError:  lastErr,
+		Workers:    st.Workers,
+		BatchSize:  st.BatchSize,
+		LastError:  st.LastError,
 	}
 }
 
@@ -293,10 +184,7 @@ func (p *Pipeline) Status() *Stats {
 // non-rejected submission is journaled and will settle exactly once.
 func (p *Pipeline) Submit(batch []Submission) (*SubmitResult, error) {
 	res := &SubmitResult{}
-	if len(batch) == 0 {
-		return res, nil
-	}
-	rows := make([]spoolRow, 0, len(batch))
+	rows := make([]*spoolRow, 0, len(batch))
 	for _, sub := range batch {
 		row, reason := p.intakeRow(sub)
 		if reason != "" {
@@ -306,136 +194,54 @@ func (p *Pipeline) Submit(batch []Submission) (*SubmitResult, error) {
 		}
 		rows = append(rows, row)
 	}
-	if len(rows) == 0 {
-		return res, nil
+	in, err := p.eng.Submit(rows)
+	if in == nil {
+		return nil, err
 	}
+	res.Accepted, res.Duplicates = in.Accepted, in.Duplicates
+	return res, err
+}
 
-	// Backpressure: reserve capacity before any durable write, so
-	// concurrent submitters cannot jointly overshoot the bound.
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return nil, ErrClosed
+// admit decides, inside the intake transaction, whether an incoming
+// charge may be spooled. A charge parked failed never settled (no
+// marker), so a fresh submission of the same ID resurrects it — keeping
+// an allocated pin: the failed attempt never moved money, and re-driving
+// under the same ID keeps the exactly-once bookkeeping intact. A charge
+// whose settled marker exists is a duplicate.
+func (p *Pipeline) admit(incoming, parked *spoolRow) bool {
+	if parked != nil {
+		incoming.PinTxID = parked.PinTxID
 	}
-	if p.pendingLocked()+len(rows) > p.cfg.MaxPending {
-		pending := p.pendingLocked()
-		p.mu.Unlock()
-		p.mOverloaded.Inc()
-		return nil, fmt.Errorf("%w: %d pending + %d offered exceeds bound %d",
-			ErrOverloaded, pending, len(rows), p.cfg.MaxPending)
-	}
-	p.reserved += len(rows)
-	p.mu.Unlock()
-	release := len(rows)
-	defer func() {
-		p.mu.Lock()
-		p.reserved -= release
-		p.mu.Unlock()
-	}()
-
-	// Durable intake: one spool transaction for the whole batch (one
-	// group-committed journal flush), deduplicating against rows already
-	// spooled and markers already settled. A row parked failed never
-	// settled (no marker), so a fresh submission of the same ID
-	// resurrects it for another attempt — the retry path after an
-	// operator fixes the underlying condition (e.g. funds the drawer).
-	var accepted []spoolRow
-	var dups, revived int
-	err := p.spool.Update(func(tx *db.Tx) error {
-		accepted, dups, revived = accepted[:0], 0, 0 // Update may retry fn
-		for i := range rows {
-			raw, err := tx.Get(tableSpool, rows[i].ID)
-			switch {
-			case err == nil:
-				var cur spoolRow
-				if err := json.Unmarshal(raw, &cur); err != nil {
-					return fmt.Errorf("usage: corrupt spool row %s: %w", rows[i].ID, err)
-				}
-				if cur.State != stateFailed {
-					dups++
-					continue
-				}
-				// Preserve an allocated pin: the failed attempt never
-				// moved money, and re-driving under the same ID keeps
-				// the exactly-once bookkeeping intact.
-				rows[i].PinTxID = cur.PinTxID
-				revived++
-			case !errors.Is(err, db.ErrNoRecord):
-				return err
-			}
-			if p.alreadySettled(&rows[i]) {
-				dups++
-				continue
-			}
-			out, err := json.Marshal(&rows[i])
-			if err != nil {
-				return err
-			}
-			if err := tx.Put(tableSpool, rows[i].ID, out); err != nil {
-				return err
-			}
-			accepted = append(accepted, rows[i])
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("usage: spooling intake batch: %w", err)
-	}
-	if revived > 0 {
-		p.mu.Lock()
-		p.failed -= revived
-		p.mu.Unlock()
-	}
-	res.Accepted = len(accepted)
-	res.Duplicates = dups
-	p.duplicates.Add(uint64(dups))
-	if len(accepted) == 0 {
-		return res, nil
-	}
-	if err := p.hook(BoundarySpooled, accepted[0].ID); err != nil {
-		// Simulated death after the durable append: the rows are in the
-		// spool and recovery will settle them; nothing is enqueued here.
-		return res, err
-	}
-
-	p.mu.Lock()
-	for i := range accepted {
-		k := groupKey{shard: p.led.ShardFor(accepted[i].Drawer), drawer: accepted[i].Drawer}
-		p.queue[k] = append(p.queue[k], accepted[i].ID)
-	}
-	p.mu.Unlock()
-	p.mQueue.Add(int64(len(accepted)))
-	p.kickWorkers()
-	return res, nil
+	return !p.alreadySettled(incoming)
 }
 
 // intakeRow prices and validates one submission. A non-empty reason
 // rejects it terminally.
-func (p *Pipeline) intakeRow(sub Submission) (spoolRow, string) {
+func (p *Pipeline) intakeRow(sub Submission) (*spoolRow, string) {
 	switch {
 	case sub.ID == "":
-		return spoolRow{}, "empty submission ID"
+		return nil, "empty submission ID"
 	case sub.Drawer == "":
-		return spoolRow{}, "missing drawer account"
+		return nil, "missing drawer account"
 	case sub.Recipient == "":
-		return spoolRow{}, "missing recipient account"
+		return nil, "missing recipient account"
 	case sub.Drawer == sub.Recipient:
-		return spoolRow{}, "drawer and recipient are the same account"
+		return nil, "drawer and recipient are the same account"
 	case sub.Rates == nil:
-		return spoolRow{}, "missing rate card"
+		return nil, "missing rate card"
 	}
 	rec := sub.Record
 	if rec == nil {
 		var err error
 		if rec, err = rur.Decode(sub.RUR); err != nil {
-			return spoolRow{}, fmt.Sprintf("malformed RUR: %v", err)
+			return nil, fmt.Sprintf("malformed RUR: %v", err)
 		}
 	}
 	st, err := rur.Price(rec, sub.Rates)
 	if err != nil {
-		return spoolRow{}, fmt.Sprintf("pricing failed: %v", err)
+		return nil, fmt.Sprintf("pricing failed: %v", err)
 	}
-	return spoolRow{
+	return &spoolRow{
 		ID:        sub.ID,
 		Drawer:    sub.Drawer,
 		Recipient: sub.Recipient,
@@ -453,236 +259,61 @@ func (p *Pipeline) alreadySettled(row *spoolRow) bool {
 	return err == nil
 }
 
-// hook fires the crash hook, if any.
-func (p *Pipeline) hook(b Boundary, chargeID string) error {
-	if p.CrashHook == nil {
-		return nil
-	}
-	return p.CrashHook(b, chargeID)
-}
-
-func (p *Pipeline) kickWorkers() {
-	select {
-	case p.kick <- struct{}{}:
-	default:
-	}
-}
-
-func (p *Pipeline) worker() {
-	defer p.wg.Done()
-	t := time.NewTicker(p.cfg.RetryInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-p.stop:
-			return
-		case <-p.kick:
-		case <-t.C:
-		}
-		if _, err := p.drainPass(); err != nil {
-			p.noteErr(err)
-		}
-	}
-}
-
-func (p *Pipeline) noteErr(err error) {
-	p.mu.Lock()
-	p.lastErr = err.Error()
-	p.mu.Unlock()
-	p.Log.Warn("usage settlement fault", "err", err)
-}
-
 // SettleOnce runs one synchronous settlement pass over every group that
 // had pending work when the pass started, and reports how many charges
-// it settled (duplicates cleaned count as settled work for progress
-// accounting). Groups a transient fault leaves pending are retried on
-// the next pass, not within this one.
-func (p *Pipeline) SettleOnce() (int, error) {
-	return p.drainPass()
+// reached a terminal outcome (duplicates cleaned count as settled work
+// for progress accounting). Groups a transient fault leaves pending are
+// retried on the next pass, not within this one.
+func (p *Pipeline) SettleOnce() (int, error) { return p.eng.SettleOnce() }
+
+// Drain blocks until every pending charge reaches a terminal outcome,
+// or the timeout elapses. With background workers it kicks and waits;
+// in synchronous mode (Workers < 0) it runs settlement passes itself
+// and reports ErrDrainStalled if a full pass makes no progress.
+func (p *Pipeline) Drain(timeout time.Duration) (*Stats, error) {
+	err := p.eng.Drain(timeout)
+	return p.Status(), err
 }
 
-func (p *Pipeline) drainPass() (int, error) {
-	p.mu.Lock()
-	keys := make([]groupKey, 0, len(p.queue))
-	for k := range p.queue {
-		keys = append(keys, k)
-	}
-	p.mu.Unlock()
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].shard != keys[j].shard {
-			return keys[i].shard < keys[j].shard
-		}
-		return keys[i].drawer < keys[j].drawer
-	})
-	var done int
-	var firstErr error
-	for _, k := range keys {
-		for {
-			ids := p.takeGroup(k)
-			if len(ids) == 0 {
-				break
-			}
-			n, err := p.settleGroup(k, ids)
-			done += n
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				break // leave this group for the next pass
-			}
-		}
-		if firstErr != nil && errors.Is(firstErr, errAbandoned) {
-			break // simulated death: stop the whole pass
-		}
-	}
-	return done, firstErr
-}
-
-// errAbandoned wraps a crash-hook abandon so drainPass stops cold.
-var errAbandoned = errors.New("usage: processing abandoned by crash hook")
-
-// takeGroup pops up to BatchSize charge IDs from one group, moving them
-// into the in-flight count.
-func (p *Pipeline) takeGroup(k groupKey) []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	ids := p.queue[k]
-	if len(ids) == 0 {
-		delete(p.queue, k)
-		return nil
-	}
-	n := len(ids)
-	if n > p.cfg.BatchSize {
-		n = p.cfg.BatchSize
-	}
-	taken := ids[:n:n]
-	rest := ids[n:]
-	if len(rest) == 0 {
-		delete(p.queue, k)
-	} else {
-		p.queue[k] = rest
-	}
-	p.inflight += n
-	p.mQueue.Add(int64(-n))
-	p.mInflight.Add(int64(n))
-	p.mBatchSize.Observe(int64(n))
-	return taken
-}
-
-// requeue returns unfinished charges to the queue (transient faults).
-func (p *Pipeline) requeue(k groupKey, ids []string) {
-	if len(ids) == 0 {
-		return
-	}
-	p.mu.Lock()
-	p.queue[k] = append(p.queue[k], ids...)
-	p.mu.Unlock()
-	p.mQueue.Add(int64(len(ids)))
-}
-
-// settleGroup settles one batch of charges drawn from a single account.
-// It returns how many charges reached a terminal outcome (settled,
-// deduplicated or parked failed).
-func (p *Pipeline) settleGroup(k groupKey, ids []string) (int, error) {
-	defer func() {
-		p.mu.Lock()
-		p.inflight -= len(ids)
-		p.mu.Unlock()
-		p.mInflight.Add(int64(-len(ids)))
-	}()
-
-	// Load the durable rows; IDs whose row vanished were finished by an
-	// earlier generation's cleanup.
-	rows := make([]spoolRow, 0, len(ids))
-	for _, id := range ids {
-		raw, err := p.spool.Get(tableSpool, id)
-		if errors.Is(err, db.ErrNoRecord) {
-			continue
-		}
-		if err != nil {
-			p.requeue(k, ids)
-			return 0, err
-		}
-		var row spoolRow
-		if err := json.Unmarshal(raw, &row); err != nil {
-			p.requeue(k, ids)
-			return 0, fmt.Errorf("usage: corrupt spool row %s: %w", id, err)
-		}
-		if row.State != statePending {
-			continue // parked failed by an earlier pass
-		}
-		rows = append(rows, row)
-	}
-	var same, cross []spoolRow
-	for _, row := range rows {
-		if p.led.ShardFor(row.Recipient) == k.shard {
+// settleGroup settles one batch of charges drawn from a single account:
+// the same-shard ones in one ledger transaction, the cross-shard ones
+// one pinned transfer each.
+func (p *Pipeline) settleGroup(b *settle.Batch[*spoolRow]) error {
+	var same, cross []*spoolRow
+	for _, row := range b.Rows {
+		if p.led.ShardFor(row.Recipient) == b.Shard {
 			same = append(same, row)
 		} else {
 			cross = append(cross, row)
 		}
 	}
-	// On a transient fault the failing path requeues its own rows; the
-	// untouched siblings must go back too, or they would sit pending in
-	// the spool but invisible to Status/Drain until a restart. A
-	// crash-hook abandon deliberately requeues nothing — simulated
-	// process death loses the in-memory queue by design, and recovery
-	// rebuilds it from the spool.
-	done, err := p.settleSameShard(k, same)
-	if err != nil {
-		if !errors.Is(err, errAbandoned) {
-			p.requeueRows(k, cross)
-		}
-		return done, err
+	if err := p.settleSameShard(b, same); err != nil {
+		return err
 	}
-	for i := range cross {
-		n, err := p.settleCross(k, cross[i])
-		done += n
-		if err != nil {
-			if !errors.Is(err, errAbandoned) {
-				p.requeueRows(k, cross[i+1:])
-			}
-			return done, err
+	for _, row := range cross {
+		if err := p.settleCross(b, row); err != nil {
+			return err
 		}
 	}
-	return done, nil
+	return nil
 }
 
 // failure is a charge parked by a terminal business outcome.
-type failure struct {
-	row    spoolRow
-	reason string
-}
-
-// terminalLedgerErr classifies settlement errors that retrying cannot
-// fix: the charge is parked failed rather than retried forever.
-func terminalLedgerErr(err error) bool {
-	if errors.Is(err, db.ErrStorageFailed) {
-		// Fail-stopped storage is an instance outage, not a verdict on
-		// the charge: the row must stay queued and settle after restart,
-		// even if the failure surfaced wrapped in a business error.
-		return false
-	}
-	return errors.Is(err, accounts.ErrNotFound) ||
-		errors.Is(err, accounts.ErrClosed) ||
-		errors.Is(err, accounts.ErrCurrencyMismatch) ||
-		errors.Is(err, accounts.ErrInsufficient) ||
-		errors.Is(err, accounts.ErrInsufficientLock) ||
-		errors.Is(err, accounts.ErrBadAmount)
-}
+type failure = settle.Parked[*spoolRow]
 
 // settleSameShard applies a batch of same-shard charges in ONE ledger
 // transaction: for every charge the drawer debit, recipient credit,
 // both §5.1 TRANSACTION rows, the TRANSFER record carrying the RUR, and
 // the exactly-once marker — all atomic, riding one group-committed
 // journal flush. This is where per-RUR fsyncs amortize away.
-func (p *Pipeline) settleSameShard(k groupKey, rows []spoolRow) (int, error) {
+func (p *Pipeline) settleSameShard(b *settle.Batch[*spoolRow], rows []*spoolRow) error {
 	if len(rows) == 0 {
-		return 0, nil
+		return nil
 	}
-	mgr := p.led.ShardManager(k.shard)
-	st := p.led.ShardStore(k.shard)
+	mgr := p.led.ShardManager(b.Shard)
+	st := p.led.ShardStore(b.Shard)
 	now := p.now()
-	var settledRows, dupRows []spoolRow
+	var settledRows, dupRows []*spoolRow
 	var failures []failure
 	err := st.Update(func(tx *db.Tx) error {
 		// The closure may rerun on conflict: reset per-attempt state.
@@ -709,27 +340,27 @@ func (p *Pipeline) settleSameShard(k groupKey, rows []spoolRow) (int, error) {
 				continue
 			}
 			if drawer == nil && drawerErr == "" {
-				a, err := accounts.GetAccountTx(tx, k.drawer)
+				a, err := accounts.GetAccountTx(tx, b.Drawer)
 				switch {
 				case errors.Is(err, db.ErrNoRecord):
-					drawerErr = fmt.Sprintf("drawer %s not found", k.drawer)
+					drawerErr = fmt.Sprintf("drawer %s not found", b.Drawer)
 				case err != nil:
 					return err
 				case a.Closed:
-					drawerErr = fmt.Sprintf("drawer %s is closed", k.drawer)
+					drawerErr = fmt.Sprintf("drawer %s is closed", b.Drawer)
 				default:
 					drawer = a
 				}
 			}
 			if drawerErr != "" {
-				failures = append(failures, failure{row: row, reason: drawerErr})
+				failures = append(failures, failure{Row: row, Reason: drawerErr})
 				continue
 			}
 			rec, seen := recips[row.Recipient]
 			if !seen {
 				a, err := accounts.GetAccountTx(tx, row.Recipient)
 				if errors.Is(err, db.ErrNoRecord) {
-					failures = append(failures, failure{row: row, reason: fmt.Sprintf("recipient %s not found", row.Recipient)})
+					failures = append(failures, failure{Row: row, Reason: fmt.Sprintf("recipient %s not found", row.Recipient)})
 					continue
 				}
 				if err != nil {
@@ -740,13 +371,13 @@ func (p *Pipeline) settleSameShard(k groupKey, rows []spoolRow) (int, error) {
 			}
 			switch {
 			case rec.Closed:
-				failures = append(failures, failure{row: row, reason: fmt.Sprintf("recipient %s is closed", row.Recipient)})
+				failures = append(failures, failure{Row: row, Reason: fmt.Sprintf("recipient %s is closed", row.Recipient)})
 				continue
 			case rec.Currency != drawer.Currency:
-				failures = append(failures, failure{row: row, reason: fmt.Sprintf("currency mismatch: drawer %s, recipient %s", drawer.Currency, rec.Currency)})
+				failures = append(failures, failure{Row: row, Reason: fmt.Sprintf("currency mismatch: drawer %s, recipient %s", drawer.Currency, rec.Currency)})
 				continue
 			case drawer.Spendable().Cmp(row.Amount) < 0:
-				failures = append(failures, failure{row: row, reason: fmt.Sprintf("insufficient funds: spendable %s < %s", drawer.Spendable(), row.Amount)})
+				failures = append(failures, failure{Row: row, Reason: fmt.Sprintf("insufficient funds: spendable %s < %s", drawer.Spendable(), row.Amount)})
 				continue
 			}
 			drawer.AvailableBalance = drawer.AvailableBalance.MustSub(row.Amount)
@@ -756,7 +387,7 @@ func (p *Pipeline) settleSameShard(k groupKey, rows []spoolRow) (int, error) {
 				return err
 			}
 			txID, err := mgr.AppendTransactionTx(tx, &accounts.Transaction{
-				AccountID: k.drawer, Type: accounts.TxTransfer, Date: now, Amount: neg,
+				AccountID: b.Drawer, Type: accounts.TxTransfer, Date: now, Amount: neg,
 			})
 			if err != nil {
 				return err
@@ -769,7 +400,7 @@ func (p *Pipeline) settleSameShard(k groupKey, rows []spoolRow) (int, error) {
 			if err := mgr.InsertTransferTx(tx, &accounts.Transfer{
 				TransactionID:       txID,
 				Date:                now,
-				DrawerAccountID:     k.drawer,
+				DrawerAccountID:     b.Drawer,
 				Amount:              row.Amount,
 				RecipientAccountID:  row.Recipient,
 				ResourceUsageRecord: row.RUR,
@@ -794,8 +425,7 @@ func (p *Pipeline) settleSameShard(k groupKey, rows []spoolRow) (int, error) {
 		return nil
 	})
 	if err != nil {
-		p.requeueRows(k, rows)
-		return 0, fmt.Errorf("usage: settling batch on shard %d: %w", k.shard, err)
+		return fmt.Errorf("usage: settling batch on shard %d: %w", b.Shard, err)
 	}
 	moved := 0
 	for i := range settledRows {
@@ -808,20 +438,16 @@ func (p *Pipeline) settleSameShard(k groupKey, rows []spoolRow) (int, error) {
 	}
 	p.settled.Add(uint64(len(settledRows)))
 	p.mSettled.Add(int64(len(settledRows)))
-	p.duplicates.Add(uint64(len(dupRows)))
+	p.eng.CountDuplicates(len(dupRows))
 	if err := p.hook(BoundarySettled, rows[0].ID); err != nil {
-		return 0, fmt.Errorf("%w: %v", errAbandoned, err)
+		return err
 	}
-	finished := make([]spoolRow, 0, len(settledRows)+len(dupRows))
+	finished := make([]*spoolRow, 0, len(settledRows)+len(dupRows))
 	finished = append(append(finished, settledRows...), dupRows...)
-	if err := p.cleanup(finished, failures); err != nil {
-		p.requeueRows(k, rows)
-		return 0, err
+	if err := b.Finish(finished, failures); err != nil {
+		return err
 	}
-	if err := p.hook(BoundaryCleaned, rows[0].ID); err != nil {
-		return len(settledRows) + len(dupRows) + len(failures), fmt.Errorf("%w: %v", errAbandoned, err)
-	}
-	return len(settledRows) + len(dupRows) + len(failures), nil
+	return p.hook(BoundaryCleaned, rows[0].ID)
 }
 
 func insertMarker(tx *db.Tx, id string, txID uint64) error {
@@ -832,49 +458,60 @@ func insertMarker(tx *db.Tx, id string, txID uint64) error {
 	return tx.Insert(tableSettled, id, raw)
 }
 
+// mark writes a cross-shard charge's settled marker, one transaction on
+// the drawer's shard, and moves the counters with it: the charge counts
+// as settled only when this attempt inserted the marker — a retry that
+// finds it already present is a duplicate, so the counters stay exact
+// across transient-failure retries.
+func (p *Pipeline) mark(shard int, row *spoolRow, txID uint64) error {
+	inserted := false
+	err := p.led.ShardStore(shard).Update(func(tx *db.Tx) error {
+		inserted = false
+		if ok, err := tx.Exists(tableSettled, row.ID); err != nil || ok {
+			return err
+		}
+		if err := insertMarker(tx, row.ID, txID); err != nil {
+			return err
+		}
+		inserted = true
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("usage: marking charge %s: %w", row.ID, err)
+	}
+	if !inserted {
+		p.eng.CountDuplicates(1)
+		return nil
+	}
+	p.settled.Add(1)
+	p.mSettled.Inc()
+	if txID != 0 {
+		p.crossShard.Add(1)
+	}
+	return nil
+}
+
 // settleCross settles one cross-shard charge through the 2PC ledger
 // under a write-ahead pinned transaction ID. Marker and money movement
 // cannot share a transaction across stores, so exactly-once comes from
 // the pin: the ID is durable in the spool row before the transfer runs,
 // and a retry first resolves the pinned transfer's 2PC state and checks
 // whether it already landed before re-driving it.
-func (p *Pipeline) settleCross(k groupKey, row spoolRow) (int, error) {
+func (p *Pipeline) settleCross(b *settle.Batch[*spoolRow], row *spoolRow) error {
 	// Already marked settled (crash between marker and cleanup)?
-	if p.alreadySettled(&row) {
-		p.duplicates.Add(1)
-		return 1, p.cleanup([]spoolRow{row}, nil)
+	if p.alreadySettled(row) {
+		p.eng.CountDuplicates(1)
+		return b.Finish([]*spoolRow{row}, nil)
 	}
 	if row.Amount.IsZero() {
-		// Marker only, one transaction on the drawer's shard. The charge
-		// counts as settled only when this attempt inserted the marker —
-		// a retry that finds it already present is a duplicate, so the
-		// counters stay exact across transient-failure retries.
-		inserted := false
-		err := p.led.ShardStore(k.shard).Update(func(tx *db.Tx) error {
-			inserted = false
-			if ok, err := tx.Exists(tableSettled, row.ID); err != nil || ok {
-				return err
-			}
-			if err := insertMarker(tx, row.ID, 0); err != nil {
-				return err
-			}
-			inserted = true
-			return nil
-		})
-		if err != nil {
-			p.requeueRows(k, []spoolRow{row})
-			return 0, err
-		}
-		if inserted {
-			p.settled.Add(1)
-			p.mSettled.Inc()
-		} else {
-			p.duplicates.Add(1)
+		// Nothing to move; the marker alone settles it.
+		if err := p.mark(b.Shard, row, 0); err != nil {
+			return err
 		}
 		if err := p.hook(BoundarySettled, row.ID); err != nil {
-			return 0, fmt.Errorf("%w: %v", errAbandoned, err)
+			return err
 		}
-		return 1, p.cleanup([]spoolRow{row}, nil)
+		return b.Finish([]*spoolRow{row}, nil)
 	}
 
 	// Pin the transaction ID write-ahead (idempotent across retries:
@@ -902,185 +539,50 @@ func (p *Pipeline) settleCross(k groupKey, row spoolRow) (int, error) {
 			return tx.Put(tableSpool, row.ID, out)
 		})
 		if err != nil {
-			p.requeueRows(k, []spoolRow{row})
-			return 0, fmt.Errorf("usage: pinning charge %s: %w", row.ID, err)
+			return fmt.Errorf("usage: pinning charge %s: %w", row.ID, err)
 		}
 		row.PinTxID = pin
 		if err := p.hook(BoundaryPinned, row.ID); err != nil {
-			return 0, fmt.Errorf("%w: %v", errAbandoned, err)
+			return err
 		}
 	}
 
 	// Resolve any 2PC state a previous attempt left in doubt, then
 	// check whether the pinned transfer already completed.
-	if err := p.cross.ResolveInDoubt(k.shard, row.PinTxID); err != nil {
-		p.requeueRows(k, []spoolRow{row})
-		return 0, fmt.Errorf("usage: resolving pinned transfer %d: %w", row.PinTxID, err)
+	if err := p.cross.ResolveInDoubt(b.Shard, row.PinTxID); err != nil {
+		return fmt.Errorf("usage: resolving pinned transfer %d: %w", row.PinTxID, err)
 	}
 	if _, err := p.cross.GetTransfer(row.PinTxID); err != nil {
 		if !errors.Is(err, accounts.ErrNoSuchTransfer) {
-			p.requeueRows(k, []spoolRow{row})
-			return 0, err
+			return err
 		}
 		_, terr := p.cross.TransferWithID(row.PinTxID, row.Drawer, row.Recipient, row.Amount,
 			accounts.TransferOptions{RUR: row.RUR})
-		if terr != nil {
-			if errors.Is(terr, shard.ErrInDoubt) {
-				// Durable but unfinished: the next pass resolves it.
-				p.requeueRows(k, []spoolRow{row})
-				return 0, fmt.Errorf("usage: charge %s in doubt: %w", row.ID, terr)
-			}
-			if terminalLedgerErr(terr) {
-				return 1, p.cleanup(nil, []failure{{row: row, reason: terr.Error()}})
-			}
-			p.requeueRows(k, []spoolRow{row})
-			return 0, fmt.Errorf("usage: settling charge %s: %w", row.ID, terr)
+		switch {
+		case terr == nil:
+		case errors.Is(terr, shard.ErrInDoubt):
+			// Durable but unfinished: the next pass resolves it.
+			return fmt.Errorf("usage: charge %s in doubt: %w", row.ID, terr)
+		case settle.Terminal(terr): // a verdict on the charge: park it
+			return b.Finish(nil, []failure{{Row: row, Reason: terr.Error()}})
+		default:
+			return fmt.Errorf("usage: settling charge %s: %w", row.ID, terr)
 		}
 	}
 	if err := p.hook(BoundarySettled, row.ID); err != nil {
-		return 0, fmt.Errorf("%w: %v", errAbandoned, err)
+		return err
 	}
 
-	// Marker on the drawer's shard, then cleanup. The counters move
-	// with the marker insert, not the transfer: a retry after a
-	// transient marker or cleanup failure must not count the same
-	// charge as a second settlement.
-	inserted := false
-	err := p.led.ShardStore(k.shard).Update(func(tx *db.Tx) error {
-		inserted = false
-		if ok, err := tx.Exists(tableSettled, row.ID); err != nil || ok {
-			return err
-		}
-		if err := insertMarker(tx, row.ID, row.PinTxID); err != nil {
-			return err
-		}
-		inserted = true
-		return nil
-	})
-	if err != nil {
-		p.requeueRows(k, []spoolRow{row})
-		return 0, fmt.Errorf("usage: marking charge %s: %w", row.ID, err)
-	}
-	if inserted {
-		p.settled.Add(1)
-		p.crossShard.Add(1)
-		p.mSettled.Inc()
-	} else {
-		p.duplicates.Add(1)
+	// Marker on the drawer's shard (the counters move with it, not with
+	// the transfer), then cleanup.
+	if err := p.mark(b.Shard, row, row.PinTxID); err != nil {
+		return err
 	}
 	if err := p.hook(BoundaryMarked, row.ID); err != nil {
-		return 0, fmt.Errorf("%w: %v", errAbandoned, err)
+		return err
 	}
-	if err := p.cleanup([]spoolRow{row}, nil); err != nil {
-		p.requeueRows(k, []spoolRow{row})
-		return 0, err
+	if err := b.Finish([]*spoolRow{row}, nil); err != nil {
+		return err
 	}
-	if err := p.hook(BoundaryCleaned, row.ID); err != nil {
-		return 1, fmt.Errorf("%w: %v", errAbandoned, err)
-	}
-	return 1, nil
-}
-
-// requeueRows puts rows back on the in-memory queue after a transient
-// fault (their spool rows are untouched).
-func (p *Pipeline) requeueRows(k groupKey, rows []spoolRow) {
-	ids := make([]string, len(rows))
-	for i := range rows {
-		ids[i] = rows[i].ID
-	}
-	p.requeue(k, ids)
-}
-
-// cleanup finishes charges durably: settled/duplicate rows leave the
-// spool; failed rows are parked with their reason for the operator.
-func (p *Pipeline) cleanup(finished []spoolRow, failures []failure) error {
-	if len(finished) == 0 && len(failures) == 0 {
-		return nil
-	}
-	err := p.spool.Update(func(tx *db.Tx) error {
-		for i := range finished {
-			ok, err := tx.Exists(tableSpool, finished[i].ID)
-			if err != nil {
-				return err
-			}
-			if ok {
-				if err := tx.Delete(tableSpool, finished[i].ID); err != nil {
-					return err
-				}
-			}
-		}
-		for i := range failures {
-			row := failures[i].row
-			row.State = stateFailed
-			row.Reason = failures[i].reason
-			raw, err := json.Marshal(&row)
-			if err != nil {
-				return err
-			}
-			if err := tx.Put(tableSpool, row.ID, raw); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return fmt.Errorf("usage: spool cleanup: %w", err)
-	}
-	if len(failures) > 0 {
-		p.mu.Lock()
-		p.failed += len(failures)
-		p.mu.Unlock()
-		p.mParked.Add(int64(len(failures)))
-	}
-	return nil
-}
-
-// Drain blocks until every pending charge reaches a terminal outcome,
-// or the timeout elapses. With background workers it kicks and waits;
-// in synchronous mode (Workers < 0) it runs settlement passes itself
-// and reports ErrDrainStalled if a full pass makes no progress.
-func (p *Pipeline) Drain(timeout time.Duration) (*Stats, error) {
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
-	deadline := time.Now().Add(timeout)
-	for {
-		p.mu.Lock()
-		pending := p.pendingLocked()
-		closed := p.closed
-		p.mu.Unlock()
-		if closed {
-			return p.Status(), ErrClosed
-		}
-		if pending == 0 {
-			return p.Status(), nil
-		}
-		if time.Now().After(deadline) {
-			return p.Status(), fmt.Errorf("%w: %d still pending", ErrDrainTimeout, pending)
-		}
-		if p.cfg.Workers == 0 {
-			n, err := p.drainPass()
-			if err != nil {
-				return p.Status(), err
-			}
-			if n == 0 {
-				// Only settleable work counts toward a stall verdict: a
-				// concurrent Submit's reservation is progress another
-				// goroutine is making, not work this loop failed on.
-				p.mu.Lock()
-				settleable := p.inflight
-				for _, ids := range p.queue {
-					settleable += len(ids)
-				}
-				p.mu.Unlock()
-				if settleable > 0 {
-					return p.Status(), fmt.Errorf("%w: %d pending", ErrDrainStalled, settleable)
-				}
-				time.Sleep(time.Millisecond) // reservations only: wait them out
-			}
-			continue
-		}
-		p.kickWorkers()
-		time.Sleep(2 * time.Millisecond)
-	}
+	return p.hook(BoundaryCleaned, row.ID)
 }

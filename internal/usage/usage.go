@@ -9,22 +9,20 @@
 // ledger in per-(shard, account) batches, so thousands of small
 // charges amortize into a few group-committed transactions.
 //
-// Contract:
+// The spool, queue, worker, retry, backpressure and Drain lifecycle is
+// internal/settle's (durable intake: an acknowledged submission is
+// journaled and survives a crash; ErrOverloaded when settlement lags
+// intake past the bound). What this package adds:
 //
-//   - Durable intake: a submission acknowledged by Submit has been
-//     journaled to the spool store and survives a crash.
+//   - Pricing and validation at intake: a record that can never become
+//     valid (undecodable RUR, validation failure, non-conforming rates)
+//     is rejected — classified via meter.ErrMalformed — while transient
+//     faults surface as Submit errors the caller retries.
 //   - Exactly-once settlement, keyed by submission ID: settling a
 //     charge writes a settled-marker row in the *same shard store* (and
 //     for same-shard charges, the same transaction) as the ledger
 //     effect, so a replay after a crash — or a duplicate submission —
 //     is deduplicated, never double-charged.
-//   - Backpressure: when settlement lags intake past the configured
-//     bound, Submit refuses the batch with ErrOverloaded instead of
-//     growing the queue without bound.
-//   - Malformed-vs-transient: a record that can never become valid
-//     (undecodable RUR, validation failure, non-conforming rates) is
-//     rejected at intake — classified via meter.ErrMalformed — while
-//     transient faults surface as Submit errors the caller retries.
 //
 // Spool format (table "usage_spool" on the spool store, key = ID):
 //
@@ -283,3 +281,9 @@ type spoolRow struct {
 	Reason   string    `json:"reason,omitempty"`
 	Enqueued time.Time `json:"enqueued"`
 }
+
+// The settlement engine's view of a row (settle.Row).
+func (r *spoolRow) SpoolKey() string      { return r.ID }
+func (r *spoolRow) DrawerID() accounts.ID { return r.Drawer }
+func (r *spoolRow) Parked() bool          { return r.State == stateFailed }
+func (r *spoolRow) Park(reason string)    { r.State, r.Reason = stateFailed, reason }
