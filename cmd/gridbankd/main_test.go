@@ -2,17 +2,22 @@ package main
 
 import (
 	"crypto/x509"
-	"fmt"
+	"net"
 	"os"
+	"os/signal"
 	"path/filepath"
+	"strconv"
+	"strings"
+	"syscall"
 	"testing"
 	"time"
 
 	"gridbank/internal/core"
-	"gridbank/internal/db"
+	"gridbank/internal/micropay"
+	"gridbank/internal/node"
+	"gridbank/internal/obs"
 	"gridbank/internal/pki"
-	"gridbank/internal/shard"
-	"gridbank/internal/wire"
+	"gridbank/internal/usage"
 )
 
 func TestBootstrapAndResumeCA(t *testing.T) {
@@ -72,7 +77,11 @@ func TestLoadOrIssueIdempotent(t *testing.T) {
 
 func TestIssueFlagWritesIdentity(t *testing.T) {
 	dir := t.TempDir()
-	if err := run(dir, "VO-T", "0001", "", "alice", "", 1, false, false, wire.CodecJSON, core.DefaultDedupTTL, usageFlags{}, micropayFlags{}, limitFlags{}, obsFlags{}); err != nil {
+	ca, err := loadOrCreateCA(dir, "VO-T")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := issueUser(ca, dir, "VO-T", "alice"); err != nil {
 		t.Fatal(err)
 	}
 	id, err := pki.LoadIdentity(dir, "alice")
@@ -84,61 +93,123 @@ func TestIssueFlagWritesIdentity(t *testing.T) {
 	}
 }
 
-func TestPinShardCountRefusesMismatch(t *testing.T) {
+// primaryConfig is what main assembles for the default mode, on a fresh
+// data directory and free loopback port.
+func primaryConfig(t *testing.T) node.Config {
+	t.Helper()
 	dir := t.TempDir()
-	if err := pinShardCount(dir, 4); err != nil {
+	ca, err := loadOrCreateCA(dir, "VO-T")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pinShardCount(dir, 4); err != nil {
-		t.Fatalf("matching re-pin = %v", err)
-	}
-	if err := pinShardCount(dir, 1); err == nil {
-		t.Fatal("mismatched shard count accepted")
-	}
-	// A pre-sharding data dir (journal, no marker) is 1 shard only.
-	legacy := t.TempDir()
-	if err := os.WriteFile(filepath.Join(legacy, "ledger.wal"), []byte("[]\n"), 0o600); err != nil {
+	bank, err := loadOrIssue(dir, ca, "bank", "VO-T", true)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pinShardCount(legacy, 4); err == nil {
-		t.Fatal("pre-sharding dir accepted -shards 4")
-	}
-	if err := pinShardCount(legacy, 1); err != nil {
-		t.Fatalf("pre-sharding dir refused -shards 1: %v", err)
+	return node.Config{
+		Dir: dir, Shards: 2, Identity: bank, Trust: pki.NewTrustStore(ca.Certificate()),
+		Usage: &usage.Config{}, Micropay: &micropay.Config{},
+		PrimaryAddr: freeAddr(t), Obs: obs.NewRegistry(),
 	}
 }
 
-func TestCheckShardIndexDetectsMismatchedReplica(t *testing.T) {
-	store := db.MustOpenMemory()
-	if err := store.EnsureTable("accounts"); err != nil {
-		t.Fatal(err)
-	}
-	// Find an account ID on shard 2 of 4 and pretend this replica
-	// mirrored it while claiming another shard.
-	ring, err := shard.NewRing(4, 0)
+func freeAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var id string
-	for i := 1; i < 10000; i++ {
-		candidate := fmt.Sprintf("01-0001-%08d", i)
-		if ring.ShardFor(candidate) == 2 {
-			id = candidate
-			break
+	defer ln.Close()
+	return ln.Addr().String()
+}
+
+// openDataFiles lists this process's descriptors open on files in dir.
+func openDataFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("no /proc/self/fd: %v", err)
+	}
+	var open []string
+	for _, fd := range fds {
+		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && filepath.Dir(target) == dir {
+			open = append(open, target)
 		}
 	}
-	err = store.Update(func(tx *db.Tx) error { return tx.Put("accounts", id, []byte("{}")) })
-	if err != nil {
-		t.Fatal(err)
+	return open
+}
+
+// TestPublishBindFailureFailsStartup: a taken replication port must
+// fail startup like a taken -listen or -obs-addr does, not leave the
+// primary serving without its publisher.
+func TestPublishBindFailureFailsStartup(t *testing.T) {
+	cfg := primaryConfig(t)
+	var base string
+	var squatter net.Listener
+	for i := 0; squatter == nil; i++ {
+		if i == 20 {
+			t.Fatal("could not find two adjacent ports")
+		}
+		base = freeAddr(t)
+		_, portStr, _ := net.SplitHostPort(base)
+		port, _ := strconv.Atoi(portStr)
+		squatter, _ = net.Listen("tcp", net.JoinHostPort("127.0.0.1", strconv.Itoa(port+1)))
 	}
-	if err := checkShardIndex(store, 2, 4); err != nil {
-		t.Fatalf("correct shard claim rejected: %v", err)
+	defer squatter.Close()
+	err := servePrimary(cfg, base, "")
+	if err == nil || !strings.Contains(err.Error(), "shard 1") {
+		t.Fatalf("servePrimary with shard 1's publisher port taken = %v, want a startup error naming shard 1", err)
 	}
-	if err := checkShardIndex(store, 1, 4); err == nil {
-		t.Fatal("mismatched shard claim accepted")
+	if open := openDataFiles(t, cfg.Dir); len(open) != 0 {
+		t.Fatalf("failed startup left stores open: %v", open)
 	}
-	// An empty store proves nothing and passes.
-	if err := checkShardIndex(db.MustOpenMemory(), 1, 4); err != nil {
-		t.Fatalf("empty store rejected: %v", err)
+}
+
+// TestSignalShutsDownCleanly: SIGTERM stops the server, closes every
+// store and returns nil (exit 0).
+func TestSignalShutsDownCleanly(t *testing.T) {
+	cfg := primaryConfig(t)
+	// Whatever the interleaving with untilSignal's own Notify, SIGTERM
+	// must never reach the default action and kill the test binary.
+	guard := make(chan os.Signal, 1)
+	signal.Notify(guard, syscall.SIGTERM)
+	defer signal.Stop(guard)
+
+	done := make(chan error, 1)
+	go func() { done <- servePrimary(cfg, "", "") }()
+	var err error
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		c, derr := core.Dial(cfg.PrimaryAddr, cfg.Identity, cfg.Trust)
+		if derr == nil {
+			_, err = c.Ping()
+			c.Close()
+			if err == nil {
+				break
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("daemon never served: %v %v", derr, err)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
+	if len(openDataFiles(t, cfg.Dir)) == 0 {
+		t.Fatal("a serving daemon holds its journals open")
+	}
+	// Give untilSignal's Notify (registered right after Serve starts) a
+	// moment; a signal before it is only seen by the guard, so resend.
+	for i := 0; i < 100; i++ {
+		syscall.Kill(os.Getpid(), syscall.SIGTERM)
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("shutdown on SIGTERM = %v, want nil", err)
+			}
+			if open := openDataFiles(t, cfg.Dir); len(open) != 0 {
+				t.Fatalf("stores still open after shutdown: %v", open)
+			}
+			return
+		case <-time.After(50 * time.Millisecond):
+		}
+	}
+	t.Fatal("SIGTERM did not stop the daemon")
 }

@@ -8,8 +8,8 @@ import (
 	"time"
 
 	"gridbank/internal/core"
-	"gridbank/internal/db"
 	"gridbank/internal/micropay"
+	"gridbank/internal/node"
 	"gridbank/internal/pki"
 	"gridbank/internal/replica"
 	"gridbank/internal/shard"
@@ -57,19 +57,13 @@ type DeploymentConfig struct {
 	WireCodecs []string
 }
 
-// applyLimits pushes the deployment's connection limits onto a server
-// before it starts serving.
-func (cfg DeploymentConfig) applyLimits(srv *core.Server) {
-	srv.MaxConns = cfg.MaxConns
-	srv.IdleTimeout = cfg.IdleTimeout
-	srv.MaxInFlight = cfg.MaxInFlight
-	srv.WireCodecs = cfg.WireCodecs
-}
-
-// Deployment is a complete single-VO GridBank: CA, trust store, bank,
-// TLS server, and an administrator identity. It exists so examples,
-// tests and experiments can stand up a working Grid bank in one call;
-// production deployments wire the pieces explicitly (see cmd/gridbankd).
+// Deployment is a complete single-VO GridBank: CA, trust store, an
+// administrator identity, and a node — bank, TLS server, optional
+// pipelines, publishers and read replicas — booted through
+// internal/node, the same assembly gridbankd serves from. What a
+// Deployment adds is the VO bootstrap, ephemeral loopback listeners and
+// volatile stores, so examples, tests and experiments stand up a
+// working Grid bank in one call.
 type Deployment struct {
 	CA     *CA
 	Trust  *TrustStore
@@ -78,27 +72,13 @@ type Deployment struct {
 	// Banker is the built-in administrator identity.
 	Banker *Identity
 
-	cfg       DeploymentConfig
-	bankID    *Identity
-	addr      string
-	serveErr  chan error
+	ncfg      node.Config // what the node was last opened with
+	node      *node.Node
 	closeOnce sync.Once
 	closeErr  error
 
-	// sharded is the shard ledger when EnableSharding was called (even
-	// with n=1); nil for a classic single-store deployment.
-	sharded *shard.Ledger
-
-	pubs     map[int]*shardPublisher // shard index -> commit-stream publisher
+	pubAddrs map[int]string // shard index -> commit-stream publisher address
 	replicas []*ReadReplica
-
-	// usagePipe is the batched settlement pipeline when EnableUsage was
-	// called; nil otherwise.
-	usagePipe *usage.Pipeline
-
-	// micropayPipe is the streaming chain-redemption pipeline when
-	// EnableMicropay was called; nil otherwise.
-	micropayPipe *micropay.Pipeline
 }
 
 // PipelineOptions is the shared tuning surface of the deployment's two
@@ -118,25 +98,12 @@ type PipelineOptions struct {
 	Workers int
 	// MaxPending bounds the intake queue (backpressure threshold).
 	MaxPending int
-	// SpoolJournal persists the intake spool; nil keeps it in memory —
-	// the in-process harness trades intake durability for convenience,
-	// exactly like EnableSharding's extra shards. Production wiring
-	// with a WAL-backed spool is gridbankd's job (see -usage and
-	// -micropay).
-	SpoolJournal Journal
 }
 
 // UsageOptions tune EnableUsage. Alias of PipelineOptions: existing
 // composite literals keep compiling, and harness code can build one
 // option set and pass it to both pipelines.
 type UsageOptions = PipelineOptions
-
-// shardPublisher is one shard's WAL-shipping publisher.
-type shardPublisher struct {
-	pub      *replica.Publisher
-	addr     string
-	serveErr chan error
-}
 
 // ReadReplica is one in-process WAL-shipped read replica of a
 // Deployment: a follower mirroring one primary store (the whole ledger,
@@ -149,10 +116,8 @@ type ReadReplica struct {
 	// deployment).
 	Shard int
 
-	addr      string
-	serveErr  chan error
-	closeOnce sync.Once
-	closeErr  error
+	addr string
+	rep  *node.Replica
 }
 
 // Addr returns the replica's query-API listen address.
@@ -160,16 +125,7 @@ func (r *ReadReplica) Addr() string { return r.addr }
 
 // Close stops the replica's server and follower. Idempotent —
 // Deployment.Close also closes every replica it created.
-func (r *ReadReplica) Close() error {
-	r.closeOnce.Do(func() {
-		r.closeErr = r.Server.Close()
-		<-r.serveErr
-		if ferr := r.Follower.Close(); r.closeErr == nil {
-			r.closeErr = ferr
-		}
-	})
-	return r.closeErr
-}
+func (r *ReadReplica) Close() error { return r.rep.Close() }
 
 // NewDeployment stands up a VO bank and starts its TLS server.
 func NewDeployment(cfg DeploymentConfig) (*Deployment, error) {
@@ -192,49 +148,51 @@ func NewDeployment(cfg DeploymentConfig) (*Deployment, error) {
 	if err != nil {
 		return nil, err
 	}
-	store, err := db.Open(cfg.Journal)
-	if err != nil {
-		return nil, err
-	}
-	bank, err := core.NewBank(store, core.BankConfig{
-		Identity: bankID,
-		Trust:    trust,
-		Admins:   append([]string{banker.SubjectName()}, cfg.Admins...),
-		Branch:   cfg.Branch,
-		Now:      cfg.Now,
-		DedupTTL: cfg.DedupTTL,
-	})
-	if err != nil {
-		return nil, err
-	}
-	srv, err := core.NewServer(bank, bankID)
-	if err != nil {
-		return nil, err
-	}
-	srv.Logf = func(string, ...any) {} // deployments are quiet; wire Logf explicitly if needed
-	cfg.applyLimits(srv)
-	ln, err := net.Listen("tcp", cfg.ListenAddr)
-	if err != nil {
-		return nil, fmt.Errorf("gridbank: listen %s: %w", cfg.ListenAddr, err)
-	}
 	d := &Deployment{
-		CA:       ca,
-		Trust:    trust,
-		Bank:     bank,
-		Server:   srv,
-		Banker:   banker,
-		cfg:      cfg,
-		bankID:   bankID,
-		addr:     ln.Addr().String(),
-		serveErr: make(chan error, 1),
-		pubs:     make(map[int]*shardPublisher),
+		CA:     ca,
+		Trust:  trust,
+		Banker: banker,
+		ncfg: node.Config{
+			Journal:     cfg.Journal,
+			Identity:    bankID,
+			Trust:       trust,
+			Admins:      append([]string{banker.SubjectName()}, cfg.Admins...),
+			Branch:      cfg.Branch,
+			DedupTTL:    cfg.DedupTTL,
+			Now:         cfg.Now,
+			MaxConns:    cfg.MaxConns,
+			IdleTimeout: cfg.IdleTimeout,
+			MaxInFlight: cfg.MaxInFlight,
+			WireCodecs:  cfg.WireCodecs,
+			Heartbeat:   100 * time.Millisecond,
+		},
+		pubAddrs: make(map[int]string),
 	}
-	go func() { d.serveErr <- srv.Serve(ln) }()
+	if err := d.boot(cfg.ListenAddr); err != nil {
+		return nil, err
+	}
 	return d, nil
 }
 
+// boot opens the node described by d.ncfg and serves it on listenAddr.
+func (d *Deployment) boot(listenAddr string) error {
+	ln, err := net.Listen("tcp", listenAddr)
+	if err != nil {
+		return fmt.Errorf("gridbank: listen %s: %w", listenAddr, err)
+	}
+	d.ncfg.PrimaryAddr = ln.Addr().String()
+	n, err := node.Open(d.ncfg)
+	if err != nil {
+		ln.Close()
+		return err
+	}
+	d.node, d.Bank, d.Server = n, n.Bank(), n.Server()
+	go n.Serve(ln)
+	return nil
+}
+
 // Addr returns the server's listen address.
-func (d *Deployment) Addr() string { return d.addr }
+func (d *Deployment) Addr() string { return d.ncfg.PrimaryAddr }
 
 // NewUser issues an identity in the deployment's VO.
 func (d *Deployment) NewUser(name string) (*Identity, error) {
@@ -251,11 +209,11 @@ func voOf(d *Deployment) string {
 
 // Dial connects a client authenticated as id.
 func (d *Deployment) Dial(id *Identity) (*Client, error) {
-	c, err := core.Dial(d.addr, id, d.Trust)
+	c, err := core.Dial(d.Addr(), id, d.Trust)
 	if err != nil {
 		return nil, err
 	}
-	c.OfferCodecs = d.cfg.WireCodecs
+	c.OfferCodecs = d.ncfg.WireCodecs
 	return c, nil
 }
 
@@ -266,134 +224,65 @@ func (d *Deployment) DialProxy(id *Identity, ttl time.Duration) (*Client, error)
 	if err != nil {
 		return nil, err
 	}
-	c, err := core.Dial(d.addr, proxy, d.Trust)
+	c, err := core.Dial(d.Addr(), proxy, d.Trust)
 	if err != nil {
 		return nil, err
 	}
-	c.OfferCodecs = d.cfg.WireCodecs
+	c.OfferCodecs = d.ncfg.WireCodecs
 	return c, nil
 }
 
-// shardStores returns the per-shard stores (a single-element slice on
-// an unsharded deployment).
-func (d *Deployment) shardStores() []*db.Store {
-	if d.sharded != nil {
-		return d.sharded.Stores()
-	}
-	return []*db.Store{d.Bank.Ledger().Store()}
-}
-
 // EnableSharding repartitions a fresh deployment's ledger over n
-// consistent-hash shards: shard 0 is the deployment's original store
-// (keeping the configured journal and full byte compatibility for
-// n = 1), shards 1..n-1 are volatile in-memory stores — the in-process
-// deployment harness trades their durability for convenience;
-// production sharding with one journal per shard is gridbankd's job
-// (see -shards).
+// consistent-hash shards, every one a volatile in-memory store — the
+// in-process harness trades durability for convenience; production
+// sharding with one journal per shard is gridbankd's job (see -shards).
+// A deployment is a 1-shard ledger from the start, so n = 1 changes
+// nothing (and keeps a configured Journal byte-compatible); n > 1
+// reboots the node on the new shard count.
 //
-// It must be called before any accounts exist and before replication
-// is enabled: resharding populated stores would strand accounts on
-// shards their IDs no longer hash to, and that migration is not
-// implemented. The bank and TLS server are rebuilt, so the
-// deployment's address changes — call this immediately after
-// NewDeployment, before handing out the address or dialing clients.
+// It must be called before any accounts exist and before pipelines or
+// replication are enabled: resharding populated stores would strand
+// accounts on shards their IDs no longer hash to, and that migration is
+// not implemented. The node is rebooted, so the deployment's address,
+// Bank and Server change — call this immediately after NewDeployment,
+// before handing out the address or dialing clients.
 func (d *Deployment) EnableSharding(n int) error {
 	if n < 1 {
 		return fmt.Errorf("gridbank: shard count %d", n)
 	}
-	if d.sharded != nil {
+	if d.ncfg.Shards != 0 {
 		return errors.New("gridbank: sharding already enabled")
 	}
-	if len(d.pubs) > 0 || len(d.replicas) > 0 {
+	if len(d.pubAddrs) > 0 || len(d.replicas) > 0 {
 		return errors.New("gridbank: enable sharding before replication")
 	}
-	if d.usagePipe != nil {
-		// EnableSharding rebuilds the bank over a new ledger; a pipeline
-		// bound to the old one would settle into the wrong stores.
-		return errors.New("gridbank: enable sharding before the usage pipeline")
+	if d.node.Usage() != nil || d.node.Micropay() != nil {
+		// The reboot builds a new ledger; a pipeline bound to the old one
+		// would settle into the wrong stores.
+		return errors.New("gridbank: enable sharding before the usage and micropay pipelines")
 	}
-	if d.micropayPipe != nil {
-		return errors.New("gridbank: enable sharding before the micropay pipeline")
+	if n > 1 {
+		if cnt, err := d.Bank.Ledger().Store().Count("accounts"); err != nil {
+			return err
+		} else if cnt > 0 {
+			return errors.New("gridbank: cannot shard a deployment that already has accounts (resharding requires migration)")
+		}
+		if d.ncfg.Journal != nil {
+			return errors.New("gridbank: a journal-backed deployment holds one shard (durable sharding is gridbankd -shards)")
+		}
+		if err := d.node.Close(); err != nil {
+			return err
+		}
+		d.ncfg.Shards = n
+		return d.boot("127.0.0.1:0")
 	}
-	meta := d.Bank.Ledger().Store()
-	if cnt, err := meta.Count("accounts"); err != nil {
-		return err
-	} else if cnt > 0 && n > 1 {
-		return errors.New("gridbank: cannot shard a deployment that already has accounts (resharding requires migration)")
-	}
-	stores := make([]*db.Store, n)
-	stores[0] = meta
-	for i := 1; i < n; i++ {
-		stores[i] = db.MustOpenMemory()
-	}
-	led, err := shard.New(stores, shard.Config{Branch: branchOf(d.cfg), Now: d.cfg.Now})
-	if err != nil {
-		return err
-	}
-	bank, err := core.NewBankWithLedger(led, core.BankConfig{
-		Identity: d.bankID,
-		Trust:    d.Trust,
-		Admins:   append([]string{d.Banker.SubjectName()}, d.cfg.Admins...),
-		Branch:   branchOf(d.cfg),
-		Now:      d.cfg.Now,
-		DedupTTL: d.cfg.DedupTTL,
-	})
-	if err != nil {
-		return err
-	}
-	srv, err := core.NewServer(bank, d.bankID)
-	if err != nil {
-		return err
-	}
-	srv.Logf = func(string, ...any) {}
-	d.cfg.applyLimits(srv)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	if err := d.Server.Close(); err != nil {
-		ln.Close()
-		return err
-	}
-	<-d.serveErr
-	d.sharded = led
-	d.Bank = bank
-	d.Server = srv
-	d.addr = ln.Addr().String()
-	d.serveErr = make(chan error, 1)
-	go func() { d.serveErr <- srv.Serve(ln) }()
+	d.ncfg.Shards = n
 	return nil
 }
 
-func branchOf(cfg DeploymentConfig) string {
-	if cfg.Branch == "" {
-		return "0001"
-	}
-	return cfg.Branch
-}
-
-// Sharded returns the shard ledger, or nil on an unsharded deployment.
-func (d *Deployment) Sharded() *shard.Ledger { return d.sharded }
-
-// enablePipeline is what EnableUsage and EnableMicropay share: it is
-// idempotent per deployment (slot holds the pipeline once built), opens
-// the spool store over the configured journal and hands it to build,
-// which constructs the pipeline and attaches it to the bank.
-func enablePipeline[P any](slot **P, opts PipelineOptions, build func(spool *db.Store) (*P, error)) (*P, error) {
-	if *slot != nil {
-		return *slot, nil
-	}
-	spool, err := db.Open(opts.SpoolJournal)
-	if err != nil {
-		return nil, err
-	}
-	pipe, err := build(spool)
-	if err != nil {
-		return nil, err
-	}
-	*slot = pipe
-	return pipe, nil
-}
+// Sharded returns the deployment's shard ledger: one shard until
+// EnableSharding repartitions it.
+func (d *Deployment) Sharded() *shard.Ledger { return d.node.Ledger() }
 
 // EnableUsage attaches the batched asynchronous usage-settlement
 // pipeline to the deployment's bank, opening the Usage.Submit /
@@ -401,32 +290,12 @@ func enablePipeline[P any](slot **P, opts PipelineOptions, build func(spool *db.
 // EnableSharding (the pipeline binds to the ledger's final shape) and
 // before handing out the address. Idempotent per deployment.
 func (d *Deployment) EnableUsage(opts UsageOptions) (*usage.Pipeline, error) {
-	return enablePipeline(&d.usagePipe, opts, func(spool *db.Store) (*usage.Pipeline, error) {
-		var led usage.Ledger
-		if d.sharded != nil {
-			led = usage.WrapSharded(d.sharded)
-		} else {
-			led = usage.WrapManager(d.Bank.Manager())
-		}
-		pipe, err := usage.New(usage.Config{
-			Ledger:     led,
-			Spool:      spool,
-			BatchSize:  opts.BatchSize,
-			Workers:    opts.Workers,
-			MaxPending: opts.MaxPending,
-			Now:        d.cfg.Now,
-		})
-		if err != nil {
-			return nil, err
-		}
-		d.Bank.SetUsage(pipe)
-		return pipe, nil
-	})
+	return d.node.EnableUsage(usage.Config{BatchSize: opts.BatchSize, Workers: opts.Workers, MaxPending: opts.MaxPending})
 }
 
 // Usage returns the settlement pipeline, or nil when EnableUsage was
 // not called.
-func (d *Deployment) Usage() *usage.Pipeline { return d.usagePipe }
+func (d *Deployment) Usage() *usage.Pipeline { return d.node.Usage() }
 
 // MicropayOptions tune EnableMicropay. Alias of PipelineOptions (see
 // UsageOptions).
@@ -439,58 +308,12 @@ type MicropayOptions = PipelineOptions
 // calls serialize per serial. Call it after EnableSharding and before
 // handing out the address. Idempotent per deployment.
 func (d *Deployment) EnableMicropay(opts MicropayOptions) (*micropay.Pipeline, error) {
-	return enablePipeline(&d.micropayPipe, opts, func(spool *db.Store) (*micropay.Pipeline, error) {
-		pipe, err := micropay.New(micropay.Config{
-			Redeemer:    d.Bank.ChainRedeemer(),
-			FindAccount: d.Bank.Ledger().FindByCertificate,
-			Spool:       spool,
-			BatchSize:   opts.BatchSize,
-			Workers:     opts.Workers,
-			MaxPending:  opts.MaxPending,
-			Now:         d.cfg.Now,
-		})
-		if err != nil {
-			return nil, err
-		}
-		d.Bank.SetMicropay(pipe)
-		return pipe, nil
-	})
+	return d.node.EnableMicropay(micropay.Config{BatchSize: opts.BatchSize, Workers: opts.Workers, MaxPending: opts.MaxPending})
 }
 
 // Micropay returns the streaming redemption pipeline, or nil when
 // EnableMicropay was not called.
-func (d *Deployment) Micropay() *micropay.Pipeline { return d.micropayPipe }
-
-// enablePublisher starts (or returns) the WAL-shipping publisher for
-// one shard's store.
-func (d *Deployment) enablePublisher(shardIdx int) (*shardPublisher, error) {
-	if sp, ok := d.pubs[shardIdx]; ok {
-		return sp, nil
-	}
-	stores := d.shardStores()
-	if shardIdx < 0 || shardIdx >= len(stores) {
-		return nil, fmt.Errorf("gridbank: shard %d out of range [0,%d)", shardIdx, len(stores))
-	}
-	pub, err := replica.NewPublisher(replica.PublisherConfig{
-		Store:       stores[shardIdx],
-		Identity:    d.Bank.Identity(),
-		Trust:       d.Trust,
-		PrimaryAddr: d.addr,
-		Heartbeat:   100 * time.Millisecond,
-		WireCodecs:  d.cfg.WireCodecs,
-	})
-	if err != nil {
-		return nil, err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	sp := &shardPublisher{pub: pub, addr: ln.Addr().String(), serveErr: make(chan error, 1)}
-	d.pubs[shardIdx] = sp
-	go func() { sp.serveErr <- pub.Serve(ln) }()
-	return sp, nil
-}
+func (d *Deployment) Micropay() *micropay.Pipeline { return d.node.Micropay() }
 
 // EnableReplication starts the deployment's WAL-shipping publisher for
 // shard 0 (the whole ledger when unsharded) on an ephemeral loopback
@@ -504,11 +327,19 @@ func (d *Deployment) EnableReplication() (string, error) {
 // fault proxy on the replication link dial this address through the
 // proxy and hand the proxy's address to AddShardReplicaAt.
 func (d *Deployment) PublisherAddr(shardIdx int) (string, error) {
-	sp, err := d.enablePublisher(shardIdx)
+	if addr, ok := d.pubAddrs[shardIdx]; ok {
+		return addr, nil
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return "", err
 	}
-	return sp.addr, nil
+	if err := d.node.Publish(shardIdx, ln); err != nil {
+		ln.Close()
+		return "", err
+	}
+	d.pubAddrs[shardIdx] = ln.Addr().String()
+	return d.pubAddrs[shardIdx], nil
 }
 
 // AddReadReplica boots a read replica of shard 0 — the whole ledger on
@@ -524,11 +355,11 @@ func (d *Deployment) AddReadReplica(name string) (*ReadReplica, error) {
 // redirect to the primary; reads for accounts on other shards answer
 // wrong_shard with the placement parameters.
 func (d *Deployment) AddShardReplica(name string, shardIdx int) (*ReadReplica, error) {
-	sp, err := d.enablePublisher(shardIdx)
+	addr, err := d.PublisherAddr(shardIdx)
 	if err != nil {
 		return nil, err
 	}
-	return d.AddShardReplicaAt(name, shardIdx, sp.addr)
+	return d.AddShardReplicaAt(name, shardIdx, addr)
 }
 
 // AddShardReplicaAt is AddShardReplica with an explicit publisher
@@ -541,52 +372,19 @@ func (d *Deployment) AddShardReplicaAt(name string, shardIdx int, publisherAddr 
 	if err != nil {
 		return nil, err
 	}
-	fol, err := replica.StartFollower(replica.FollowerConfig{
-		PublisherAddr: publisherAddr,
-		Identity:      id,
-		Trust:         d.Trust,
-		RetryInterval: 100 * time.Millisecond,
-		OfferCodecs:   d.cfg.WireCodecs,
-	})
+	rcfg := d.ncfg
+	rcfg.Identity, rcfg.ReplicaOf, rcfg.Shard, rcfg.PrimaryAddr = id, publisherAddr, shardIdx, ""
+	rep, err := node.OpenReplica(rcfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := fol.WaitReady(10 * time.Second); err != nil {
-		fol.Close()
-		return nil, err
-	}
-	roCfg := core.ReadOnlyBankConfig{Identity: id, Trust: d.Trust}
-	if d.sharded != nil {
-		shards, vnodes := d.sharded.ShardTopology()
-		if shards > 1 {
-			roCfg.Shard = &core.ShardInfo{Index: shardIdx, Count: shards, Vnodes: vnodes}
-		}
-	}
-	rb, err := core.NewReadOnlyBank(fol, roCfg)
-	if err != nil {
-		fol.Close()
-		return nil, err
-	}
-	srv, err := core.NewReadOnlyServer(rb, id)
-	if err != nil {
-		fol.Close()
-		return nil, err
-	}
-	srv.Logf = func(string, ...any) {}
-	d.cfg.applyLimits(srv)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		fol.Close()
+		rep.Close()
 		return nil, err
 	}
-	r := &ReadReplica{
-		Follower: fol,
-		Server:   srv,
-		Shard:    shardIdx,
-		addr:     ln.Addr().String(),
-		serveErr: make(chan error, 1),
-	}
-	go func() { r.serveErr <- srv.Serve(ln) }()
+	r := &ReadReplica{Follower: rep.Follower(), Server: rep.Server(), Shard: shardIdx, addr: ln.Addr().String(), rep: rep}
+	go rep.Serve(ln)
 	d.replicas = append(d.replicas, r)
 	return r, nil
 }
@@ -598,9 +396,8 @@ func (d *Deployment) Replicas() []*ReadReplica { return d.replicas }
 // current sequence — the barrier examples and tests use between a write
 // and a replica read.
 func (d *Deployment) SyncReplicas(timeout time.Duration) error {
-	stores := d.shardStores()
 	for _, r := range d.replicas {
-		seq := stores[r.Shard].CurrentSeq()
+		seq := d.node.Ledger().ShardStore(r.Shard).CurrentSeq()
 		if err := r.Follower.WaitForSeq(seq, timeout); err != nil {
 			return err
 		}
@@ -613,11 +410,11 @@ func (d *Deployment) SyncReplicas(timeout time.Duration) error {
 // sharded deployments within the account's shard pool), mutations and
 // unroutable reads go to the primary.
 func (d *Deployment) DialRouted(id *Identity, opts core.RouteOptions) (*core.RoutedClient, error) {
-	primary, err := core.Dial(d.addr, id, d.Trust)
+	primary, err := core.Dial(d.Addr(), id, d.Trust)
 	if err != nil {
 		return nil, err
 	}
-	primary.OfferCodecs = d.cfg.WireCodecs
+	primary.OfferCodecs = d.ncfg.WireCodecs
 	var reps []*Client
 	for _, r := range d.replicas {
 		c, err := core.Dial(r.Addr(), id, d.Trust)
@@ -628,45 +425,25 @@ func (d *Deployment) DialRouted(id *Identity, opts core.RouteOptions) (*core.Rou
 			}
 			return nil, err
 		}
-		c.OfferCodecs = d.cfg.WireCodecs
+		c.OfferCodecs = d.ncfg.WireCodecs
 		reps = append(reps, c)
 	}
 	return core.NewRoutedClient(primary, reps, opts)
 }
 
-// Close stops the replicas, the publishers, then the server.
-// Idempotent.
+// Close stops the replicas, then the node: server, publishers,
+// pipelines and every store. Idempotent.
 func (d *Deployment) Close() error {
 	d.closeOnce.Do(func() {
-		var firstErr error
-		if d.usagePipe != nil {
-			if err := d.usagePipe.Close(); firstErr == nil {
-				firstErr = err
-			}
-		}
-		if d.micropayPipe != nil {
-			if err := d.micropayPipe.Close(); firstErr == nil {
-				firstErr = err
-			}
-		}
 		for _, r := range d.replicas {
-			if err := r.Close(); firstErr == nil {
-				firstErr = err
+			if err := r.Close(); d.closeErr == nil {
+				d.closeErr = err
 			}
 		}
 		d.replicas = nil
-		for _, sp := range d.pubs {
-			if err := sp.pub.Close(); firstErr == nil {
-				firstErr = err
-			}
-			<-sp.serveErr
+		if err := d.node.Close(); d.closeErr == nil {
+			d.closeErr = err
 		}
-		d.pubs = make(map[int]*shardPublisher)
-		if err := d.Server.Close(); firstErr == nil {
-			firstErr = err
-		}
-		<-d.serveErr
-		d.closeErr = firstErr
 	})
 	return d.closeErr
 }

@@ -1,7 +1,8 @@
 package diskfault_test
 
-// The storage-fault harness: a sharded ledger + usage pipeline +
-// micropay pipeline deployment run entirely over a diskfault Disk, so
+// The storage-fault harness: the node gridbankd serves from (sharded
+// ledger, bank, usage and micropay pipelines — internal/node) booted
+// entirely over a diskfault Disk, so
 // every durability seam — shard WAL flushes, spool WALs, checkpoint
 // writes, the publishing rename, dir-fsync, Compact — can be killed or
 // corrupted deterministically, the whole node crashed, and the rebooted
@@ -32,36 +33,56 @@ import (
 	"gridbank/internal/db"
 	"gridbank/internal/diskfault"
 	"gridbank/internal/micropay"
+	"gridbank/internal/node"
 	"gridbank/internal/payment"
+	"gridbank/internal/pki"
 	"gridbank/internal/rur"
 	"gridbank/internal/shard"
 	"gridbank/internal/usage"
-	"gridbank/internal/wire"
 )
 
 var harnessEpoch = time.Date(2026, 3, 4, 5, 6, 7, 0, time.UTC)
 
+// One VO for every world: the harness drives the ledger and pipelines
+// in process, so the bank's identity only has to exist.
+var harnessBank, harnessTrust = func() (*pki.Identity, *pki.TrustStore) {
+	ca, err := pki.NewCA("Diskfault CA", "VO-X", 24*time.Hour)
+	if err != nil {
+		panic(err)
+	}
+	id, err := ca.Issue(pki.IssueOptions{CommonName: "gridbank", Organization: "VO-X", IsServer: true})
+	if err != nil {
+		panic(err)
+	}
+	return id, pki.NewTrustStore(ca.Certificate())
+}()
+
 const nShards = 2
 
-func shardWal(i int) string  { return fmt.Sprintf("/data/ledger-%d.wal", i) }
-func shardCkpt(i int) string { return fmt.Sprintf("/data/ledger-%d.ckpt", i) }
+// shardFile names shard i's journal or checkpoint the way node lays a
+// data directory out — for fault rules and at-rest inspection only;
+// opening them is node's job.
+func shardFile(i int, ext string) string {
+	if i == 0 {
+		return "/data/ledger" + ext
+	}
+	return fmt.Sprintf("/data/ledger-%d%s", i, ext)
+}
 
-// world is one simulated gridbankd node: sharded ledger, usage and
-// micropay pipelines, every store on the same fault-injected disk,
-// using the exact file layout gridbankd's data dir uses.
+// world is one gridbankd node — sharded ledger, bank, usage and
+// micropay pipelines — booted by node.Open with every store on the
+// same fault-injected disk.
 type world struct {
 	t *testing.T
 	d *diskfault.Disk
 
-	stores   []*db.Store
-	journals []db.Journal
-	led      *shard.Ledger
-
-	spoolU, spoolM   *db.Store
-	spoolUJ, spoolMJ db.Journal
-	upipe            *usage.Pipeline
-	red              *micropay.Redeemer
-	mpipe            *micropay.Pipeline
+	cfg    node.Config
+	n      *node.Node
+	stores []*db.Store
+	led    *shard.Ledger
+	upipe  *usage.Pipeline
+	red    *micropay.Redeemer
+	mpipe  *micropay.Pipeline
 
 	drawer  accounts.ID
 	xferTo  accounts.ID // cross-shard from drawer: transfers exercise 2PC
@@ -76,62 +97,12 @@ func nowFixed() time.Time { return harnessEpoch }
 // tails settle), checkpoints verify and fall back, shard.New runs 2PC
 // recovery, the pipelines requeue whatever their spools held.
 func (w *world) boot() error {
-	w.stores = make([]*db.Store, nShards)
-	w.journals = make([]db.Journal, nShards)
-	for i := 0; i < nShards; i++ {
-		j, err := db.OpenFileJournalCodecFS(w.d, shardWal(i), true, wire.CodecJSON)
-		if err != nil {
-			return fmt.Errorf("shard %d journal: %w", i, err)
-		}
-		st, _, err := db.OpenWithCheckpointFS(w.d, shardCkpt(i), j)
-		if err != nil {
-			return fmt.Errorf("shard %d store: %w", i, err)
-		}
-		w.journals[i], w.stores[i] = j, st
-	}
-	led, err := shard.New(w.stores, shard.Config{Now: nowFixed})
+	n, err := node.Open(w.cfg)
 	if err != nil {
 		return err
 	}
-	w.led = led
-
-	openSpool := func(name string) (*db.Store, db.Journal, error) {
-		j, err := db.OpenFileJournalCodecFS(w.d, "/data/"+name+".wal", true, wire.CodecJSON)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%s journal: %w", name, err)
-		}
-		st, _, err := db.OpenWithCheckpointFS(w.d, "/data/"+name+".ckpt", j)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%s store: %w", name, err)
-		}
-		return st, j, nil
-	}
-	if w.spoolU, w.spoolUJ, err = openSpool("usage"); err != nil {
-		return err
-	}
-	if w.upipe, err = usage.New(usage.Config{
-		Ledger:  usage.WrapSharded(led),
-		Spool:   w.spoolU,
-		Workers: -1, // deterministic: settlement only via SettleOnce/Drain
-		Now:     nowFixed,
-	}); err != nil {
-		return err
-	}
-	if w.red, err = micropay.NewRedeemer(usage.WrapSharded(led), nowFixed); err != nil {
-		return err
-	}
-	if w.spoolM, w.spoolMJ, err = openSpool("micropay"); err != nil {
-		return err
-	}
-	if w.mpipe, err = micropay.New(micropay.Config{
-		Redeemer:    w.red,
-		FindAccount: led.FindByCertificate,
-		Spool:       w.spoolM,
-		Workers:     -1,
-		Now:         nowFixed,
-	}); err != nil {
-		return err
-	}
+	w.n, w.led, w.stores = n, n.Ledger(), n.Ledger().Stores()
+	w.upipe, w.mpipe, w.red = n.Usage(), n.Micropay(), n.Bank().ChainRedeemer()
 	return nil
 }
 
@@ -146,56 +117,22 @@ func (w *world) reboot() error {
 
 // shutdown drops the current process generation. Errors are ignored:
 // the process is "dying", and poisoned stores refuse cleanly anyway.
-func (w *world) shutdown() {
-	if w.upipe != nil {
-		w.upipe.Close()
-	}
-	if w.mpipe != nil {
-		w.mpipe.Close()
-	}
-	for _, s := range w.stores {
-		if s != nil {
-			s.Close()
-		}
-	}
-	if w.spoolU != nil {
-		w.spoolU.Close()
-	}
-	if w.spoolM != nil {
-		w.spoolM.Close()
-	}
-}
+func (w *world) shutdown() { w.n.Close() }
 
 // maintenance is gridbankd's startup checkpoint+compact pass: every
 // store checkpoints and its journal compacts. First error wins.
-func (w *world) maintenance() error {
-	type pair struct {
-		s    *db.Store
-		j    db.Journal
-		ckpt string
-	}
-	pairs := make([]pair, 0, nShards+2)
-	for i := 0; i < nShards; i++ {
-		pairs = append(pairs, pair{w.stores[i], w.journals[i], shardCkpt(i)})
-	}
-	pairs = append(pairs,
-		pair{w.spoolU, w.spoolUJ, "/data/usage.ckpt"},
-		pair{w.spoolM, w.spoolMJ, "/data/micropay.ckpt"})
-	for _, p := range pairs {
-		if _, err := p.s.CheckpointFS(w.d, p.ckpt); err != nil {
-			return err
-		}
-		if err := p.j.(db.CompactableJournal).Compact(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func (w *world) maintenance() error { return w.n.Maintain() }
 
 // newWorld builds a funded deployment (clean disk, no faults armed).
 func newWorld(t *testing.T, d *diskfault.Disk) *world {
 	t.Helper()
-	w := &world{t: t, d: d}
+	// Settlement is deterministic: no workers, only SettleOnce/Drain.
+	w := &world{t: t, d: d, cfg: node.Config{
+		FS: d, Dir: "/data", Shards: nShards, Sync: true,
+		Identity: harnessBank, Trust: harnessTrust, Now: nowFixed,
+		Usage:    &usage.Config{Workers: -1},
+		Micropay: &micropay.Config{Workers: -1},
+	}}
 	if err := w.boot(); err != nil {
 		t.Fatalf("initial boot: %v", err)
 	}
@@ -340,15 +277,15 @@ func TestEveryDurabilityBoundaryFailStop(t *testing.T) {
 		// checkpoint path: maintenance fails, stores stay healthy.
 		wal bool
 	}{
-		{"shard0-wal-write-enospc", diskfault.Rule{PathSuffix: "ledger-0.wal", Op: diskfault.OpWrite, Nth: 1, Err: diskfault.ErrNoSpace, Sticky: true}, true},
-		{"shard0-wal-fsync", diskfault.Rule{PathSuffix: "ledger-0.wal", Op: diskfault.OpSync, Nth: 1, Err: diskfault.ErrIO, Sticky: true}, true},
+		{"shard0-wal-write-enospc", diskfault.Rule{PathSuffix: "ledger.wal", Op: diskfault.OpWrite, Nth: 1, Err: diskfault.ErrNoSpace, Sticky: true}, true},
+		{"shard0-wal-fsync", diskfault.Rule{PathSuffix: "ledger.wal", Op: diskfault.OpSync, Nth: 1, Err: diskfault.ErrIO, Sticky: true}, true},
 		{"shard1-wal-fsync", diskfault.Rule{PathSuffix: "ledger-1.wal", Op: diskfault.OpSync, Nth: 1, Err: diskfault.ErrIO, Sticky: true}, true},
 		{"usage-spool-write-short", diskfault.Rule{PathSuffix: "usage.wal", Op: diskfault.OpWrite, Nth: 1, Err: diskfault.ErrNoSpace, ShortBytes: 7, Sticky: true}, true},
 		{"usage-spool-fsync", diskfault.Rule{PathSuffix: "usage.wal", Op: diskfault.OpSync, Nth: 1, Err: diskfault.ErrIO, Sticky: true}, true},
 		{"micropay-spool-fsync", diskfault.Rule{PathSuffix: "micropay.wal", Op: diskfault.OpSync, Nth: 1, Err: diskfault.ErrIO, Sticky: true}, true},
-		{"checkpoint-write", diskfault.Rule{PathSuffix: "ledger-0.ckpt.tmp", Op: diskfault.OpWrite, Nth: 1, Err: diskfault.ErrNoSpace}, false},
-		{"checkpoint-fsync", diskfault.Rule{PathSuffix: "ledger-0.ckpt.tmp", Op: diskfault.OpSync, Nth: 1, Err: diskfault.ErrIO}, false},
-		{"checkpoint-rename", diskfault.Rule{PathSuffix: "ledger-0.ckpt.tmp", Op: diskfault.OpRename, Nth: 1, Err: diskfault.ErrIO}, false},
+		{"checkpoint-write", diskfault.Rule{PathSuffix: "ledger.ckpt.tmp", Op: diskfault.OpWrite, Nth: 1, Err: diskfault.ErrNoSpace}, false},
+		{"checkpoint-fsync", diskfault.Rule{PathSuffix: "ledger.ckpt.tmp", Op: diskfault.OpSync, Nth: 1, Err: diskfault.ErrIO}, false},
+		{"checkpoint-rename", diskfault.Rule{PathSuffix: "ledger.ckpt.tmp", Op: diskfault.OpRename, Nth: 1, Err: diskfault.ErrIO}, false},
 		{"checkpoint-dir-fsync", diskfault.Rule{PathSuffix: "/data", Op: diskfault.OpSyncDir, Nth: 1, Err: diskfault.ErrIO}, false},
 	}
 	for _, tc := range cases {
@@ -514,7 +451,7 @@ func TestUnawaitedOutboxCleanupAtEveryBoundary(t *testing.T) {
 		d, w := acked(t)
 		// No shutdown first: Close would flush the staged record.
 		d.Crash()
-		wal := string(d.Durable(shardWal(w.led.ShardFor(w.drawer))))
+		wal := string(d.Durable(shardFile(w.led.ShardFor(w.drawer), ".wal")))
 		if !strings.Contains(wal, `"table":"pc_transfers"`) || strings.Contains(wal, `"op":"del","table":"pc_transfers"`) {
 			t.Fatal("the durable journal should hold the outbox row and not yet its delete")
 		}
@@ -529,7 +466,7 @@ func TestUnawaitedOutboxCleanupAtEveryBoundary(t *testing.T) {
 	t.Run("fsync failure on the flush that carries it", func(t *testing.T) {
 		d, w := acked(t)
 		debit := w.led.ShardFor(w.drawer)
-		d.AddRule(diskfault.Rule{PathSuffix: fmt.Sprintf("ledger-%d.wal", debit), Op: diskfault.OpSync, Nth: 1, Err: diskfault.ErrIO})
+		d.AddRule(diskfault.Rule{PathSuffix: shardFile(debit, ".wal"), Op: diskfault.OpSync, Nth: 1, Err: diskfault.ErrIO})
 		if err := w.led.Deposit(w.drawer, currency.FromG(1)); !errors.Is(err, db.ErrStorageFailed) {
 			t.Fatalf("commit leading the failed flush = %v, want ErrStorageFailed", err)
 		}
@@ -574,7 +511,7 @@ func TestHarnessTypedRefusalOnUnrecoverableCorruption(t *testing.T) {
 	}
 	w.shutdown()
 	d.Crash()
-	if !d.Corrupt(shardCkpt(0), 40, 0xFF) {
+	if !d.Corrupt(shardFile(0, ".ckpt"), 40, 0xFF) {
 		t.Fatal("corrupt missed")
 	}
 	err := w.boot()
@@ -620,13 +557,13 @@ func TestDiskfaultSeededSoak(t *testing.T) {
 		suffix string
 		op     diskfault.Op
 	}{
-		{"ledger-0.wal", diskfault.OpWrite},
-		{"ledger-0.wal", diskfault.OpSync},
+		{"ledger.wal", diskfault.OpWrite},
+		{"ledger.wal", diskfault.OpSync},
 		{"ledger-1.wal", diskfault.OpSync},
 		{"usage.wal", diskfault.OpSync},
 		{"usage.wal", diskfault.OpWrite},
 		{"micropay.wal", diskfault.OpSync},
-		{"ledger-0.ckpt.tmp", diskfault.OpWrite},
+		{"ledger.ckpt.tmp", diskfault.OpWrite},
 		{"ledger-1.ckpt.tmp", diskfault.OpSync},
 		{"usage.ckpt.tmp", diskfault.OpRename},
 		{"/data", diskfault.OpSyncDir},

@@ -13,6 +13,7 @@ import (
 	"gridbank/internal/core"
 	"gridbank/internal/currency"
 	"gridbank/internal/db"
+	"gridbank/internal/node"
 	"gridbank/internal/pki"
 	"gridbank/internal/replica"
 	"gridbank/internal/wire"
@@ -153,7 +154,7 @@ func runCodecFrames(cfg CodecExpConfig, res *CodecResult) error {
 			maxConc = c
 		}
 	}
-	w, err := newWireWorld(nil, maxConc)
+	w, err := newWireWorld(node.Config{}, maxConc)
 	if err != nil {
 		return err
 	}
@@ -329,12 +330,7 @@ func runCodecJournal(cfg CodecExpConfig, res *CodecResult) error {
 // negotiated codec; the clock runs from the first transfer until the
 // follower has applied the head.
 func runCodecCatchupCell(cfg CodecExpConfig, offers []string, name string) (time.Duration, uint64, error) {
-	ca, err := pki.NewCA("Codec CA", "VO-CODEC", time.Hour)
-	if err != nil {
-		return 0, 0, err
-	}
-	trust := pki.NewTrustStore(ca.Certificate())
-	pubID, err := ca.Issue(pki.IssueOptions{CommonName: "gridbank", Organization: "VO-CODEC", IsServer: true})
+	ca, trust, pubID, err := newVO("VO-CODEC")
 	if err != nil {
 		return 0, 0, err
 	}

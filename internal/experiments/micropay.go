@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"gridbank/internal/accounts"
@@ -17,8 +16,6 @@ import (
 	"gridbank/internal/micropay"
 	"gridbank/internal/payment"
 	"gridbank/internal/pki"
-	"gridbank/internal/shard"
-	"gridbank/internal/usage"
 )
 
 // The micropay experiment measures the streaming GridHash fast path on
@@ -178,11 +175,7 @@ func RunMicropay(cfg MicropayExpConfig) (*MicropayResult, error) {
 // RedeemChain per tick — signature verification plus an fsynced ledger
 // transaction per word.
 func runMicropayBaseline(cfg MicropayExpConfig, round int) (float64, error) {
-	ca, err := pki.NewCA("Micropay Exp CA", "VO-X", 24*time.Hour)
-	if err != nil {
-		return 0, err
-	}
-	bankID, err := ca.Issue(pki.IssueOptions{CommonName: "gridbank", Organization: "VO-X", IsServer: true})
+	ca, trust, bankID, err := newVO("VO-X")
 	if err != nil {
 		return 0, err
 	}
@@ -190,7 +183,6 @@ func runMicropayBaseline(cfg MicropayExpConfig, round int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	trust := pki.NewTrustStore(ca.Certificate())
 	journal, err := db.OpenFileJournal(filepath.Join(cfg.Dir, fmt.Sprintf("baseline-%02d.wal", round)), true)
 	if err != nil {
 		return 0, err
@@ -246,101 +238,6 @@ func runMicropayBaseline(cfg MicropayExpConfig, round int) (float64, error) {
 	return float64(cfg.BaselineTicks) / time.Since(start).Seconds(), nil
 }
 
-// micropayCellWorld is one cell's durable deployment: sharded ledger,
-// redeemer and pipeline, rebuildable from journals for the crash round.
-type micropayCellWorld struct {
-	dir     string
-	shards  int
-	stores  []*db.Store
-	spool   *db.Store
-	led     *shard.Ledger
-	red     *micropay.Redeemer
-	pipe    *micropay.Pipeline
-	pending int
-
-	armed atomic.Bool
-	died  atomic.Bool
-}
-
-func (w *micropayCellWorld) open(workers, batch int) error {
-	w.stores = make([]*db.Store, w.shards)
-	for i := range w.stores {
-		j, err := db.OpenFileJournal(filepath.Join(w.dir, fmt.Sprintf("shard-%d.wal", i)), true)
-		if err != nil {
-			return err
-		}
-		st, err := db.Open(j)
-		if err != nil {
-			return err
-		}
-		w.stores[i] = st
-	}
-	led, err := shard.New(w.stores, shard.Config{})
-	if err != nil {
-		return err
-	}
-	w.led = led
-	red, err := micropay.NewRedeemer(usage.WrapSharded(led), nil)
-	if err != nil {
-		return err
-	}
-	w.red = red
-	sj, err := db.OpenFileJournal(filepath.Join(w.dir, "spool.wal"), true)
-	if err != nil {
-		return err
-	}
-	spool, err := db.Open(sj)
-	if err != nil {
-		return err
-	}
-	w.spool = spool
-	pipe, err := micropay.New(micropay.Config{
-		Redeemer:      red,
-		FindAccount:   led.FindByCertificate,
-		Spool:         spool,
-		BatchSize:     batch,
-		Workers:       workers,
-		MaxPending:    w.pending,
-		RetryInterval: time.Millisecond,
-		CrashHook: func(b micropay.Boundary, _ string) error {
-			if !w.armed.Load() {
-				return nil
-			}
-			if b == micropay.BoundarySettled {
-				w.died.Store(true)
-			}
-			if w.died.Load() {
-				return errors.New("injected crash")
-			}
-			return nil
-		},
-	})
-	if err != nil {
-		return err
-	}
-	w.pipe = pipe
-	return nil
-}
-
-func (w *micropayCellWorld) close() {
-	if w.pipe != nil {
-		w.pipe.Close()
-	}
-	if w.spool != nil {
-		w.spool.Close()
-	}
-	for _, st := range w.stores {
-		if st != nil {
-			st.Close()
-		}
-	}
-}
-
-func (w *micropayCellWorld) reboot(workers, batch int) error {
-	w.close()
-	return w.open(workers, batch)
-}
-
 // micropayStream is one issued chain with its words precomputed.
 type micropayStream struct {
 	chain *payment.Chain
@@ -352,7 +249,7 @@ type micropayStream struct {
 // issueStream locks the chain total against the drawer and registers
 // the chain row — what RequestChain does, without the signature layer
 // the pipeline never re-reads.
-func issueStream(w *micropayCellWorld, drawer accounts.ID, drawerCert, payeeCert string, payee accounts.ID, ticks int) (*micropayStream, error) {
+func issueStream(w *cellWorld, drawer accounts.ID, drawerCert, payeeCert string, payee accounts.ID, ticks int) (*micropayStream, error) {
 	chain, err := payment.NewChain(drawer, drawerCert, payeeCert,
 		ticks, currency.FromMicro(100), currency.GridDollar, time.Now(), time.Hour)
 	if err != nil {
@@ -362,10 +259,10 @@ func issueStream(w *micropayCellWorld, drawer accounts.ID, drawerCert, payeeCert
 	if err != nil {
 		return nil, err
 	}
-	if err := w.led.CheckFunds(drawer, total); err != nil {
+	if err := w.n.Ledger().CheckFunds(drawer, total); err != nil {
 		return nil, err
 	}
-	if err := w.red.Put(&micropay.ChainRow{Commitment: chain.Commitment, State: micropay.StateOutstanding}); err != nil {
+	if err := w.n.Bank().ChainRedeemer().Put(&micropay.ChainRow{Commitment: chain.Commitment, State: micropay.StateOutstanding}); err != nil {
 		return nil, err
 	}
 	s := &micropayStream{chain: chain, payee: payee, cert: payeeCert, words: make([][]byte, ticks+1)}
@@ -383,24 +280,33 @@ func runMicropayCell(cfg MicropayExpConfig, shards, interval, batch, cellNo int)
 		return nil, err
 	}
 	claims := cfg.Chains * (cfg.TicksPerChain / interval)
-	w := &micropayCellWorld{dir: dir, shards: shards,
-		pending: claims + cfg.CrashTicks + 16}
-	if err := w.open(cfg.Workers, batch); err != nil {
-		return nil, err
-	}
-	defer w.close()
-
-	drawer, err := w.led.CreateAccount("CN=mp-consumer", "VO-X", "")
+	w, err := newCellWorld(dir, shards)
 	if err != nil {
 		return nil, err
 	}
-	if err := w.led.Deposit(drawer.AccountID, currency.FromG(100)); err != nil {
+	w.cfg.Micropay = &micropay.Config{
+		BatchSize:     batch,
+		Workers:       cfg.Workers,
+		MaxPending:    claims + cfg.CrashTicks + 16,
+		RetryInterval: time.Millisecond,
+		CrashHook:     func(b micropay.Boundary, _ string) error { return w.crashAt(b == micropay.BoundarySettled) },
+	}
+	if err := w.reboot(); err != nil {
+		return nil, err
+	}
+	defer func() { w.n.Close() }()
+
+	drawer, err := w.n.Ledger().CreateAccount("CN=mp-consumer", "VO-X", "")
+	if err != nil {
+		return nil, err
+	}
+	if err := w.n.Ledger().Deposit(drawer.AccountID, currency.FromG(100)); err != nil {
 		return nil, err
 	}
 	streams := make([]*micropayStream, cfg.Chains)
 	for i := range streams {
 		cert := fmt.Sprintf("CN=mp-gsp-%d", i)
-		a, err := w.led.CreateAccount(cert, "VO-X", "")
+		a, err := w.n.Ledger().CreateAccount(cert, "VO-X", "")
 		if err != nil {
 			return nil, err
 		}
@@ -409,7 +315,7 @@ func runMicropayCell(cfg MicropayExpConfig, shards, interval, batch, cellNo int)
 			return nil, err
 		}
 	}
-	before, err := w.led.TotalBalance()
+	before, err := w.n.Ledger().TotalBalance()
 	if err != nil {
 		return nil, err
 	}
@@ -424,7 +330,7 @@ func runMicropayCell(cfg MicropayExpConfig, shards, interval, batch, cellNo int)
 			if len(cs) == 0 {
 				continue
 			}
-			res, err := w.pipe.Submit(streams[si].cert, cs)
+			res, err := w.n.Micropay().Submit(streams[si].cert, cs)
 			if err != nil {
 				return err
 			}
@@ -453,7 +359,7 @@ func runMicropayCell(cfg MicropayExpConfig, shards, interval, batch, cellNo int)
 	if err := flush(); err != nil {
 		return nil, err
 	}
-	st, err := w.pipe.Drain(5 * time.Minute)
+	st, err := w.n.Micropay().Drain(5 * time.Minute)
 	if err != nil {
 		return nil, fmt.Errorf("drain: %v (stats %+v)", err, st)
 	}
@@ -472,7 +378,7 @@ func runMicropayCell(cfg MicropayExpConfig, shards, interval, batch, cellNo int)
 	// same claims re-submitted by an at-least-once payee, recovery
 	// drained, and the books re-asserted.
 	crashCert := "CN=mp-gsp-crash"
-	ca, err := w.led.CreateAccount(crashCert, "VO-X", "")
+	ca, err := w.n.Ledger().CreateAccount(crashCert, "VO-X", "")
 	if err != nil {
 		return nil, err
 	}
@@ -487,7 +393,7 @@ func runMicropayCell(cfg MicropayExpConfig, shards, interval, batch, cellNo int)
 		})
 	}
 	w.armed.Store(true)
-	if _, err := w.pipe.Submit(crashCert, crashClaims); err != nil {
+	if _, err := w.n.Micropay().Submit(crashCert, crashClaims); err != nil {
 		return nil, err
 	}
 	deadline := time.Now().Add(10 * time.Second)
@@ -499,20 +405,20 @@ func runMicropayCell(cfg MicropayExpConfig, shards, interval, batch, cellNo int)
 	}
 	w.armed.Store(false)
 	w.died.Store(false)
-	if err := w.reboot(cfg.Workers, batch); err != nil {
+	if err := w.reboot(); err != nil {
 		return nil, err
 	}
-	if _, err := w.pipe.Submit(crashCert, crashClaims); err != nil {
+	if _, err := w.n.Micropay().Submit(crashCert, crashClaims); err != nil {
 		return nil, err
 	}
-	if st, err = w.pipe.Drain(5 * time.Minute); err != nil {
+	if st, err = w.n.Micropay().Drain(5 * time.Minute); err != nil {
 		return nil, fmt.Errorf("post-crash drain: %v (stats %+v)", err, st)
 	}
 	if st.Failed != 0 {
 		return nil, fmt.Errorf("post-crash failures: %+v", st)
 	}
 	crashWant := currency.FromMicro(int64(100 * (cfg.CrashTicks / 8 * 8)))
-	got, err := w.led.Details(ca.AccountID)
+	got, err := w.n.Ledger().Details(ca.AccountID)
 	if err != nil {
 		return nil, err
 	}
@@ -540,9 +446,9 @@ func runMicropayCell(cfg MicropayExpConfig, shards, interval, batch, cellNo int)
 // assertMicropayCell checks exactly-once (each payee holds exactly its
 // stream's ticks × perWord) and exact conservation (total balances and
 // pending escrow unchanged by settlement).
-func assertMicropayCell(w *micropayCellWorld, streams []*micropayStream, before currency.Amount) error {
+func assertMicropayCell(w *cellWorld, streams []*micropayStream, before currency.Amount) error {
 	for _, s := range streams {
-		a, err := w.led.Details(s.payee)
+		a, err := w.n.Ledger().Details(s.payee)
 		if err != nil {
 			return err
 		}
@@ -552,14 +458,14 @@ func assertMicropayCell(w *micropayCellWorld, streams []*micropayStream, before 
 			return fmt.Errorf("exactly-once violated: %s holds %s, want %s", s.cert, a.AvailableBalance, want)
 		}
 	}
-	total, err := w.led.TotalBalance()
+	total, err := w.n.Ledger().TotalBalance()
 	if err != nil {
 		return err
 	}
 	if total != before {
 		return fmt.Errorf("conservation violated: %s -> %s", before, total)
 	}
-	esc, err := w.led.PendingEscrow()
+	esc, err := w.n.Ledger().PendingEscrow()
 	if err != nil {
 		return err
 	}

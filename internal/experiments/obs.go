@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"gridbank/internal/node"
 	"gridbank/internal/obs"
 )
 
@@ -129,20 +130,16 @@ type obsPair struct {
 // on every call, and the slow-op span machinery armed with a threshold
 // nothing reaches (measuring the span accounting, not log formatting).
 func newObsPair(conc int) (*obsPair, error) {
-	off, err := newWireWorld(nil, conc)
+	off, err := newWireWorld(node.Config{}, conc)
 	if err != nil {
 		return nil, err
 	}
-	on, err := newWireWorld(nil, conc)
+	reg := obs.NewRegistry()
+	on, err := newWireWorld(node.Config{Obs: reg, Log: obs.NewLogger(io.Discard, obs.LevelInfo), SlowOp: time.Hour}, conc)
 	if err != nil {
 		off.close()
 		return nil, err
 	}
-	reg := obs.NewRegistry()
-	on.srv.Obs = reg
-	on.srv.SlowOpLog = obs.NewLogger(io.Discard, obs.LevelInfo)
-	on.srv.SlowOpThreshold = time.Hour
-	on.bank.SetObs(reg)
 	on.client.Obs = obs.NewRegistry()
 	on.client.TraceCalls = true
 	return &obsPair{off: off, on: on, reg: reg}, nil

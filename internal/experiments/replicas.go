@@ -12,7 +12,7 @@ import (
 	"gridbank/internal/accounts"
 	"gridbank/internal/core"
 	"gridbank/internal/currency"
-	"gridbank/internal/db"
+	"gridbank/internal/node"
 	"gridbank/internal/pki"
 	"gridbank/internal/replica"
 )
@@ -62,17 +62,15 @@ type ReplicasResult struct {
 	Points []ReplicasPoint
 }
 
-// replicaWorld is one cell's full wire-level topology.
+// replicaWorld is one cell's full wire-level topology: a volatile
+// primary node, its publisher, and nReplicas read replicas.
 type replicaWorld struct {
 	trust    *pki.TrustStore
-	store    *db.Store
-	bank     *core.Bank
-	server   *core.Server
+	n        *node.Node
 	primary  string
-	pub      *replica.Publisher
 	fols     []*replica.Follower
 	repAddrs []string
-	closers  []func()
+	closers  []func() error
 
 	reader *pki.Identity
 	acct   accounts.ID
@@ -86,23 +84,31 @@ func (w *replicaWorld) close() {
 	}
 }
 
-func newReplicaWorld(nReplicas int) (*replicaWorld, error) {
+func newReplicaWorld(nReplicas int) (_ *replicaWorld, err error) {
 	w := &replicaWorld{}
-	ca, err := pki.NewCA("Replicas CA", "VO-REP", time.Hour)
+	defer func() {
+		if err != nil {
+			w.close()
+		}
+	}()
+	ca, trust, bankID, err := newVO("VO-REP")
 	if err != nil {
 		return nil, err
 	}
-	w.trust = pki.NewTrustStore(ca.Certificate())
-	bankID, err := ca.Issue(pki.IssueOptions{CommonName: "gridbank", Organization: "VO-REP", IsServer: true})
+	w.trust = trust
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
 	}
-	w.store = db.MustOpenMemory()
-	const admin = "CN=replicas-admin"
-	w.bank, err = core.NewBank(w.store, core.BankConfig{Identity: bankID, Trust: w.trust, Admins: []string{admin}})
-	if err != nil {
+	w.primary = ln.Addr().String()
+	cfg := node.Config{Identity: bankID, Trust: trust, PrimaryAddr: w.primary, Heartbeat: 50 * time.Millisecond}
+	if w.n, err = node.Open(cfg); err != nil {
+		ln.Close()
 		return nil, err
 	}
+	w.closers = append(w.closers, w.n.Close)
+	go w.n.Serve(ln)
+	led := w.n.Ledger()
 
 	// One reader identity/account (what the clients poll) and a writer
 	// pair the load generator churns.
@@ -110,100 +116,55 @@ func newReplicaWorld(nReplicas int) (*replicaWorld, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp, err := w.bank.CreateAccount(w.reader.SubjectName(), &core.CreateAccountRequest{OrganizationName: "VO-REP"})
+	acct, err := led.CreateAccount(w.reader.SubjectName(), "VO-REP", "")
 	if err != nil {
 		return nil, err
 	}
-	w.acct = resp.Account.AccountID
-	if _, err := w.bank.AdminDeposit(admin, &core.AdminAmountRequest{AccountID: w.acct, Amount: currency.FromG(100)}); err != nil {
+	w.acct = acct.AccountID
+	if err := led.Deposit(w.acct, currency.FromG(100)); err != nil {
 		return nil, err
 	}
-	mgr := w.bank.Manager()
-	payer, err := mgr.CreateAccount("CN=writer-payer", "VO-REP", "")
+	payer, err := led.CreateAccount("CN=writer-payer", "VO-REP", "")
 	if err != nil {
 		return nil, err
 	}
-	payee, err := mgr.CreateAccount("CN=writer-payee", "VO-REP", "")
+	payee, err := led.CreateAccount("CN=writer-payee", "VO-REP", "")
 	if err != nil {
 		return nil, err
 	}
-	if err := mgr.Admin().Deposit(payer.AccountID, currency.FromG(10_000_000)); err != nil {
+	if err := led.Deposit(payer.AccountID, currency.FromG(10_000_000)); err != nil {
 		return nil, err
 	}
 	w.payer, w.payee = payer.AccountID, payee.AccountID
 
-	// Primary API server.
-	srv, err := core.NewServer(w.bank, bankID)
-	if err != nil {
-		return nil, err
-	}
-	srv.Logf = func(string, ...any) {}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	go srv.Serve(ln)
-	w.server = srv
-	w.primary = ln.Addr().String()
-	w.closers = append(w.closers, func() { srv.Close() })
-
 	if nReplicas == 0 {
 		return w, nil
-	}
-
-	// Publisher + replicas.
-	pub, err := replica.NewPublisher(replica.PublisherConfig{
-		Store:       w.store,
-		Identity:    bankID,
-		Trust:       w.trust,
-		PrimaryAddr: w.primary,
-		Heartbeat:   50 * time.Millisecond,
-	})
-	if err != nil {
-		return nil, err
 	}
 	pln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
 	}
-	go pub.Serve(pln)
-	w.pub = pub
-	w.closers = append(w.closers, func() { pub.Close() })
-
+	if err := w.n.Publish(0, pln); err != nil {
+		pln.Close()
+		return nil, err
+	}
+	cfg.ReplicaOf, cfg.PrimaryAddr = pln.Addr().String(), ""
 	for i := 0; i < nReplicas; i++ {
-		repID, err := ca.Issue(pki.IssueOptions{CommonName: fmt.Sprintf("replica-%d", i), Organization: "VO-REP", IsServer: true})
+		cfg.Identity, err = ca.Issue(pki.IssueOptions{CommonName: fmt.Sprintf("replica-%d", i), Organization: "VO-REP", IsServer: true})
 		if err != nil {
 			return nil, err
 		}
-		fol, err := replica.StartFollower(replica.FollowerConfig{
-			PublisherAddr: pln.Addr().String(),
-			Identity:      repID,
-			Trust:         w.trust,
-			RetryInterval: 50 * time.Millisecond,
-		})
+		rep, err := node.OpenReplica(cfg)
 		if err != nil {
 			return nil, err
 		}
-		w.closers = append(w.closers, func() { fol.Close() })
-		if err := fol.WaitReady(10 * time.Second); err != nil {
-			return nil, err
-		}
-		rb, err := core.NewReadOnlyBank(fol, core.ReadOnlyBankConfig{Identity: repID, Trust: w.trust})
-		if err != nil {
-			return nil, err
-		}
-		rsrv, err := core.NewReadOnlyServer(rb, repID)
-		if err != nil {
-			return nil, err
-		}
-		rsrv.Logf = func(string, ...any) {}
+		w.closers = append(w.closers, rep.Close)
 		rln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			return nil, err
 		}
-		go rsrv.Serve(rln)
-		w.closers = append(w.closers, func() { rsrv.Close() })
-		w.fols = append(w.fols, fol)
+		go rep.Serve(rln)
+		w.fols = append(w.fols, rep.Follower())
 		w.repAddrs = append(w.repAddrs, rln.Addr().String())
 	}
 	return w, nil
@@ -277,7 +238,7 @@ func runReplicasCell(cfg ReplicasConfig, nReplicas, nReaders int) (*ReplicasPoin
 	wwg.Add(1)
 	go func() {
 		defer wwg.Done()
-		mgr := w.bank.Manager()
+		mgr := w.n.Ledger().MetaManager()
 		for {
 			select {
 			case <-stop:
@@ -308,7 +269,7 @@ func runReplicasCell(cfg ReplicasConfig, nReplicas, nReaders int) (*ReplicasPoin
 				case <-stop:
 					return
 				case <-tick.C:
-					head := w.store.CurrentSeq()
+					head := w.n.Ledger().Store().CurrentSeq()
 					for _, fol := range w.fols {
 						lag := int(int64(head) - int64(fol.AppliedSeq()))
 						if lag < 0 {
@@ -360,7 +321,7 @@ func runReplicasCell(cfg ReplicasConfig, nReplicas, nReaders int) (*ReplicasPoin
 	// converge to the primary's exact sequence, and report staleness
 	// within the routing bound.
 	var finalStale time.Duration
-	head := w.store.CurrentSeq()
+	head := w.n.Ledger().Store().CurrentSeq()
 	for _, fol := range w.fols {
 		if err := fol.WaitForSeq(head, 10*time.Second); err != nil {
 			return nil, fmt.Errorf("replica did not converge: %w", err)

@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 	"time"
 
 	"gridbank/internal/accounts"
@@ -150,11 +149,7 @@ func RunUsage(cfg UsageExpConfig) (*UsageResult, error) {
 // redeemed with one synchronous SettleCheque — paying the full
 // per-transaction fsync chain every job.
 func runUsageBaseline(cfg UsageExpConfig) (float64, error) {
-	ca, err := pki.NewCA("Usage Exp CA", "VO-X", 24*time.Hour)
-	if err != nil {
-		return 0, err
-	}
-	bankID, err := ca.Issue(pki.IssueOptions{CommonName: "gridbank", Organization: "VO-X", IsServer: true})
+	ca, trust, bankID, err := newVO("VO-X")
 	if err != nil {
 		return 0, err
 	}
@@ -162,7 +157,6 @@ func runUsageBaseline(cfg UsageExpConfig) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	trust := pki.NewTrustStore(ca.Certificate())
 	journal, err := db.OpenFileJournal(filepath.Join(cfg.Dir, "baseline.wal"), true)
 	if err != nil {
 		return 0, err
@@ -233,128 +227,46 @@ func runUsageBaseline(cfg UsageExpConfig) (float64, error) {
 	return float64(cfg.BaselineJobs) / elapsed.Seconds(), nil
 }
 
-// usageCellWorld is one cell's durable deployment, rebuildable from its
-// journals for the crash round.
-type usageCellWorld struct {
-	dir    string
-	shards int
-	led    *shard.Ledger
-	stores []*db.Store
-	spool  *db.Store
-	pipe   *usage.Pipeline
-
-	// Crash injection: the hook is installed at construction (before
-	// the workers start) but inert until armed; once a settle boundary
-	// fires while armed, every subsequent boundary fails too —
-	// persistent process death, cleared by the disarmed reboot.
-	armed atomic.Bool
-	died  atomic.Bool
-}
-
-func (w *usageCellWorld) open(cfg UsageExpConfig, workers, batch int) error {
-	w.stores = make([]*db.Store, w.shards)
-	for i := range w.stores {
-		j, err := db.OpenFileJournal(filepath.Join(w.dir, fmt.Sprintf("shard-%d.wal", i)), true)
-		if err != nil {
-			return err
-		}
-		st, err := db.Open(j)
-		if err != nil {
-			return err
-		}
-		w.stores[i] = st
+func runUsageCell(cfg UsageExpConfig, shards, workers, batch, cellNo int) (*UsagePoint, error) {
+	dir := filepath.Join(cfg.Dir, fmt.Sprintf("cell-%02d", cellNo))
+	if err := os.MkdirAll(dir, 0o700); err != nil {
+		return nil, err
 	}
-	led, err := shard.New(w.stores, shard.Config{})
+	w, err := newCellWorld(dir, shards)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	w.led = led
-	sj, err := db.OpenFileJournal(filepath.Join(w.dir, "spool.wal"), true)
-	if err != nil {
-		return err
-	}
-	spool, err := db.Open(sj)
-	if err != nil {
-		return err
-	}
-	w.spool = spool
-	pipe, err := usage.New(usage.Config{
-		Ledger:    usage.WrapSharded(led),
-		Spool:     spool,
+	w.cfg.Usage = &usage.Config{
 		BatchSize: batch,
 		Workers:   workers,
 		// The queue must hold a whole cell's jobs: this experiment
 		// measures batching, not backpressure.
 		MaxPending:    cfg.Jobs + cfg.CrashJobs + 1,
 		RetryInterval: time.Millisecond,
-		CrashHook: func(b usage.Boundary, _ string) error {
-			if !w.armed.Load() {
-				return nil
-			}
-			if b == usage.BoundarySettled {
-				w.died.Store(true)
-			}
-			if w.died.Load() {
-				return errors.New("injected crash")
-			}
-			return nil
-		},
-	})
-	if err != nil {
-		return err
+		CrashHook:     func(b usage.Boundary, _ string) error { return w.crashAt(b == usage.BoundarySettled) },
 	}
-	w.pipe = pipe
-	return nil
-}
-
-func (w *usageCellWorld) close() {
-	if w.pipe != nil {
-		w.pipe.Close()
-	}
-	if w.spool != nil {
-		w.spool.Close()
-	}
-	for _, st := range w.stores {
-		if st != nil {
-			st.Close()
-		}
-	}
-}
-
-// reboot closes everything and rebuilds from the journals on disk.
-func (w *usageCellWorld) reboot(cfg UsageExpConfig, workers, batch int) error {
-	w.close()
-	return w.open(cfg, workers, batch)
-}
-
-func runUsageCell(cfg UsageExpConfig, shards, workers, batch, cellNo int) (*UsagePoint, error) {
-	dir := filepath.Join(cfg.Dir, fmt.Sprintf("cell-%02d", cellNo))
-	if err := os.MkdirAll(dir, 0o700); err != nil {
+	if err := w.reboot(); err != nil {
 		return nil, err
 	}
-	w := &usageCellWorld{dir: dir, shards: shards}
-	if err := w.open(cfg, workers, batch); err != nil {
-		return nil, err
-	}
-	defer w.close()
+	defer func() { w.n.Close() }()
 
 	total := int64(cfg.Jobs + cfg.CrashJobs + 8)
-	drawer, err := w.led.CreateAccount("CN=usage-consumer", "VO-X", "")
+	drawer, err := w.n.Ledger().CreateAccount("CN=usage-consumer", "VO-X", "")
 	if err != nil {
 		return nil, err
 	}
-	if err := w.led.Deposit(drawer.AccountID, currency.FromG(total)); err != nil {
+	if err := w.n.Ledger().Deposit(drawer.AccountID, currency.FromG(total)); err != nil {
 		return nil, err
 	}
 	recips := make([]accounts.ID, cfg.Recipients)
 	for i := range recips {
-		a, err := w.led.CreateAccount(fmt.Sprintf("CN=usage-gsp-%d", i), "VO-X", "")
+		a, err := w.n.Ledger().CreateAccount(fmt.Sprintf("CN=usage-gsp-%d", i), "VO-X", "")
 		if err != nil {
 			return nil, err
 		}
 		recips[i] = a.AccountID
 	}
-	before, err := w.led.TotalBalance()
+	before, err := w.n.Ledger().TotalBalance()
 	if err != nil {
 		return nil, err
 	}
@@ -382,7 +294,7 @@ func runUsageCell(cfg UsageExpConfig, shards, workers, batch, cellNo int) (*Usag
 		if end > len(subs) {
 			end = len(subs)
 		}
-		res, err := w.pipe.Submit(subs[off:end])
+		res, err := w.n.Usage().Submit(subs[off:end])
 		if err != nil {
 			return nil, err
 		}
@@ -390,7 +302,7 @@ func runUsageCell(cfg UsageExpConfig, shards, workers, batch, cellNo int) (*Usag
 			return nil, fmt.Errorf("unexpected rejections: %+v", res.Rejected)
 		}
 	}
-	st, err := w.pipe.Drain(5 * time.Minute)
+	st, err := w.n.Usage().Drain(5 * time.Minute)
 	if err != nil {
 		return nil, fmt.Errorf("drain: %v (stats %+v)", err, st)
 	}
@@ -399,7 +311,7 @@ func runUsageCell(cfg UsageExpConfig, shards, workers, batch, cellNo int) (*Usag
 		return nil, fmt.Errorf("settled %d of %d (failed %d)", st.Settled, cfg.Jobs, st.Failed)
 	}
 	batches, crossShard := st.Batches, st.CrossShard
-	if err := assertUsageCell(w.led, recips, cfg.Jobs, before); err != nil {
+	if err := assertUsageCell(w.n.Ledger(), recips, cfg.Jobs, before); err != nil {
 		return nil, err
 	}
 
@@ -416,14 +328,14 @@ func runUsageCell(cfg UsageExpConfig, shards, workers, batch, cellNo int) (*Usag
 		crash = append(crash, s)
 	}
 	w.armed.Store(true)
-	if _, err := w.pipe.Submit(crash); err != nil {
+	if _, err := w.n.Usage().Submit(crash); err != nil {
 		return nil, err
 	}
 	// Let settlement run into the crash (or finish the pre-crash work).
 	deadline := time.Now().Add(10 * time.Second)
 	for !w.died.Load() && time.Now().Before(deadline) {
 		if workers == 0 {
-			w.pipe.SettleOnce()
+			w.n.Usage().SettleOnce()
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -433,21 +345,21 @@ func runUsageCell(cfg UsageExpConfig, shards, workers, batch, cellNo int) (*Usag
 	// The reboot runs disarmed: recovery must settle cleanly.
 	w.armed.Store(false)
 	w.died.Store(false)
-	if err := w.reboot(cfg, workers, batch); err != nil {
+	if err := w.reboot(); err != nil {
 		return nil, err
 	}
 	// Re-submit the same batch post-reboot (an at-least-once producer
 	// replaying after the crash) — dedup must absorb every duplicate.
-	if _, err := w.pipe.Submit(crash); err != nil {
+	if _, err := w.n.Usage().Submit(crash); err != nil {
 		return nil, err
 	}
-	if st, err = w.pipe.Drain(5 * time.Minute); err != nil {
+	if st, err = w.n.Usage().Drain(5 * time.Minute); err != nil {
 		return nil, fmt.Errorf("post-crash drain: %v (stats %+v)", err, st)
 	}
 	if st.Failed != 0 {
 		return nil, fmt.Errorf("post-crash failures: %+v", st)
 	}
-	if err := assertUsageCell(w.led, recips, cfg.Jobs+cfg.CrashJobs, before); err != nil {
+	if err := assertUsageCell(w.n.Ledger(), recips, cfg.Jobs+cfg.CrashJobs, before); err != nil {
 		return nil, fmt.Errorf("after crash recovery: %w", err)
 	}
 

@@ -6,7 +6,6 @@ import (
 	"io"
 	"net"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"time"
@@ -14,7 +13,7 @@ import (
 	"gridbank/internal/accounts"
 	"gridbank/internal/core"
 	"gridbank/internal/currency"
-	"gridbank/internal/db"
+	"gridbank/internal/node"
 	"gridbank/internal/pki"
 )
 
@@ -69,9 +68,8 @@ type WireResult struct {
 // wireWorld is a live TLS bank with a funded disjoint account
 // population and one shared admin client.
 type wireWorld struct {
-	srv     *core.Server
+	n       *node.Node
 	client  *core.Client
-	bank    *core.Bank
 	addr    string
 	trust   *pki.TrustStore
 	adminID *pki.Identity
@@ -80,13 +78,10 @@ type wireWorld struct {
 	funded  currency.Amount
 }
 
-func newWireWorld(journal db.Journal, pairs int) (*wireWorld, error) {
-	ca, err := pki.NewCA("Wire CA", "VO-W", 24*time.Hour)
-	if err != nil {
-		return nil, err
-	}
-	trust := pki.NewTrustStore(ca.Certificate())
-	bankID, err := ca.Issue(pki.IssueOptions{CommonName: "gridbank", Organization: "VO-W", IsServer: true})
+// newWireWorld boots a node from base — storage and telemetry are the
+// caller's; identity, limits and population are filled in here.
+func newWireWorld(base node.Config, pairs int) (_ *wireWorld, err error) {
+	ca, trust, bankID, err := newVO("VO-W")
 	if err != nil {
 		return nil, err
 	}
@@ -94,24 +89,19 @@ func newWireWorld(journal db.Journal, pairs int) (*wireWorld, error) {
 	if err != nil {
 		return nil, err
 	}
-	store, err := db.Open(journal)
-	if err != nil {
-		return nil, err
-	}
-	bank, err := core.NewBank(store, core.BankConfig{
-		Identity: bankID, Trust: trust, Admins: []string{adminID.SubjectName()},
-	})
-	if err != nil {
-		return nil, err
-	}
-	srv, err := core.NewServer(bank, bankID)
-	if err != nil {
-		return nil, err
-	}
-	srv.Logf = func(string, ...any) {}
+	base.Identity, base.Trust, base.Admins = bankID, trust, []string{adminID.SubjectName()}
 	// Let the sweep's widest cell keep every caller in flight at once.
-	srv.MaxInFlight = pairs
-	if err := srv.RegisterOp("bench.echo", func(subject string, body []byte) (any, error) {
+	base.MaxInFlight = pairs
+	n, err := node.Open(base)
+	if err != nil {
+		return nil, err
+	}
+	defer func() {
+		if err != nil {
+			n.Close()
+		}
+	}()
+	if err := n.Server().RegisterOp("bench.echo", func(subject string, body []byte) (any, error) {
 		return json.RawMessage(body), nil
 	}); err != nil {
 		return nil, err
@@ -120,25 +110,22 @@ func newWireWorld(journal db.Journal, pairs int) (*wireWorld, error) {
 	if err != nil {
 		return nil, err
 	}
-	go srv.Serve(ln)
+	go n.Serve(ln)
 
-	w := &wireWorld{srv: srv, bank: bank, addr: ln.Addr().String(), trust: trust, adminID: adminID}
-	mgr := bank.Manager()
+	w := &wireWorld{n: n, addr: ln.Addr().String(), trust: trust, adminID: adminID}
+	led := n.Ledger()
 	perAcct := currency.FromG(1_000_000)
 	for i := 0; i < pairs; i++ {
-		payer, err := mgr.CreateAccount(fmt.Sprintf("CN=wire-payer-%d", i), "VO-W", "")
+		payer, err := led.CreateAccount(fmt.Sprintf("CN=wire-payer-%d", i), "VO-W", "")
 		if err != nil {
-			srv.Close()
 			return nil, err
 		}
-		if err := mgr.Admin().Deposit(payer.AccountID, perAcct); err != nil {
-			srv.Close()
+		if err := led.Deposit(payer.AccountID, perAcct); err != nil {
 			return nil, err
 		}
 		w.funded = w.funded.MustAdd(perAcct)
-		payee, err := mgr.CreateAccount(fmt.Sprintf("CN=wire-payee-%d", i), "VO-W", "")
+		payee, err := led.CreateAccount(fmt.Sprintf("CN=wire-payee-%d", i), "VO-W", "")
 		if err != nil {
-			srv.Close()
 			return nil, err
 		}
 		w.payers = append(w.payers, payer.AccountID)
@@ -146,18 +133,15 @@ func newWireWorld(journal db.Journal, pairs int) (*wireWorld, error) {
 	}
 	// One admin-authenticated client: admins may drive any payer, so N
 	// workers can share this single pipelined connection.
-	c, err := core.Dial(ln.Addr().String(), adminID, trust)
-	if err != nil {
-		srv.Close()
+	if w.client, err = core.Dial(w.addr, adminID, trust); err != nil {
 		return nil, err
 	}
-	w.client = c
 	return w, nil
 }
 
 func (w *wireWorld) close() {
 	w.client.Close()
-	w.srv.Close()
+	w.n.Close()
 }
 
 // runRound drives `concurrency` workers for ops calls each through the
@@ -290,11 +274,7 @@ func RunWireExp(cfg WireExpConfig) (*WireResult, error) {
 	if durOps <= 0 {
 		durOps = 60
 	}
-	j, err := db.OpenFileJournal(filepath.Join(cfg.Dir, "wire.wal"), true)
-	if err != nil {
-		return nil, err
-	}
-	dw, err := newWireWorld(j, maxConc)
+	dw, err := newWireWorld(node.Config{Dir: cfg.Dir, Sync: true}, maxConc)
 	if err != nil {
 		return nil, err
 	}
@@ -320,7 +300,7 @@ func RunWireExp(cfg WireExpConfig) (*WireResult, error) {
 	if volOps <= 0 {
 		volOps = 200
 	}
-	vw, err := newWireWorld(nil, maxConc)
+	vw, err := newWireWorld(node.Config{}, maxConc)
 	if err != nil {
 		return nil, err
 	}

@@ -131,25 +131,6 @@ func (p *Publisher) Serve(ln net.Listener) error {
 	}
 }
 
-// ListenAndServe listens on addr and serves until Close.
-func (p *Publisher) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return p.Serve(ln)
-}
-
-// Addr returns the bound address, once serving.
-func (p *Publisher) Addr() net.Addr {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.ln == nil {
-		return nil
-	}
-	return p.ln.Addr()
-}
-
 // Close stops accepting and tears down live replication sessions.
 func (p *Publisher) Close() error {
 	p.mu.Lock()

@@ -1,6 +1,7 @@
 package gridbank_test
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"gridbank"
+	"gridbank/internal/db"
 )
 
 // shardedFixture stands up a 3-shard deployment with one read replica
@@ -315,5 +317,33 @@ func TestOneShardOpensSeedFormatJournalByteCompatibly(t *testing.T) {
 	}
 	if !strings.Contains(tail, `"op":"put"`) {
 		t.Fatalf("deposit did not journal through the sharded path: %q", tail)
+	}
+}
+
+// TestDeploymentCloseClosesItsStores: Close releases everything the
+// deployment opened — the journal-backed ledger store and the usage
+// spool included — instead of leaking one journal descriptor per store
+// per deployment.
+func TestDeploymentCloseClosesItsStores(t *testing.T) {
+	j, err := gridbank.OpenFileJournal(filepath.Join(t.TempDir(), "ledger.wal"), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dep, err := gridbank.NewDeployment(gridbank.DeploymentConfig{VO: "VO-Close", Journal: j})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dep.EnableUsage(gridbank.UsageOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	ledger := dep.Bank.Ledger().Store()
+	if err := dep.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ledger.Count("accounts"); !errors.Is(err, db.ErrClosed) {
+		t.Fatalf("ledger store after Deployment.Close answers %v, want ErrClosed", err)
+	}
+	if err := j.Append(db.Entry{Seq: 1 << 40, Op: "put", Table: "t", Key: "k"}); err == nil {
+		t.Fatal("the deployment's journal is still open after Deployment.Close")
 	}
 }
