@@ -1,8 +1,8 @@
 package gridbank_test
 
-// One benchmark per experiment row of DESIGN.md §4, plus micro-benchmarks
-// of the hot paths (ledger transfer, cheque issue/redeem, hash-chain
-// verification, RUR pricing). Run with:
+// One benchmark per paper experiment of cmd/experiments, plus
+// micro-benchmarks of the hot paths (ledger transfer, cheque issue/redeem,
+// hash-chain verification, RUR pricing). Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -125,19 +125,6 @@ func BenchmarkCommodityPricing(b *testing.B) {
 func BenchmarkBrokerDBC(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.RunDBC(experiments.DBCConfig{Jobs: 60, Seed: int64(i + 1)}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkConcurrentLoad(b *testing.B) {
-	// One full concurrency-vs-durability sweep per iteration.
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunConcurrentLoad(experiments.ConcurrentLoadConfig{
-			ConsumerCounts:       []int{8},
-			TransfersPerConsumer: 25,
-			Dir:                  b.TempDir(),
-		}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 // Command experiments regenerates every figure and quantified claim of
-// the GridBank paper (see DESIGN.md §4 for the experiment index and
-// EXPERIMENTS.md for paper-vs-measured notes).
+// the GridBank paper; each id's description names the figure or section
+// it reproduces. Systems numbers (throughput, fsyncs, WAL bytes) come
+// from bench/, not from here.
 //
 //	experiments -exp all          # run everything
 //	experiments -exp fig4         # one experiment
@@ -8,9 +9,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"sort"
 
@@ -23,8 +25,7 @@ type experiment struct {
 	run  func() error
 }
 
-func registry() []experiment {
-	out := os.Stdout
+func registry(out io.Writer) []experiment {
 	return []experiment{
 		{"fig1", "Figure 1: end-to-end Grid accounting use case", func() error {
 			r, err := experiments.RunFig1(experiments.Fig1Config{})
@@ -114,7 +115,7 @@ func registry() []experiment {
 			experiments.WritePricing(out, r)
 			return nil
 		}},
-		{"broker", "Nimrod-G DBC scheduling sweep", func() error {
+		{"broker", "Figure 1 (Grid Resource Broker): Nimrod-G deadline/budget-constrained scheduling sweep", func() error {
 			r, err := experiments.RunDBC(experiments.DBCConfig{})
 			if err != nil {
 				return err
@@ -122,104 +123,29 @@ func registry() []experiment {
 			experiments.WriteDBC(out, r)
 			return nil
 		}},
-		{"conload", "concurrent transfer load vs. journal durability", func() error {
-			r, err := experiments.RunConcurrentLoad(experiments.ConcurrentLoadConfig{})
-			if err != nil {
-				return err
-			}
-			experiments.WriteConcurrentLoad(out, r)
-			return nil
-		}},
-		{"conload-hot", "concurrent load against one shared provider (hotspot)", func() error {
-			r, err := experiments.RunConcurrentLoad(experiments.ConcurrentLoadConfig{SharedRecipient: true})
-			if err != nil {
-				return err
-			}
-			experiments.WriteConcurrentLoad(out, r)
-			return nil
-		}},
-		{"replicas", "WAL-shipping read replicas: readers x replica count", func() error {
-			r, err := experiments.RunReplicas(experiments.ReplicasConfig{})
-			if err != nil {
-				return err
-			}
-			experiments.WriteReplicas(out, r)
-			return nil
-		}},
-		{"shards", "sharded ledger: transfers/sec vs shard count x cross-shard ratio", func() error {
-			r, err := experiments.RunShards(experiments.ShardsConfig{})
-			if err != nil {
-				return err
-			}
-			experiments.WriteShards(out, r)
-			return nil
-		}},
-		{"wire", "multiplexed wire transport: callers x payload x durability on one connection", func() error {
-			r, err := experiments.RunWireExp(experiments.WireExpConfig{})
-			if err != nil {
-				return err
-			}
-			experiments.WriteWireExp(out, r)
-			return nil
-		}},
-		{"usage", "batched async usage settlement vs naive per-RUR SettleCheque", func() error {
-			r, err := experiments.RunUsage(experiments.UsageExpConfig{})
-			if err != nil {
-				return err
-			}
-			experiments.WriteUsage(out, r)
-			return nil
-		}},
-		{"micropay", "streaming GridHash micropayments vs naive per-tick RedeemChain", func() error {
-			r, err := experiments.RunMicropay(experiments.MicropayExpConfig{})
-			if err != nil {
-				return err
-			}
-			experiments.WriteMicropay(out, r)
-			return nil
-		}},
-		{"codec", "negotiated bin1 wire/WAL codec vs seed JSON: frames, replay, replica catch-up", func() error {
-			r, err := experiments.RunCodecExp(experiments.CodecExpConfig{})
-			if err != nil {
-				return err
-			}
-			experiments.WriteCodecExp(out, r)
-			return nil
-		}},
-		{"obs", "telemetry overhead: identical worlds A/B, full instrumentation on vs off", func() error {
-			r, err := experiments.RunObsExp(experiments.ObsExpConfig{})
-			if err != nil {
-				return err
-			}
-			experiments.WriteObsExp(out, r)
-			return nil
-		}},
-		{"chaos", "network chaos sweep: fault profile x retry policy, invariants asserted per cell", func() error {
-			r, err := experiments.RunChaosExp(experiments.ChaosExpConfig{})
-			if err != nil {
-				return err
-			}
-			experiments.WriteChaosExp(out, r)
-			return nil
-		}},
-		{"diskfault", "storage fault sweep: crash/recovery scenarios x fsync fail-stop, durability diffed per cell", func() error {
-			r, err := experiments.RunDiskfaultExp(experiments.DiskfaultExpConfig{})
-			if err != nil {
-				return err
-			}
-			experiments.WriteDiskfaultExp(out, r)
-			return nil
-		}},
 	}
 }
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	var (
-		exp  = flag.String("exp", "all", "experiment id (or 'all')")
-		list = flag.Bool("list", false, "list experiment ids and exit")
+		exp  = fs.String("exp", "all", "experiment id (or 'all')")
+		list = fs.Bool("list", false, "list experiment ids and exit")
 	)
-	flag.Parse()
-	reg := registry()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	reg := registry(out)
 	if *list {
 		ids := make([]string, 0, len(reg))
 		for _, e := range reg {
@@ -227,9 +153,9 @@ func main() {
 		}
 		sort.Strings(ids)
 		for _, s := range ids {
-			fmt.Println(s)
+			fmt.Fprintln(out, s)
 		}
-		return
+		return nil
 	}
 	ran := false
 	for _, e := range reg {
@@ -237,13 +163,14 @@ func main() {
 			continue
 		}
 		ran = true
-		fmt.Printf("==== %s: %s ====\n\n", e.id, e.desc)
+		fmt.Fprintf(out, "==== %s: %s ====\n\n", e.id, e.desc)
 		if err := e.run(); err != nil {
-			log.Fatalf("experiments: %s: %v", e.id, err)
+			return fmt.Errorf("%s: %w", e.id, err)
 		}
-		fmt.Println()
+		fmt.Fprintln(out)
 	}
 	if !ran {
-		log.Fatalf("experiments: unknown experiment %q (use -list)", *exp)
+		return fmt.Errorf("unknown experiment %q (use -list)", *exp)
 	}
+	return nil
 }

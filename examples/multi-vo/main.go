@@ -111,8 +111,8 @@ func run() error {
 	fmt.Printf("cross-branch redemption: paid %s G$ (issuing branch %s → payee branch %s), 15 G$ unlocked back to alice\n",
 		red.Paid, red.IssuingBranch, red.PayeeBranch)
 
-	f, _ := bankB.Manager().Details(fAcct.Account.AccountID)
-	a, _ := bankA.Manager().Details(aAcct.Account.AccountID)
+	f, _ := bankB.Ledger().Details(fAcct.Account.AccountID)
+	a, _ := bankA.Ledger().Details(aAcct.Account.AccountID)
 	fmt.Printf("balances: alice %s G$ at 0001, farm %s G$ at 0002\n",
 		a.AvailableBalance, f.AvailableBalance)
 

@@ -66,20 +66,20 @@ func NewNetwork() *Network {
 func (n *Network) AddBranch(bank *core.Bank) (*Branch, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	num := bank.Manager().BranchNumber()
+	num := bank.Ledger().ShardManager(0).BranchNumber() // same on every shard
 	if _, ok := n.branches[num]; ok {
 		return nil, fmt.Errorf("%w: %s", ErrDupBranch, num)
 	}
 	br := &Branch{Number: num, Bank: bank, vostro: make(map[string]accounts.ID)}
 	for peerNum, peer := range n.branches {
 		// Peer's vostro at the new branch.
-		pv, err := bank.Manager().CreateAccount(peer.Bank.Identity().SubjectName(), "interbank", currency.GridDollar)
+		pv, err := bank.Ledger().CreateAccount(peer.Bank.Identity().SubjectName(), "interbank", currency.GridDollar)
 		if err != nil {
 			return nil, fmt.Errorf("branch: vostro for %s at %s: %w", peerNum, num, err)
 		}
 		br.vostro[peerNum] = pv.AccountID
 		// New branch's vostro at the peer.
-		nv, err := peer.Bank.Manager().CreateAccount(bank.Identity().SubjectName(), "interbank", currency.GridDollar)
+		nv, err := peer.Bank.Ledger().CreateAccount(bank.Identity().SubjectName(), "interbank", currency.GridDollar)
 		if err != nil {
 			return nil, fmt.Errorf("branch: vostro for %s at %s: %w", num, peerNum, err)
 		}
@@ -133,7 +133,7 @@ func (n *Network) RedeemForeignCheque(homeBranch, payeeCert string, cheque *paym
 		return nil, fmt.Errorf("branch: home verification: %w", err)
 	}
 	// The payee must bank at home.
-	payeeAcct, err := home.Bank.Manager().FindByCertificate(payeeCert, cheque.Cheque.Currency)
+	payeeAcct, err := home.Bank.Ledger().FindByCertificate(payeeCert, cheque.Cheque.Currency)
 	if err != nil {
 		return nil, fmt.Errorf("branch: payee has no account at %s: %w", homeBranch, err)
 	}
@@ -148,7 +148,7 @@ func (n *Network) RedeemForeignCheque(homeBranch, payeeCert string, cheque *paym
 		return nil, fmt.Errorf("branch: issuing-side settlement: %w", err)
 	}
 	// Home-side credit, backed by the vostro asset.
-	if err := home.Bank.Manager().Admin().Deposit(payeeAcct.AccountID, resp.Paid); err != nil {
+	if err := home.Bank.Ledger().Deposit(payeeAcct.AccountID, resp.Paid); err != nil {
 		return nil, fmt.Errorf("branch: home-side credit: %w", err)
 	}
 	return &CrossRedemption{
@@ -196,11 +196,11 @@ func (n *Network) SettlePair(numA, numB string) (*Settlement, error) {
 	if !ok {
 		return nil, fmt.Errorf("branch: no vostro for %s at %s", numA, numB)
 	}
-	acctBatA, err := a.Bank.Manager().Details(vbAtA)
+	acctBatA, err := a.Bank.Ledger().Details(vbAtA)
 	if err != nil {
 		return nil, err
 	}
-	acctAatB, err := b.Bank.Manager().Details(vaAtB)
+	acctAatB, err := b.Bank.Ledger().Details(vaAtB)
 	if err != nil {
 		return nil, err
 	}
@@ -213,10 +213,10 @@ func (n *Network) SettlePair(numA, numB string) (*Settlement, error) {
 	st := &Settlement{BranchA: numA, BranchB: numB, GrossAtoB: grossAtoB, GrossBtoA: grossBtoA, Netted: netted}
 	// Offset: withdraw the netted amount from both vostros.
 	if netted.IsPositive() {
-		if err := a.Bank.Manager().Admin().Withdraw(vbAtA, netted); err != nil {
+		if err := a.Bank.Ledger().Withdraw(vbAtA, netted); err != nil {
 			return nil, err
 		}
-		if err := b.Bank.Manager().Admin().Withdraw(vaAtB, netted); err != nil {
+		if err := b.Bank.Ledger().Withdraw(vaAtB, netted); err != nil {
 			return nil, err
 		}
 	}
@@ -227,7 +227,7 @@ func (n *Network) SettlePair(numA, numB string) (*Settlement, error) {
 	case grossAtoB.Cmp(grossBtoA) > 0:
 		residual := grossAtoB.MustSub(netted)
 		if residual.IsPositive() {
-			if err := a.Bank.Manager().Admin().Withdraw(vbAtA, residual); err != nil {
+			if err := a.Bank.Ledger().Withdraw(vbAtA, residual); err != nil {
 				return nil, err
 			}
 		}
@@ -236,7 +236,7 @@ func (n *Network) SettlePair(numA, numB string) (*Settlement, error) {
 	case grossBtoA.Cmp(grossAtoB) > 0:
 		residual := grossBtoA.MustSub(netted)
 		if residual.IsPositive() {
-			if err := b.Bank.Manager().Admin().Withdraw(vaAtB, residual); err != nil {
+			if err := b.Bank.Ledger().Withdraw(vaAtB, residual); err != nil {
 				return nil, err
 			}
 		}

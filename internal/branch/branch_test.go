@@ -2,6 +2,7 @@ package branch
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"gridbank/internal/db"
 	"gridbank/internal/payment"
 	"gridbank/internal/pki"
+	"gridbank/internal/shard"
 )
 
 // branchWorld: two VOs, each with its own CA-issued bank, joined in a
@@ -25,7 +27,17 @@ type branchWorld struct {
 	ts        *pki.TrustStore
 }
 
-func newBranchWorld(t *testing.T) *branchWorld {
+// overShards runs a test over banks of one shard and of two. On two,
+// bank A's vostro (account 1) and alice (account 2) hash to different
+// shards, so a vostro created or paid behind the ledger's back — on
+// shard 0 whatever its ID — is not found where the ledger looks for it.
+func overShards(t *testing.T, run func(t *testing.T, w *branchWorld)) {
+	for _, n := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) { run(t, newBranchWorld(t, n)) })
+	}
+}
+
+func newBranchWorld(t *testing.T, shards int) *branchWorld {
 	t.Helper()
 	ca, err := pki.NewCA("Grid Federation CA", "Fed", 24*time.Hour)
 	if err != nil {
@@ -37,8 +49,16 @@ func newBranchWorld(t *testing.T) *branchWorld {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := core.NewBank(db.MustOpenMemory(), core.BankConfig{
-			Identity: id, Trust: ts, Branch: branchNum, Admins: []string{"CN=root"},
+		stores := make([]*db.Store, shards)
+		for i := range stores {
+			stores[i] = db.MustOpenMemory()
+		}
+		led, err := shard.New(stores, shard.Config{Branch: branchNum})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := core.NewBankWithLedger(led, core.BankConfig{
+			Identity: id, Trust: ts, Admins: []string{"CN=root"},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -87,7 +107,10 @@ func (w *branchWorld) issueForeignCheque(t *testing.T, amount currency.Amount) *
 }
 
 func TestAddBranchCreatesVostros(t *testing.T) {
-	w := newBranchWorld(t)
+	overShards(t, testAddBranchCreatesVostros)
+}
+
+func testAddBranchCreatesVostros(t *testing.T, w *branchWorld) {
 	vBatA, ok := w.brA.VostroFor("0002")
 	if !ok || vBatA.Branch() != "0001" {
 		t.Fatalf("vostro B@A = %v, %v", vBatA, ok)
@@ -106,7 +129,10 @@ func TestAddBranchCreatesVostros(t *testing.T) {
 }
 
 func TestCrossBranchChequeRedemption(t *testing.T) {
-	w := newBranchWorld(t)
+	overShards(t, testCrossBranchChequeRedemption)
+}
+
+func testCrossBranchChequeRedemption(t *testing.T, w *branchWorld) {
 	cheque := w.issueForeignCheque(t, currency.FromG(100))
 	claim := &payment.ChequeClaim{Serial: cheque.Cheque.Serial, Amount: currency.FromG(70), RUR: []byte(`{"job":"x"}`)}
 	red, err := w.net.RedeemForeignCheque("0002", w.gsp.SubjectName(), cheque, claim)
@@ -117,18 +143,18 @@ func TestCrossBranchChequeRedemption(t *testing.T) {
 		t.Fatalf("redemption = %+v", red)
 	}
 	// Alice paid 70, got 30 back unlocked.
-	a, _ := w.brA.Bank.Manager().Details(accountsIDOf(w.aliceAcct))
+	a, _ := w.brA.Bank.Ledger().Details(accountsIDOf(w.aliceAcct))
 	if a.AvailableBalance != currency.FromG(430) || !a.LockedBalance.IsZero() {
 		t.Fatalf("alice: %s/%s", a.AvailableBalance, a.LockedBalance)
 	}
 	// GSP credited at home branch.
-	g, _ := w.brB.Bank.Manager().Details(accountsIDOf(w.gspAcct))
+	g, _ := w.brB.Bank.Ledger().Details(accountsIDOf(w.gspAcct))
 	if g.AvailableBalance != currency.FromG(70) {
 		t.Fatalf("gsp: %s", g.AvailableBalance)
 	}
 	// B's vostro at A holds the interbank obligation.
 	vBatA, _ := w.brA.VostroFor("0002")
-	v, _ := w.brA.Bank.Manager().Details(vBatA)
+	v, _ := w.brA.Bank.Ledger().Details(vBatA)
 	if v.AvailableBalance != currency.FromG(70) {
 		t.Fatalf("vostro = %s", v.AvailableBalance)
 	}
@@ -139,7 +165,10 @@ func TestCrossBranchChequeRedemption(t *testing.T) {
 }
 
 func TestRedeemForeignValidation(t *testing.T) {
-	w := newBranchWorld(t)
+	overShards(t, testRedeemForeignValidation)
+}
+
+func testRedeemForeignValidation(t *testing.T, w *branchWorld) {
 	cheque := w.issueForeignCheque(t, currency.FromG(10))
 	claim := &payment.ChequeClaim{Serial: cheque.Cheque.Serial, Amount: currency.FromG(5)}
 	// Unknown home branch.
@@ -171,7 +200,10 @@ func TestRedeemForeignValidation(t *testing.T) {
 }
 
 func TestSettlePairNettingFull(t *testing.T) {
-	w := newBranchWorld(t)
+	overShards(t, testSettlePairNettingFull)
+}
+
+func testSettlePairNettingFull(t *testing.T, w *branchWorld) {
 	// A→B flow: alice's cheque to gsp (70).
 	cheque := w.issueForeignCheque(t, currency.FromG(70))
 	if _, err := w.net.RedeemForeignCheque("0002", w.gsp.SubjectName(), cheque,
@@ -203,9 +235,9 @@ func TestSettlePairNettingFull(t *testing.T) {
 	}
 	// Vostros zeroed after settlement.
 	vBatA, _ := w.brA.VostroFor("0002")
-	v1, _ := w.brA.Bank.Manager().Details(vBatA)
+	v1, _ := w.brA.Bank.Ledger().Details(vBatA)
 	vAatB, _ := w.brB.VostroFor("0001")
-	v2, _ := w.brB.Bank.Manager().Details(vAatB)
+	v2, _ := w.brB.Bank.Ledger().Details(vAatB)
 	if !v1.AvailableBalance.IsZero() || !v2.AvailableBalance.IsZero() {
 		t.Fatalf("vostros not cleared: %s / %s", v1.AvailableBalance, v2.AvailableBalance)
 	}

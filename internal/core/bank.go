@@ -15,6 +15,7 @@ import (
 	"gridbank/internal/obs"
 	"gridbank/internal/payment"
 	"gridbank/internal/pki"
+	"gridbank/internal/shard"
 )
 
 // Instrument state tables. Cheque rows live on the drawer's shard store
@@ -64,11 +65,6 @@ type Notifier func(address string, receipt *pki.Signed)
 // name from the Security Layer) and enforce ownership/admin authorization.
 type Bank struct {
 	led Ledger
-	// mgr is the metadata store's accounts manager: the whole ledger
-	// for a single-store bank, shard 0's manager for a sharded one.
-	// Kept for tooling that wants direct manager access; dispatch goes
-	// through led.
-	mgr *accounts.Manager
 	id  *pki.Identity
 	ts  *pki.TrustStore
 	now func() time.Time
@@ -139,16 +135,13 @@ type BankConfig struct {
 // short enough to bound the op_dedup table.
 const DefaultDedupTTL = 24 * time.Hour
 
-// NewBank assembles a bank over a single store.
+// NewBank assembles a bank over a single store: a one-shard ledger.
 func NewBank(store *db.Store, cfg BankConfig) (*Bank, error) {
-	if cfg.Now == nil {
-		cfg.Now = time.Now
-	}
-	mgr, err := accounts.NewManager(store, accounts.Config{Bank: cfg.Bank, Branch: cfg.Branch, Now: cfg.Now})
+	led, err := shard.New([]*db.Store{store}, shard.Config{Bank: cfg.Bank, Branch: cfg.Branch, Now: cfg.Now})
 	if err != nil {
 		return nil, err
 	}
-	return NewBankWithLedger(managerLedger{mgr}, cfg)
+	return NewBankWithLedger(led, cfg)
 }
 
 // NewBankWithLedger assembles a bank over an arbitrary Ledger — the
@@ -183,11 +176,6 @@ func NewBankWithLedger(led Ledger, cfg BankConfig) (*Bank, error) {
 	}
 	b.chains = red
 	b.receipts = newReceiptBatcher(cfg.Identity, cfg.Now)
-	if mm, ok := led.(interface{ MetaManager() *accounts.Manager }); ok {
-		b.mgr = mm.MetaManager()
-	} else if ml, ok := led.(managerLedger); ok {
-		b.mgr = ml.Manager
-	}
 	for _, admin := range cfg.Admins {
 		if err := b.addAdmin(admin); err != nil {
 			return nil, err
@@ -196,8 +184,10 @@ func NewBankWithLedger(led Ledger, cfg BankConfig) (*Bank, error) {
 	return b, nil
 }
 
-// Manager exposes the underlying ledger (examples, experiments, tests).
-func (b *Bank) Manager() *accounts.Manager { return b.mgr }
+// Manager exposes shard 0's accounts manager, for tests that read it
+// directly. Anything that creates accounts or moves money goes through
+// Ledger(): the manager's own allocators know nothing of other shards.
+func (b *Bank) Manager() *accounts.Manager { return b.led.ShardManager(0) }
 
 // Ledger exposes the dispatch surface the bank routes through (the
 // sharded ledger in a sharded deployment).

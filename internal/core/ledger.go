@@ -6,15 +6,13 @@ import (
 	"gridbank/internal/accounts"
 	"gridbank/internal/currency"
 	"gridbank/internal/db"
-	"gridbank/internal/shard"
 )
 
-// Ledger is the accounts surface Bank dispatches through. Two
-// implementations exist: managerLedger wraps a single accounts.Manager
-// (the classic one-store bank), and shard.Ledger spreads the same
-// surface over N consistent-hash shards with two-phase-commit
-// cross-shard transfers. Bank itself is shard-agnostic — routing
-// decisions live entirely behind this interface.
+// Ledger is the accounts surface Bank dispatches through. shard.Ledger
+// is its one implementation: N consistent-hash shards (N = 1 for a
+// single-store bank) with commit-point cross-shard transfers. The
+// interface is declared here so Bank stays shard-agnostic — routing
+// decisions live entirely behind it.
 type Ledger interface {
 	CreateAccount(certName, orgName string, cur currency.Code) (*accounts.Account, error)
 	Details(id accounts.ID) (*accounts.Account, error)
@@ -60,39 +58,3 @@ type Ledger interface {
 	// nodes per shard. (1, vnodes) means unsharded.
 	ShardTopology() (shards, vnodes int)
 }
-
-// managerLedger adapts a single accounts.Manager (plus its admin
-// module) to the Ledger interface.
-type managerLedger struct {
-	*accounts.Manager
-}
-
-func (m managerLedger) Deposit(id accounts.ID, amount currency.Amount) error {
-	return m.Admin().Deposit(id, amount)
-}
-
-func (m managerLedger) Withdraw(id accounts.ID, amount currency.Amount) error {
-	return m.Admin().Withdraw(id, amount)
-}
-
-func (m managerLedger) ChangeCreditLimit(id accounts.ID, limit currency.Amount) error {
-	return m.Admin().ChangeCreditLimit(id, limit)
-}
-
-func (m managerLedger) CancelTransfer(txID uint64) error {
-	return m.Admin().CancelTransfer(txID)
-}
-
-func (m managerLedger) CloseAccount(id, transferTo accounts.ID) error {
-	return m.Admin().CloseAccount(id, transferTo)
-}
-
-func (m managerLedger) ShardTopology() (int, int) { return 1, shard.DefaultVnodes }
-
-func (m managerLedger) Shards() int                        { return 1 }
-func (m managerLedger) ShardFor(accounts.ID) int           { return 0 }
-func (m managerLedger) ShardManager(int) *accounts.Manager { return m.Manager }
-func (m managerLedger) ShardStore(int) *db.Store           { return m.Manager.Store() }
-
-var _ Ledger = managerLedger{}
-var _ Ledger = (*shard.Ledger)(nil)

@@ -145,7 +145,7 @@ func RunBranches(cfg BranchesConfig) (*BranchesReport, error) {
 	// (initial deposit + received credits − settled-away vostro money).
 	report.AllBooksBalance = true
 	for _, v := range vos {
-		total, err := v.br.Bank.Manager().TotalBalance()
+		total, err := v.br.Bank.Ledger().TotalBalance()
 		if err != nil {
 			return nil, err
 		}

@@ -1,17 +1,15 @@
 // Package experiments implements the reproduction harness: one runnable
 // experiment per figure and per quantified claim of the GridBank paper
-// (see DESIGN.md §4 for the index). Each experiment builds its own world
-// — bank, PKI, providers, consumers, simulator — runs the scenario, and
-// returns a printable report. cmd/experiments is the CLI front end;
+// (cmd/experiments -list is the index). Each experiment builds its own
+// world — bank, PKI, providers, consumers, simulator — runs the scenario,
+// and returns a printable report. cmd/experiments is the CLI front end;
 // bench_test.go benchmarks the same entry points.
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"gridbank/internal/accounts"
@@ -20,7 +18,6 @@ import (
 	"gridbank/internal/currency"
 	"gridbank/internal/db"
 	"gridbank/internal/meter"
-	"gridbank/internal/node"
 	"gridbank/internal/payment"
 	"gridbank/internal/pki"
 	"gridbank/internal/rur"
@@ -54,75 +51,17 @@ func (c *VClock) Set(t time.Time) {
 	}
 }
 
-// newVO mints a throwaway virtual organization for an experiment world:
-// its CA, the trust store over it and the bank's server identity.
-func newVO(vo string) (*pki.CA, *pki.TrustStore, *pki.Identity, error) {
-	ca, err := pki.NewCA(vo+" CA", vo, 24*time.Hour)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	bankID, err := ca.Issue(pki.IssueOptions{CommonName: "gridbank", Organization: vo, IsServer: true})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return ca, pki.NewTrustStore(ca.Certificate()), bankID, nil
-}
-
-// cellWorld is one durable-path experiment cell: a node on
-// fsync-per-commit journals under its own directory, rebuildable from
-// them for the cell's crash round.
-type cellWorld struct {
-	cfg node.Config
-	n   *node.Node
-
-	// Crash injection: crashAt goes into the cell's pipeline CrashHook
-	// (so it is installed before the workers start) but is inert until
-	// armed; once a settled boundary fires while armed, every later
-	// boundary fails too — persistent process death, cleared by the
-	// disarmed reboot.
-	armed atomic.Bool
-	died  atomic.Bool
-}
-
-// newCellWorld prepares a cell over dir; the caller adds its pipeline to
-// w.cfg and boots it with reboot.
-func newCellWorld(dir string, shards int) (*cellWorld, error) {
-	_, trust, bankID, err := newVO("VO-X")
-	if err != nil {
-		return nil, err
-	}
-	return &cellWorld{cfg: node.Config{Dir: dir, Shards: shards, Sync: true, Identity: bankID, Trust: trust}}, nil
-}
-
-func (w *cellWorld) crashAt(settled bool) error {
-	if !w.armed.Load() {
-		return nil
-	}
-	if settled {
-		w.died.Store(true)
-	}
-	if w.died.Load() {
-		return errors.New("injected crash")
-	}
-	return nil
-}
-
-// reboot closes the node, if one is up, and rebuilds it from the
-// journals on disk.
-func (w *cellWorld) reboot() (err error) {
-	if w.n != nil {
-		w.n.Close()
-	}
-	w.n, err = node.Open(w.cfg)
-	return err
-}
-
 // NewWorld builds a fresh in-process Grid world.
 func NewWorld() (*World, error) {
-	ca, trust, bankID, err := newVO("VO-X")
+	ca, err := pki.NewCA("VO-X CA", "VO-X", 24*time.Hour)
 	if err != nil {
 		return nil, err
 	}
+	bankID, err := ca.Issue(pki.IssueOptions{CommonName: "gridbank", Organization: "VO-X", IsServer: true})
+	if err != nil {
+		return nil, err
+	}
+	trust := pki.NewTrustStore(ca.Certificate())
 	clock := &VClock{t: time.Now()}
 	const admin = "CN=experiment-admin"
 	bank, err := core.NewBank(db.MustOpenMemory(), core.BankConfig{

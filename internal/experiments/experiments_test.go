@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-	"time"
 
 	"gridbank/internal/broker"
 	"gridbank/internal/currency"
@@ -347,219 +346,6 @@ func TestPricingSupplyDemand(t *testing.T) {
 	var buf bytes.Buffer
 	WritePricing(&buf, r)
 	if !strings.Contains(buf.String(), "demand raises the price") {
-		t.Error("report rendering broken")
-	}
-}
-
-func TestConcurrentLoad(t *testing.T) {
-	r, err := RunConcurrentLoad(ConcurrentLoadConfig{
-		ConsumerCounts:       []int{1, 8},
-		TransfersPerConsumer: 20,
-		Durability:           []string{DurVolatile, DurFile, DurFileSync},
-		Dir:                  t.TempDir(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Points) != 6 {
-		t.Fatalf("got %d points, want 6", len(r.Points))
-	}
-	for _, p := range r.Points {
-		if p.Transfers != p.Consumers*20 {
-			t.Fatalf("%s/%d: %d transfers", p.Durability, p.Consumers, p.Transfers)
-		}
-		if p.PerSec <= 0 {
-			t.Fatalf("%s/%d: nonpositive throughput", p.Durability, p.Consumers)
-		}
-	}
-	var buf bytes.Buffer
-	WriteConcurrentLoad(&buf, r)
-	if !strings.Contains(buf.String(), "file-sync") {
-		t.Error("report rendering broken")
-	}
-}
-
-func TestConcurrentLoadSharedRecipient(t *testing.T) {
-	// The hotspot mode: every consumer pays the same provider account.
-	// Conservation is checked inside the run; this exercises the
-	// store's conflict-retry path under real contention.
-	r, err := RunConcurrentLoad(ConcurrentLoadConfig{
-		ConsumerCounts:       []int{8},
-		TransfersPerConsumer: 25,
-		Durability:           []string{DurVolatile},
-		SharedRecipient:      true,
-		Dir:                  t.TempDir(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := r.Points[0].Transfers; got != 200 {
-		t.Fatalf("transfers = %d, want 200", got)
-	}
-}
-
-func TestReplicasSweep(t *testing.T) {
-	// Small sweep of the full wire-level primary/replica topology. The
-	// run itself asserts the replication contract per cell: replicas
-	// converge to the primary's exact sequence after writes quiesce,
-	// staleness stays within the routing bound, and a routed read of
-	// the quiesced account returns the exact primary balance.
-	r, err := RunReplicas(ReplicasConfig{
-		ReplicaCounts: []int{0, 1},
-		ReaderCounts:  []int{2},
-		Window:        100 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Points) != 2 {
-		t.Fatalf("got %d points, want 2", len(r.Points))
-	}
-	for _, p := range r.Points {
-		if p.Reads <= 0 || p.Writes <= 0 {
-			t.Fatalf("cell %d/%d: reads=%d writes=%d", p.Replicas, p.Readers, p.Reads, p.Writes)
-		}
-		if p.Replicas == 0 && p.LagMax != 0 {
-			t.Fatalf("primary-only cell reports lag %d", p.LagMax)
-		}
-	}
-	var buf bytes.Buffer
-	WriteReplicas(&buf, r)
-	if !strings.Contains(buf.String(), "reads/sec") {
-		t.Error("report rendering broken")
-	}
-}
-
-func TestWireExpSweep(t *testing.T) {
-	// Tiny sweep: the full matrix (durable + volatile + echo, both
-	// modes) with conservation asserts, sized for CI.
-	r, err := RunWireExp(WireExpConfig{
-		Concurrency:  []int{1, 4},
-		Payloads:     []int{64},
-		OpsPerCaller: 10,
-		Rounds:       1,
-		Dir:          t.TempDir(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 4 workloads x 2 concurrency levels.
-	if len(r.Points) != 8 {
-		t.Fatalf("got %d points, want 8", len(r.Points))
-	}
-	for _, p := range r.Points {
-		if p.SerializedOps <= 0 || p.PipelinedOps <= 0 {
-			t.Fatalf("%s/%d: nonpositive throughput %+v", p.Workload, p.Concurrency, p)
-		}
-	}
-	var buf bytes.Buffer
-	WriteWireExp(&buf, r)
-	if !strings.Contains(buf.String(), "checkfunds/file-sync") {
-		t.Error("report rendering broken")
-	}
-}
-
-func TestObsExpSweep(t *testing.T) {
-	// Tiny sweep: fresh-pair ABBA rounds with conservation asserts and
-	// the telemetry-was-live check, sized for CI; the overhead numbers
-	// themselves are meaningless at this scale and not asserted.
-	r, err := RunObsExp(ObsExpConfig{
-		Concurrency:  []int{1, 4},
-		OpsPerCaller: 10,
-		Rounds:       1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 2 workloads x 2 concurrency levels.
-	if len(r.Points) != 4 {
-		t.Fatalf("got %d points, want 4", len(r.Points))
-	}
-	for _, p := range r.Points {
-		if p.OffOps <= 0 || p.OnOps <= 0 {
-			t.Fatalf("%s/%d: nonpositive throughput %+v", p.Workload, p.Concurrency, p)
-		}
-	}
-	if r.Series == 0 || r.ServerRequests == 0 {
-		t.Fatalf("instrumented side not live: %d series, %d requests", r.Series, r.ServerRequests)
-	}
-	var buf bytes.Buffer
-	WriteObsExp(&buf, r)
-	if !strings.Contains(buf.String(), "aggregate overhead") {
-		t.Error("report rendering broken")
-	}
-}
-
-func TestMicropayExpSweep(t *testing.T) {
-	// Tiny sweep sized for CI: the exactly-once, conservation and
-	// crash-recovery asserts inside every cell are the point; the
-	// throughput numbers are meaningless at this scale.
-	r, err := RunMicropay(MicropayExpConfig{
-		Chains:         2,
-		TicksPerChain:  64,
-		ClaimIntervals: []int{16},
-		BatchSizes:     []int{8},
-		ShardCounts:    []int{1, 2},
-		BaselineTicks:  8,
-		CrashTicks:     16,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Points) != 2 {
-		t.Fatalf("got %d points, want 2", len(r.Points))
-	}
-	if r.BaselinePerSec <= 0 {
-		t.Fatalf("baseline = %f", r.BaselinePerSec)
-	}
-	for _, p := range r.Points {
-		if p.TicksPerSec <= 0 || p.Ticks != 2*64 {
-			t.Fatalf("cell %+v", p)
-		}
-		if p.Shards == 1 && p.CrossShard != 0 {
-			t.Fatalf("cross-shard traffic on a 1-shard cell: %+v", p)
-		}
-	}
-	var buf bytes.Buffer
-	WriteMicropay(&buf, r)
-	if !strings.Contains(buf.String(), "ticks/sec") {
-		t.Error("report rendering broken")
-	}
-}
-
-func TestCodecExpSweep(t *testing.T) {
-	// Tiny sweep sized for CI: the per-cell conservation asserts (run
-	// through the codec under test) are the point; throughput numbers
-	// are meaningless at this scale.
-	r, err := RunCodecExp(CodecExpConfig{
-		Concurrency:      []int{1, 2},
-		OpsPerCaller:     10,
-		Rounds:           1,
-		JournalTransfers: 50,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Frames) != 6 { // 3 workloads x 2 concurrency levels
-		t.Fatalf("got %d frame points, want 6", len(r.Frames))
-	}
-	for _, p := range r.Frames {
-		if p.JSONOps <= 0 || p.BinOps <= 0 {
-			t.Fatalf("cell %+v", p)
-		}
-	}
-	if len(r.Journal) != 1 || r.Journal[0].Entries == 0 {
-		t.Fatalf("journal cells %+v", r.Journal)
-	}
-	if r.Journal[0].BinBytes >= r.Journal[0].JSONBytes {
-		t.Fatalf("binary WAL not smaller: %+v", r.Journal[0])
-	}
-	if len(r.Catchup) != 1 || r.Catchup[0].Entries == 0 {
-		t.Fatalf("catch-up cells %+v", r.Catchup)
-	}
-	var buf bytes.Buffer
-	WriteCodecExp(&buf, r)
-	if !strings.Contains(buf.String(), "bin1 ops/s") {
 		t.Error("report rendering broken")
 	}
 }

@@ -111,7 +111,7 @@ func RunFig1(cfg Fig1Config) (*Fig1Report, error) {
 		}
 	}
 
-	before, err := w.Bank.Manager().TotalBalance()
+	before, err := w.Bank.Ledger().TotalBalance()
 	if err != nil {
 		return nil, err
 	}
@@ -253,7 +253,7 @@ func RunFig1(cfg Fig1Config) (*Fig1Report, error) {
 	}
 	report.Makespan = sim.Now().Sub(start)
 
-	after, err := w.Bank.Manager().TotalBalance()
+	after, err := w.Bank.Ledger().TotalBalance()
 	if err != nil {
 		return nil, err
 	}

@@ -112,7 +112,7 @@ func RunFig2() (*Fig2Report, error) {
 		report.StatementVerified = true
 	}
 	// Evidence: the RUR blob is on the TRANSFER record.
-	tr, err := w.Bank.Manager().GetTransfer(settle.TransactionID)
+	tr, err := w.Bank.Ledger().GetTransfer(settle.TransactionID)
 	if err == nil && len(tr.ResourceUsageRecord) > 0 {
 		if back, err := rur.Decode(tr.ResourceUsageRecord); err == nil && back.Job.JobID == jobID {
 			report.EvidenceStored = true

@@ -107,7 +107,7 @@ func RunGuarantee(cfg GuaranteeConfig) (*GuaranteeReport, error) {
 			report.LockedUnpaid++
 		}
 	}
-	finalAcct, err := w.Bank.Manager().Details(acct)
+	finalAcct, err := w.Bank.Ledger().Details(acct)
 	if err != nil {
 		return nil, err
 	}

@@ -49,7 +49,7 @@ func RunPolicies() (*PoliciesReport, error) {
 	}
 	report := &PoliciesReport{}
 	gspBalance := func() currency.Amount {
-		a, _ := w.Bank.Manager().Details(gspAcct)
+		a, _ := w.Bank.Ledger().Details(gspAcct)
 		return a.AvailableBalance
 	}
 

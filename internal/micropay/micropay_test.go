@@ -257,6 +257,55 @@ func TestRedeemCrossShardPinned(t *testing.T) {
 		t.Fatalf("row after cross redeem = %+v, %v", row, err)
 	}
 	w.assertConserved()
+
+	// Die right after pinning the next claim: the row holds a pin whose
+	// transfer never started.
+	serial := ch.Commitment.Serial
+	w.red.Hook = func(b micropay.Boundary, _ string) error {
+		if b == micropay.BoundaryPinned {
+			return errors.New("injected crash")
+		}
+		return nil
+	}
+	if _, err := w.red.Redeem(serial, w.crossAcct, 40, w.word(ch, 40), nil); err == nil {
+		t.Fatal("redeem survived the crash hook")
+	}
+	w.red.Hook = nil
+
+	// A ledger verdict that arrives wrapped with fail-stopped storage is
+	// an outage, not a verdict: the pin stays for the restart to finish.
+	verdict := fmt.Errorf("%w: %w", accounts.ErrInsufficientLock, db.ErrStorageFailed)
+	failing, err := micropay.NewRedeemer(failingTransfers{usage.WrapSharded(w.led), verdict}, w.nowFn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := failing.Redeem(serial, w.crossAcct, 45, w.word(ch, 45), nil); !errors.Is(err, db.ErrStorageFailed) {
+		t.Fatalf("redeem over failed storage = %v", err)
+	}
+	if row, err := w.red.Get(serial); err != nil || row.PinTxID == 0 || row.PinIndex != 40 {
+		t.Fatalf("pin dropped on a storage failure: %+v, %v", row, err)
+	}
+
+	// The healthy ledger finishes the pinned claim, then takes the next.
+	out, err = w.red.Redeem(serial, w.crossAcct, 45, w.word(ch, 45), nil)
+	if err != nil || out.Index != 45 {
+		t.Fatalf("redeem after recovery = %+v, %v", out, err)
+	}
+	if got := w.avail(w.crossAcct); got != currency.MustParse("0.45") {
+		t.Fatalf("payee = %s", got)
+	}
+	w.assertConserved()
+}
+
+// failingTransfers is a cross-shard ledger whose pinned transfers all
+// fail with err.
+type failingTransfers struct {
+	usage.CrossShardLedger
+	err error
+}
+
+func (f failingTransfers) TransferWithID(uint64, accounts.ID, accounts.ID, currency.Amount, accounts.TransferOptions) (*accounts.Transfer, error) {
+	return nil, f.err
 }
 
 func TestRedeemFullThenReplayIsStaleNotState(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"gridbank/internal/accounts"
 	"gridbank/internal/currency"
 	"gridbank/internal/db"
+	"gridbank/internal/settle"
 	"gridbank/internal/shard"
 	"gridbank/internal/strhash"
 	"gridbank/internal/usage"
@@ -375,7 +376,11 @@ func (r *Redeemer) finishPin(row *ChainRow, at int) (*ChainRow, int, error) {
 	}
 	adv, _, err := r.drivePin(row, delta)
 	if err != nil {
-		if terminal := r.unpinnable(err); terminal != nil {
+		// A ledger verdict proves the pinned transfer never ran and never
+		// will: the pin can be dropped. In-doubt (past the commit point
+		// only storage fails, never a verdict), fail-stopped storage and
+		// transient faults keep it until resolved.
+		if settle.Terminal(err) {
 			cleared, uerr := r.unpin(row)
 			if uerr != nil {
 				return nil, 0, uerr
@@ -386,24 +391,6 @@ func (r *Redeemer) finishPin(row *ChainRow, at int) (*ChainRow, int, error) {
 	}
 	r.rs.dropStray(row.Commitment.Serial, at, home)
 	return adv, home, nil
-}
-
-// unpinnable classifies transfer errors that prove the pinned transfer
-// never ran and never will: the pin can be dropped. In-doubt and
-// transient faults return nil — the pin must stay until resolved.
-func (r *Redeemer) unpinnable(err error) error {
-	if errors.Is(err, shard.ErrInDoubt) {
-		return nil
-	}
-	if errors.Is(err, accounts.ErrNotFound) ||
-		errors.Is(err, accounts.ErrClosed) ||
-		errors.Is(err, accounts.ErrCurrencyMismatch) ||
-		errors.Is(err, accounts.ErrInsufficient) ||
-		errors.Is(err, accounts.ErrInsufficientLock) ||
-		errors.Is(err, accounts.ErrBadAmount) {
-		return err
-	}
-	return nil
 }
 
 // unpin clears a dead pin without advancing the row.

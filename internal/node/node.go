@@ -1,9 +1,9 @@
 // Package node is the one place a GridBank server is assembled: the
 // paper's security layer, accounts/admin, the three §3.3 payment
 // protocols and the §5.1 record database behind one endpoint. gridbankd,
-// gridbank.Deployment, the diskfault harness and the experiment worlds
-// all boot through it, so the copy that handles money in production is
-// the copy every harness exercises.
+// gridbank.Deployment and the diskfault harness all boot through it, so
+// the copy that handles money in production is the copy every harness
+// exercises.
 //
 // Boot order (Open): pin the shard count → per shard, open
 // <Dir>/ledger[-i].wal, restore through the ledger[-i].ckpt chain and,

@@ -6,8 +6,7 @@ import (
 )
 
 // These benchmarks price the hot-path primitives the instrumented
-// subsystems call per request; BENCH_obs.json quotes them alongside the
-// end-to-end A/B experiment.
+// subsystems call per request.
 
 func BenchmarkCounterInc(b *testing.B) {
 	c := NewRegistry().Counter("bench.counter")

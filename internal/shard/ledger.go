@@ -321,9 +321,6 @@ func (l *Ledger) ShardManager(i int) *accounts.Manager { return l.mgrs[i] }
 // core keeps its administrator table.
 func (l *Ledger) Store() *db.Store { return l.stores[0] }
 
-// MetaManager returns the metadata shard's accounts manager.
-func (l *Ledger) MetaManager() *accounts.Manager { return l.mgrs[0] }
-
 // ShardTopology reports the placement parameters — shard count and
 // virtual nodes per shard — that let any party recompute account
 // placement locally.
