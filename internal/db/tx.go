@@ -84,9 +84,12 @@ func (s *Store) Update(fn func(tx *Tx) error) error {
 // journal's next group flush, which the next awaited commit or Close
 // drives. A crash before that flush loses the batch, so it is only for
 // idempotent clean-up the caller's recovery redoes when it finds the
-// work undone — never for anything a caller is told has happened. A
-// flush failure still fail-stops the store: the flush's leader is an
-// awaited commit, which poisons the store on the group's error.
+// work undone — never for anything a caller is told has happened: the
+// two cross-shard outbox clean-ups (shard) and settle.Batch.Finish (a
+// lost delete is redone from the ledger's payment evidence, a lost park
+// is a verdict recomputed from spool + ledger). A flush failure still
+// fail-stops the store: the flush's leader is an awaited commit, which
+// poisons the store on the group's error.
 func (s *Store) UpdateNoWait(fn func(tx *Tx) error) error {
 	return s.update(fn, true)
 }

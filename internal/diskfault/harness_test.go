@@ -34,6 +34,7 @@ import (
 	"gridbank/internal/diskfault"
 	"gridbank/internal/micropay"
 	"gridbank/internal/node"
+	"gridbank/internal/obs"
 	"gridbank/internal/payment"
 	"gridbank/internal/pki"
 	"gridbank/internal/rur"
@@ -97,6 +98,7 @@ func nowFixed() time.Time { return harnessEpoch }
 // tails settle), checkpoints verify and fall back, shard.New runs 2PC
 // recovery, the pipelines requeue whatever their spools held.
 func (w *world) boot() error {
+	w.cfg.Obs = obs.NewRegistry() // counters are per process life
 	n, err := node.Open(w.cfg)
 	if err != nil {
 		return err
@@ -112,6 +114,17 @@ func (w *world) boot() error {
 func (w *world) reboot() error {
 	w.shutdown()
 	w.d.Crash()
+	return w.boot()
+}
+
+// powerLoss is reboot without the graceful half: the disk drops what was
+// never synced while the node is still up, so a batch staged but not yet
+// carried by a flush (Store.UpdateNoWait — the 2PC outbox and spool
+// clean-ups) is lost. The dead generation is closed afterwards, when
+// its handles can no longer write anything.
+func (w *world) powerLoss() error {
+	w.d.Crash()
+	w.shutdown()
 	return w.boot()
 }
 
@@ -254,12 +267,39 @@ func encodedRUR(t *testing.T, jobID string) []byte {
 	return raw
 }
 
-func (w *world) submitCharge(id string) error {
+func (w *world) submitCharge(id string) error { return w.submitChargeTo(id, w.usageTo) }
+
+func (w *world) submitChargeTo(id string, recipient accounts.ID) error {
 	_, err := w.upipe.Submit([]usage.Submission{{
-		ID: id, Drawer: w.drawer, Recipient: w.usageTo,
+		ID: id, Drawer: w.drawer, Recipient: recipient,
 		RUR: encodedRUR(w.t, id), Rates: flatRates(),
 	}})
 	return err
+}
+
+// claim streams the chain word at index to the micropay pipeline.
+func (w *world) claim(c *chainFixture, index int) error {
+	word, err := c.ch.Word(index)
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	_, err = w.mpipe.Submit("CN=payee", []micropay.Claim{{Serial: c.ch.Commitment.Serial, Index: index, Word: word}})
+	return err
+}
+
+// books renders every account's balances and state, for "the same books
+// before and after" comparisons.
+func (w *world) books() string {
+	w.t.Helper()
+	accts, err := w.led.Accounts()
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	var b strings.Builder
+	for _, a := range accts {
+		fmt.Fprintf(&b, "%s avail=%s locked=%s closed=%v\n", a.AccountID, a.AvailableBalance, a.LockedBalance, a.Closed)
+	}
+	return b.String()
 }
 
 // TestEveryDurabilityBoundaryFailStop is the deterministic matrix: one
@@ -363,9 +403,11 @@ func TestEveryDurabilityBoundaryFailStop(t *testing.T) {
 				}
 			}
 
-			// Power loss, reboot, invariants.
+			// Power loss with the node still up — so whatever spool
+			// clean-up was staged behind the fault, or behind no flush at
+			// all, is lost or torn with it — then reboot and invariants.
 			d.ClearRules()
-			if err := w.reboot(); err != nil {
+			if err := w.powerLoss(); err != nil {
 				t.Fatalf("reboot: %v", err)
 			}
 			if err := w.assertConverged(); err != nil {
@@ -410,6 +452,9 @@ func TestEveryDurabilityBoundaryFailStop(t *testing.T) {
 			ms := w.mpipe.Status()
 			if us.Failed != 0 || ms.Failed != 0 {
 				t.Fatalf("storage faults parked terminal: usage %d, micropay %d", us.Failed, ms.Failed)
+			}
+			if us.Pending != 0 || ms.Pending != 0 {
+				t.Fatalf("rows left pending: usage %d, micropay %d", us.Pending, ms.Pending)
 			}
 		})
 	}
@@ -489,6 +534,137 @@ func TestUnawaitedOutboxCleanupAtEveryBoundary(t *testing.T) {
 		}
 		settled(t, w)
 	})
+}
+
+// TestLostSpoolCleanupIsRedoneExactlyOnce follows the other record
+// nobody waits for — the spool clean-up Batch.Finish stages after a
+// settlement — through the window the in-memory crash worlds cannot
+// see: the payment is durable on the ledger, Finish has returned, and
+// power fails before any spool flush carries it. The row must come back
+// pending, be recognised as paid from the ledger's own evidence, and
+// leave again — same books, nothing parked, nothing counted as a
+// duplicate submission, one clean-up redone — whatever happened to the
+// chain or the recipient in between, and also when the flush that was
+// to carry it failed and fail-stopped the spool first.
+func TestLostSpoolCleanupIsRedoneExactlyOnce(t *testing.T) {
+	type unit func(w *world, k int) error // spools the k-th unit of work
+	charge := func(to func(*world) accounts.ID) unit {
+		return func(w *world, k int) error { return w.submitChargeTo(fmt.Sprintf("lost-%d", k), to(w)) }
+	}
+	sameShard := func(w *world) accounts.ID { return w.usageTo }
+	crossShard := func(w *world) accounts.ID { return w.xferTo }
+	// claimFrom claims words first, first+1, ... of a chain issued on
+	// first use; serial names that chain afterwards.
+	claimFrom := func(length, first int) (claim unit, serial func() string) {
+		var c *chainFixture
+		return func(w *world, k int) error {
+			if c == nil {
+				c = issueChain(w.t, w, "lost", length)
+			}
+			return w.claim(c, first+k)
+		}, func() string { return c.ch.Commitment.Serial }
+	}
+	first := func(u unit, _ func() string) unit { return u }
+	releasedClaim, releasedSerial := claimFrom(8, 3)
+	cases := []struct {
+		name   string
+		pipe   string
+		submit unit
+		// between changes the ledger after the settlement and before the
+		// power loss.
+		between func(w *world) error
+		// poison fails the flush that would have carried the clean-up.
+		poison bool
+	}{
+		{name: "usage same-shard charge", pipe: "usage", submit: charge(sameShard)},
+		{name: "usage cross-shard charge", pipe: "usage", submit: charge(crossShard)},
+		{name: "usage recipient closed since", pipe: "usage", submit: charge(sameShard),
+			between: func(w *world) error { return w.led.CloseAccount(w.usageTo, w.drawer) }},
+		{name: "usage carrying flush fails", pipe: "usage", submit: charge(sameShard), poison: true},
+		{name: "micropay chain exhausted by the lost batch", pipe: "micropay", submit: first(claimFrom(4, 4))},
+		{name: "micropay chain released since", pipe: "micropay", submit: releasedClaim,
+			between: func(w *world) error {
+				_, err := w.red.Release(releasedSerial(), nil)
+				return err
+			}},
+		{name: "micropay payee closed since", pipe: "micropay", submit: first(claimFrom(8, 3)),
+			between: func(w *world) error { return w.led.CloseAccount(w.payee, w.usageTo) }},
+		{name: "micropay carrying flush fails", pipe: "micropay", submit: first(claimFrom(8, 3)), poison: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// No torn tails: the unsynced clean-up is lost whole.
+			d := diskfault.New(diskfault.Config{Seed: 0x10E5})
+			w := newWorld(t, d)
+			status := func() (pending, failed int, duplicates, paid uint64) {
+				if tc.pipe == "usage" {
+					st := w.upipe.Status()
+					return st.Pending, st.Failed, st.Duplicates, st.Settled
+				}
+				st := w.mpipe.Status()
+				return st.Pending, st.Failed, st.Duplicates, st.SettledTicks
+			}
+			settleOnce := w.upipe.SettleOnce
+			drain := func() error { _, err := w.upipe.Drain(5 * time.Second); return err }
+			if tc.pipe == "micropay" {
+				settleOnce = w.mpipe.SettleOnce
+				drain = func() error { _, err := w.mpipe.Drain(5 * time.Second); return err }
+			}
+
+			if err := tc.submit(w, 0); err != nil {
+				t.Fatal(err)
+			}
+			if n, err := settleOnce(); n != 1 || err != nil {
+				t.Fatalf("settle = %d, %v", n, err)
+			}
+			if pending, _, _, paid := status(); pending != 0 || paid == 0 {
+				t.Fatalf("before the crash: pending %d, paid %d", pending, paid)
+			}
+			if tc.between != nil {
+				if err := tc.between(w); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.poison {
+				d.AddRule(diskfault.Rule{PathSuffix: tc.pipe + ".wal", Op: diskfault.OpSync, Nth: 1, Err: diskfault.ErrIO})
+				for k := 1; k <= 2; k++ { // the flush's leader, then a caller of the poisoned spool
+					if err := tc.submit(w, k); !errors.Is(err, db.ErrStorageFailed) {
+						t.Fatalf("submit %d = %v, want ErrStorageFailed", k, err)
+					}
+				}
+				d.ClearRules()
+			}
+			before := w.books()
+
+			if err := w.powerLoss(); err != nil {
+				t.Fatal(err)
+			}
+			if pending, _, _, _ := status(); pending != 1 {
+				t.Fatalf("%d rows pending after power loss, want the one whose clean-up was lost", pending)
+			}
+			if err := drain(); err != nil {
+				t.Fatal(err)
+			}
+			pending, failed, duplicates, paid := status()
+			if pending != 0 || failed != 0 || paid != 0 {
+				t.Fatalf("after the redo: pending %d, failed %d, paid again %d", pending, failed, paid)
+			}
+			// Usage: a redo is not a duplicate submission. Micropay: the
+			// delta rule counts every stale claim, this one included.
+			if want := map[string]uint64{"usage": 0, "micropay": 1}[tc.pipe]; duplicates != want {
+				t.Fatalf("duplicates = %d, want %d", duplicates, want)
+			}
+			if got := w.cfg.Obs.Counter(tc.pipe + ".cleanup_redone").Value(); got != 1 {
+				t.Fatalf("%s.cleanup_redone = %d, want 1", tc.pipe, got)
+			}
+			if after := w.books(); after != before {
+				t.Fatalf("books moved across the redo:\n%s-- after --\n%s", before, after)
+			}
+			if err := w.assertConverged(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 }
 
 // TestHarnessTypedRefusalOnUnrecoverableCorruption: when a shard's only
@@ -629,8 +805,16 @@ func TestDiskfaultSeededSoak(t *testing.T) {
 				note(err)
 				note(w.maintenance())
 
+				// Half the rounds end in a clean stop followed by power
+				// loss, half in power loss with the node still up: only
+				// the second loses the spool and outbox clean-ups staged
+				// since the last flush.
 				d.ClearRules()
-				if err := w.reboot(); err != nil {
+				restart := w.reboot
+				if splitmix(rng+3)%2 == 0 {
+					restart = w.powerLoss
+				}
+				if err := restart(); err != nil {
 					fail("round %d reboot: %v", round, err)
 				}
 				if err := w.assertConverged(); err != nil {
@@ -681,6 +865,9 @@ func TestDiskfaultSeededSoak(t *testing.T) {
 			us, ms := w.upipe.Status(), w.mpipe.Status()
 			if us.Failed != 0 || ms.Failed != 0 {
 				fail("storage faults parked terminal: usage %d, micropay %d", us.Failed, ms.Failed)
+			}
+			if us.Pending != 0 || ms.Pending != 0 {
+				fail("rows left pending: usage %d, micropay %d", us.Pending, ms.Pending)
 			}
 		})
 	}

@@ -53,8 +53,8 @@ type Config struct {
 	Log *obs.Logger
 	// Obs names the pipeline's instruments (micropay.queue_depth,
 	// micropay.inflight, micropay.batch_claims, micropay.settled_ticks,
-	// micropay.settled_claims, micropay.parked, micropay.overloaded).
-	// Nil leaves telemetry off.
+	// micropay.settled_claims, micropay.parked, micropay.overloaded,
+	// micropay.cleanup_redone). Nil leaves telemetry off.
 	Obs *obs.Registry
 	// CrashHook installs fault injection before the workers start; it
 	// also arms the Redeemer's hook, so the Pinned/Settled/Advanced
@@ -394,8 +394,10 @@ func (p *Pipeline) settleGroup(b *settle.Batch[*spoolRow]) error {
 			p.mTicks.Add(int64(out.Ticks))
 			p.mClaims.Add(int64(len(rows)))
 		case errors.Is(err, ErrStaleIndex):
-			// Already paid (replay, or subsumed by an earlier advance).
+			// Already paid (subsumed by an earlier advance, or a crash lost
+			// its clean-up): checked before chain state, so never parked.
 			p.eng.CountDuplicates(len(rows))
+			p.eng.CountRedone(len(rows))
 		case settle.Terminal(err, ErrUnknownChain, ErrChainState, payment.ErrBadWord, payment.ErrBadIndex):
 			failures := make([]settle.Parked[*spoolRow], len(rows))
 			for i, row := range rows {

@@ -359,7 +359,7 @@ func (n *Node) EnableUsage(uc usage.Config) (*usage.Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	uc.Ledger, uc.Spool = usage.WrapSharded(n.ledger), spool
+	uc.Ledger, uc.Spool = n.ledger, spool
 	uc.Now, uc.Log, uc.Obs = n.cfg.Now, n.cfg.Log, n.cfg.Obs
 	if n.usage, err = usage.New(uc); err != nil {
 		return nil, err

@@ -26,17 +26,22 @@
 //     retry path after fixing what parked it).
 //   - Finish or park: Batch.Finish retires rows in ONE spool
 //     transaction; finished rows leave the spool, parked rows stay with
-//     their reason and are not retried on their own.
+//     their reason and are not retried on their own. Nobody is told a
+//     row was retired, so the commit is not awaited: it rides the spool
+//     journal's next group flush (next Submit, checkpoint or store
+//     Close). A crash before that brings the rows back pending, so
+//     Settle must recognise a row the ledger already paid, from the
+//     ledger's own evidence, and just Finish it again (CountRedone).
 //   - Transient faults: when Settle fails, every row of the batch that
 //     did not reach Finish goes back on the queue, so it stays visible
 //     to Status and Drain. An ErrAbandoned error (a test's crash hook
 //     simulating process death) requeues nothing and stops the pass: the
 //     in-memory queue is what a dead process loses, and recovery
 //     rebuilds it from the spool.
-//   - Drain: waits until nothing is pending. Without workers it runs
-//     the passes itself and reports ErrDrainStalled when a full pass
-//     settles nothing — counting only settleable work, never a
-//     concurrent Submit's reservation.
+//   - Drain: waits until nothing is pending in this process (spool
+//     removals staged, see Finish). Without workers it runs the passes
+//     itself and reports ErrDrainStalled when a full pass settles
+//     nothing — only settleable work counts, never a reservation.
 package settle
 
 import (
@@ -130,7 +135,7 @@ var ledgerVerdicts = []error{
 type Config[R Row] struct {
 	// Name prefixes error text, the fault log line and instrument names
 	// ("usage" → usage.queue_depth, usage.inflight, usage.parked,
-	// usage.overloaded).
+	// usage.overloaded, usage.cleanup_redone).
 	Name string
 	// BatchMetric names the histogram of batch sizes under Name.
 	BatchMetric string
@@ -195,11 +200,13 @@ type Engine[R Row] struct {
 
 	mu       sync.Mutex
 	queue    map[Group][]string
+	queued   int // rows in queue, over all groups
 	reserved int // Submit capacity holds not yet spooled/enqueued
 	inflight int
 	failed   int
 	lastErr  string
 	closed   bool
+	idle     chan struct{} // closed, and replaced, when pending reaches 0 (Drain's wake-up)
 
 	duplicates atomic.Uint64
 
@@ -210,6 +217,7 @@ type Engine[R Row] struct {
 	mBatch      *obs.Histogram
 	mParked     *obs.Counter
 	mOverloaded *obs.Counter
+	mRedone     *obs.Counter
 
 	kick chan struct{}
 	stop chan struct{}
@@ -242,6 +250,7 @@ func New[R Row](cfg Config[R]) (*Engine[R], error) {
 	e := &Engine[R]{
 		cfg:   cfg,
 		queue: make(map[Group][]string),
+		idle:  make(chan struct{}),
 		kick:  make(chan struct{}, cfg.Workers+1), // one wake-up per worker, plus one pending
 		stop:  make(chan struct{}),
 
@@ -250,6 +259,7 @@ func New[R Row](cfg Config[R]) (*Engine[R], error) {
 		mBatch:      cfg.Obs.Histogram(cfg.Name + "." + cfg.BatchMetric),
 		mParked:     cfg.Obs.Counter(cfg.Name + ".parked"),
 		mOverloaded: cfg.Obs.Counter(cfg.Name + ".overloaded"),
+		mRedone:     cfg.Obs.Counter(cfg.Name + ".cleanup_redone"),
 	}
 	if err := cfg.Spool.EnsureTable(cfg.Table); err != nil {
 		return nil, err
@@ -269,6 +279,7 @@ func New[R Row](cfg Config[R]) (*Engine[R], error) {
 		} else {
 			g := e.group(row)
 			e.queue[g] = append(e.queue[g], key)
+			e.queued++
 			e.mQueue.Inc()
 		}
 		return true
@@ -318,23 +329,23 @@ func (e *Engine[R]) group(row R) Group {
 	return Group{Shard: e.cfg.ShardFor(d), Drawer: d}
 }
 
-// queuedLocked counts rows waiting for a worker. Caller holds mu.
-func (e *Engine[R]) queuedLocked() int {
-	n := 0
-	for _, keys := range e.queue {
-		n += len(keys)
+// releaseLocked drops n rows from the reserved or in-flight count and
+// wakes Drain when that leaves nothing pending. Caller holds mu.
+func (e *Engine[R]) releaseLocked(count *int, n int) {
+	*count -= n
+	if e.reserved+e.inflight+e.queued == 0 {
+		close(e.idle)
+		e.idle = make(chan struct{})
 	}
-	return n
 }
 
 // Status reports the engine's observable state.
 func (e *Engine[R]) Status() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	queued := e.queuedLocked()
 	return Stats{
-		Pending:    e.reserved + e.inflight + queued,
-		QueueDepth: queued,
+		Pending:    e.reserved + e.inflight + e.queued,
+		QueueDepth: e.queued,
 		InFlight:   e.inflight,
 		Failed:     e.failed,
 		Duplicates: e.duplicates.Load(),
@@ -347,6 +358,10 @@ func (e *Engine[R]) Status() Stats {
 // CountDuplicates adds n items the pipeline itself recognised as already
 // spooled or already paid (the engine counts the ones intake finds).
 func (e *Engine[R]) CountDuplicates(n int) { e.duplicates.Add(uint64(n)) }
+
+// CountRedone adds n rows Settle found already paid on the ledger and
+// only finished again: a clean-up a crash lost (see Finish), redone.
+func (e *Engine[R]) CountRedone(n int) { e.mRedone.Add(int64(n)) }
 
 // Submit durably spools rows — one spool transaction, one journal flush
 // for the whole batch — then queues them and wakes a worker. A nil
@@ -361,7 +376,7 @@ func (e *Engine[R]) Submit(rows []R) (*Intake, error) {
 		e.mu.Unlock()
 		return nil, e.cfg.ErrClosed
 	}
-	pending := e.reserved + e.inflight + e.queuedLocked()
+	pending := e.reserved + e.inflight + e.queued
 	if pending+len(rows) > e.cfg.MaxPending {
 		e.mu.Unlock()
 		e.mOverloaded.Inc()
@@ -373,7 +388,7 @@ func (e *Engine[R]) Submit(rows []R) (*Intake, error) {
 	e.mu.Unlock()
 	defer func() {
 		e.mu.Lock()
-		e.reserved -= held
+		e.releaseLocked(&e.reserved, held)
 		e.mu.Unlock()
 	}()
 
@@ -445,6 +460,7 @@ func (e *Engine[R]) Submit(rows []R) (*Intake, error) {
 	}
 	// The accepted rows trade their reservation for their queue entry in
 	// one step, so Pending never counts them twice.
+	e.queued += len(accepted)
 	e.reserved -= len(accepted)
 	held -= len(accepted)
 	e.mu.Unlock()
@@ -541,6 +557,7 @@ func (e *Engine[R]) take(g Group) []string {
 	} else {
 		e.queue[g] = keys[n:]
 	}
+	e.queued -= n
 	e.inflight += n
 	e.mQueue.Add(int64(-n))
 	e.mInflight.Add(int64(n))
@@ -555,6 +572,7 @@ func (e *Engine[R]) requeue(g Group, keys []string) {
 	}
 	e.mu.Lock()
 	e.queue[g] = append(e.queue[g], keys...)
+	e.queued += len(keys)
 	e.mu.Unlock()
 	e.mQueue.Add(int64(len(keys)))
 }
@@ -565,11 +583,11 @@ func (e *Engine[R]) requeue(g Group, keys []string) {
 func (e *Engine[R]) settleBatch(g Group, keys []string) (int, error) {
 	defer func() {
 		e.mu.Lock()
-		e.inflight -= len(keys)
+		e.releaseLocked(&e.inflight, len(keys))
 		e.mu.Unlock()
 		e.mInflight.Add(int64(-len(keys)))
 	}()
-	b := &Batch[R]{Group: g, Rows: make([]R, 0, len(keys)), e: e}
+	b := &Batch[R]{Group: g, Rows: make([]R, 0, len(keys)), e: e, retired: make(map[string]bool)}
 	for _, key := range keys {
 		raw, err := e.cfg.Spool.Get(e.cfg.Table, key)
 		if errors.Is(err, db.ErrNoRecord) {
@@ -616,25 +634,19 @@ type Batch[R Row] struct {
 	retired map[string]bool
 }
 
-// Finish retires rows durably, in ONE spool transaction: finished rows
-// (settled, or recognised as already settled) leave the spool; parked
-// rows stay in it with their reason. Rows a failed Finish leaves open
-// are requeued when Settle returns its error.
+// Finish retires rows in ONE spool transaction, staged and not awaited
+// (see the contract): finished rows (settled, or recognised as already
+// settled) leave the spool; parked rows stay in it with their reason.
+// Rows a failed Finish leaves open are requeued when Settle fails.
 func (b *Batch[R]) Finish(finished []R, parked []Parked[R]) error {
 	if len(finished) == 0 && len(parked) == 0 {
 		return nil
 	}
 	cfg := &b.e.cfg
-	err := cfg.Spool.Update(func(tx *db.Tx) error {
+	err := cfg.Spool.UpdateNoWait(func(tx *db.Tx) error {
 		for _, row := range finished {
-			ok, err := tx.Exists(cfg.Table, row.SpoolKey())
-			if err != nil {
+			if err := tx.Delete(cfg.Table, row.SpoolKey()); err != nil && !errors.Is(err, db.ErrNoRecord) {
 				return err
-			}
-			if ok {
-				if err := tx.Delete(cfg.Table, row.SpoolKey()); err != nil {
-					return err
-				}
 			}
 		}
 		for _, p := range parked {
@@ -652,9 +664,6 @@ func (b *Batch[R]) Finish(finished []R, parked []Parked[R]) error {
 	if err != nil {
 		return fmt.Errorf("%s: spool cleanup: %w", cfg.Name, err)
 	}
-	if b.retired == nil {
-		b.retired = make(map[string]bool, len(b.Rows))
-	}
 	for _, row := range finished {
 		b.retired[row.SpoolKey()] = true
 	}
@@ -671,8 +680,8 @@ func (b *Batch[R]) Finish(finished []R, parked []Parked[R]) error {
 }
 
 // Drain blocks until every pending row reaches a terminal outcome, or
-// the timeout elapses (default 30s). With workers it kicks and waits;
-// without, it runs the settlement passes itself.
+// the timeout elapses (default 30s). With workers it kicks them and
+// sleeps until the count reaches zero; without, it runs the passes.
 func (e *Engine[R]) Drain(timeout time.Duration) error {
 	if timeout <= 0 {
 		timeout = 30 * time.Second
@@ -680,9 +689,10 @@ func (e *Engine[R]) Drain(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
 		e.mu.Lock()
-		before := e.inflight + e.queuedLocked()
+		before := e.inflight + e.queued
 		pending := e.reserved + before
 		closed := e.closed
+		idle := e.idle
 		e.mu.Unlock()
 		switch {
 		case closed:
@@ -693,7 +703,11 @@ func (e *Engine[R]) Drain(timeout time.Duration) error {
 			return fmt.Errorf("%w: %d still pending", e.cfg.ErrDrainTimeout, pending)
 		case e.cfg.Workers > 0:
 			e.kickWorkers()
-			time.Sleep(2 * time.Millisecond)
+			select {
+			case <-idle:
+			case <-e.stop:
+			case <-time.After(time.Until(deadline)):
+			}
 			continue
 		}
 		n, err := e.SettleOnce()
@@ -707,7 +721,7 @@ func (e *Engine[R]) Drain(timeout time.Duration) error {
 			// while the pass ran — is progress another goroutine is
 			// making, not work this loop failed on.
 			e.mu.Lock()
-			after := e.inflight + e.queuedLocked()
+			after := e.inflight + e.queued
 			e.mu.Unlock()
 			if before > 0 && after > 0 {
 				return fmt.Errorf("%w: %d pending", e.cfg.ErrDrainStalled, after)

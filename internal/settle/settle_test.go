@@ -1,8 +1,12 @@
 package settle_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,7 +14,9 @@ import (
 
 	"gridbank/internal/accounts"
 	"gridbank/internal/db"
+	"gridbank/internal/diskfault"
 	"gridbank/internal/settle"
+	"gridbank/internal/wire"
 )
 
 // item is the fake pipeline's spool row.
@@ -439,4 +445,260 @@ func TestNewRequiresSpool(t *testing.T) {
 	if _, err := settle.New(settle.Config[*item]{Name: "fake"}); err == nil {
 		t.Fatal("engine built without a spool store")
 	}
+}
+
+// countFS counts the Sync calls the storage layer makes, so a test can
+// say how many device flushes an engine step cost.
+type countFS struct {
+	db.FS
+	syncs *atomic.Int64
+}
+
+func (c countFS) OpenFile(name string, flag int, perm os.FileMode) (db.File, error) {
+	f, err := c.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return countFile{f, c.syncs}, nil
+}
+
+type countFile struct {
+	db.File
+	syncs *atomic.Int64
+}
+
+func (f countFile) Sync() error {
+	f.syncs.Add(1)
+	return f.File.Sync()
+}
+
+const spoolWAL = "/spool.wal"
+
+// diskSpool is a spool store on a file journal (fsync per flush) over a
+// fault-injecting disk: staged-but-unflushed batches are really lost by
+// Crash, unlike on the in-memory journals.
+type diskSpool struct {
+	t     *testing.T
+	disk  *diskfault.Disk
+	syncs atomic.Int64
+}
+
+func newDiskSpool(t *testing.T) *diskSpool {
+	return &diskSpool{t: t, disk: diskfault.New(diskfault.Config{})}
+}
+
+func (d *diskSpool) open() *db.Store {
+	d.t.Helper()
+	j, err := db.OpenFileJournalCodecFS(countFS{d.disk, &d.syncs}, spoolWAL, true, wire.CodecJSON)
+	if err != nil {
+		d.t.Fatal(err)
+	}
+	st, err := db.Open(j)
+	if err != nil {
+		d.t.Fatal(err)
+	}
+	return st
+}
+
+// durableOps lists the spool-table operations that would survive a
+// crash right now, in journal order ("put a", "del a", ...).
+func (d *diskSpool) durableOps() []string {
+	d.t.Helper()
+	var ops []string
+	for _, line := range bytes.Split(d.disk.Durable(spoolWAL), []byte("\n")) {
+		if len(line) == 0 {
+			continue
+		}
+		var batch []db.Entry
+		if err := json.Unmarshal(line, &batch); err != nil {
+			d.t.Fatalf("durable journal line %q: %v", line, err)
+		}
+		for _, e := range batch {
+			if e.Table == "fake_spool" && e.Op != db.OpCreateTable {
+				ops = append(ops, string(e.Op)+" "+e.Key)
+			}
+		}
+	}
+	return ops
+}
+
+// TestFinishRidesTheNextGroupFlush is the mechanism behind "two durable
+// waits per submit→settled": Finish costs no device flush of its own,
+// the next Submit's single flush carries it in staging order, and
+// closing the engine and its store makes the last one durable.
+func TestFinishRidesTheNextGroupFlush(t *testing.T) {
+	d := newDiskSpool(t)
+	spool := d.open()
+	e := newEngine(t, spool, &fake{}, nil)
+	step := func(name string, wantSyncs int64, fn func()) {
+		t.Helper()
+		before := d.syncs.Load()
+		fn()
+		if got := d.syncs.Load() - before; got != wantSyncs {
+			t.Fatalf("%s cost %d fsyncs, want %d", name, got, wantSyncs)
+		}
+	}
+	submit := func(key string) func() {
+		return func() {
+			if _, err := e.Submit(items("d", key)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	settle := func() {
+		if n, err := e.SettleOnce(); n != 1 || err != nil {
+			t.Fatalf("settle = %d, %v", n, err)
+		}
+	}
+	step("submit a", 1, submit("a"))
+	step("settle + finish a", 0, settle)
+	if st := e.Status(); st.Pending != 0 {
+		t.Fatalf("after finish: %+v", st)
+	}
+	if got := d.durableOps(); !slices.Equal(got, []string{"put a"}) {
+		t.Fatalf("durable before the next flush: %v", got)
+	}
+	step("submit b", 1, submit("b"))
+	if got := d.durableOps(); !slices.Equal(got, []string{"put a", "del a", "put b"}) {
+		t.Fatalf("durable after the next submit: %v (want the finish carried, in staging order)", got)
+	}
+	step("settle + finish b", 0, settle)
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := spool.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.durableOps(); !slices.Equal(got, []string{"put a", "del a", "put b", "del b"}) {
+		t.Fatalf("durable after close: %v", got)
+	}
+	d.disk.Crash()
+	if st := newEngine(t, d.open(), &fake{}, nil).Status(); st.Pending != 0 || st.Failed != 0 {
+		t.Fatalf("reopened after close: %+v", st)
+	}
+}
+
+// TestLostFinishComesBackPending: a crash before the carrying flush
+// loses the finish AND the park, and recovery queues both rows again.
+func TestLostFinishComesBackPending(t *testing.T) {
+	d := newDiskSpool(t)
+	f := &fake{}
+	e := newEngine(t, d.open(), f, nil)
+	if _, err := e.Submit(items("d", "paid", "refused")); err != nil {
+		t.Fatal(err)
+	}
+	f.set(func(b *settle.Batch[*item]) error {
+		return b.Finish(b.Rows[:1], []settle.Parked[*item]{{Row: b.Rows[1], Reason: "no funds"}})
+	})
+	if n, err := e.SettleOnce(); n != 2 || err != nil {
+		t.Fatalf("settle = %d, %v", n, err)
+	}
+	if st := e.Status(); st.Pending != 0 || st.Failed != 1 {
+		t.Fatalf("before the crash: %+v", st)
+	}
+	d.disk.Crash()
+	e.Close()
+	if st := newEngine(t, d.open(), &fake{}, nil).Status(); st.Pending != 2 || st.Failed != 0 {
+		t.Fatalf("recovered: %+v, want both rows pending again", st)
+	}
+}
+
+// TestFailedCarryingFlushPoisonsTheSpool: when the flush that carries a
+// staged Finish fails, the Submit leading it gets the typed refusal,
+// the spool fail-stops, and no acknowledged row is lost — the finished
+// ones come back pending for the redo.
+func TestFailedCarryingFlushPoisonsTheSpool(t *testing.T) {
+	d := newDiskSpool(t)
+	e := newEngine(t, d.open(), &fake{}, nil)
+	if _, err := e.Submit(items("d", "a", "b")); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := e.SettleOnce(); n != 2 || err != nil {
+		t.Fatalf("settle = %d, %v", n, err)
+	}
+	d.disk.AddRule(diskfault.Rule{PathSuffix: spoolWAL, Op: diskfault.OpSync, Nth: 1, Err: diskfault.ErrIO})
+	if _, err := e.Submit(items("d", "c")); !errors.Is(err, db.ErrStorageFailed) {
+		t.Fatalf("submit leading the failed flush = %v, want ErrStorageFailed", err)
+	}
+	d.disk.ClearRules()
+	if _, err := e.Submit(items("d", "e")); !errors.Is(err, db.ErrStorageFailed) {
+		t.Fatalf("submit on the poisoned spool = %v, want ErrStorageFailed", err)
+	}
+	if st := e.Status(); st.Pending != 0 {
+		t.Fatalf("refused rows queued: %+v", st)
+	}
+	d.disk.Crash()
+	e.Close()
+	var seen []string
+	e2 := newEngine(t, d.open(), &fake{}, func(c *settle.Config[*item]) {
+		c.Recovered = func(r *item) { seen = append(seen, r.Key) }
+	})
+	if st := e2.Status(); st.Pending != 2 || !slices.Equal(seen, []string{"a", "b"}) {
+		t.Fatalf("recovered %v, %+v; want exactly the acknowledged a and b", seen, st)
+	}
+}
+
+// TestDrainWakesOnTheLastRetirement: with workers, Drain sleeps on the
+// pending count reaching zero — not on a poll. RetryInterval is an hour
+// here, so only the kick and the wake-up can move anything.
+func TestDrainWakesOnTheLastRetirement(t *testing.T) {
+	taken, release := make(chan struct{}), make(chan struct{})
+	f := &fake{}
+	f.set(func(b *settle.Batch[*item]) error {
+		close(taken)
+		<-release
+		return b.Finish(b.Rows, nil)
+	})
+	e := newEngine(t, db.MustOpenMemory(), f, func(c *settle.Config[*item]) {
+		c.Workers, c.RetryInterval = 2, time.Hour
+	})
+	if _, err := e.Submit(items("d", "a")); err != nil {
+		t.Fatal(err)
+	}
+	<-taken
+	const waiters = 3
+	drained := make(chan error, waiters)
+	for i := 0; i < waiters; i++ {
+		go func() { drained <- e.Drain(10 * time.Second) }()
+	}
+	select {
+	case err := <-drained:
+		t.Fatalf("drain returned %v with a row in flight", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	for i := 0; i < waiters; i++ {
+		if err := <-drained; err != nil {
+			t.Fatalf("drain = %v", err)
+		}
+	}
+	if st := e.Status(); st.Pending != 0 {
+		t.Fatalf("after drain: %+v", st)
+	}
+}
+
+func TestCloseWakesAWaitingDrain(t *testing.T) {
+	inTx, release := make(chan struct{}), make(chan struct{})
+	e := newEngine(t, db.MustOpenMemory(), &fake{admit: func(*item, *item) bool {
+		close(inTx)
+		<-release
+		return true
+	}}, func(c *settle.Config[*item]) { c.Workers, c.RetryInterval = 1, time.Hour })
+	submitted := make(chan error, 1)
+	go func() {
+		_, err := e.Submit(items("d", "a"))
+		submitted <- err
+	}()
+	<-inTx // a reservation is pending and nothing can settle it
+	drained := make(chan error, 1)
+	go func() { drained <- e.Drain(10 * time.Second) }()
+	time.Sleep(10 * time.Millisecond) // let the drain reach its wait (either order must pass)
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-drained; !errors.Is(err, errClosed) {
+		t.Fatalf("drain across close = %v", err)
+	}
+	close(release)
+	<-submitted
 }

@@ -49,7 +49,7 @@ type Config struct {
 	Log *obs.Logger
 	// Obs names the pipeline's instruments (usage.queue_depth,
 	// usage.inflight, usage.batch_size, usage.settled, usage.parked,
-	// usage.overloaded). Nil leaves telemetry off.
+	// usage.overloaded, usage.cleanup_redone). Nil leaves telemetry off.
 	Obs *obs.Registry
 	// CrashHook fires after every durable settlement step with the
 	// boundary and a representative charge ID; returning an error
@@ -261,7 +261,7 @@ func (p *Pipeline) alreadySettled(row *spoolRow) bool {
 
 // SettleOnce runs one synchronous settlement pass over every group that
 // had pending work when the pass started, and reports how many charges
-// reached a terminal outcome (duplicates cleaned count as settled work
+// reached a terminal outcome (clean-ups redone count as settled work
 // for progress accounting). Groups a transient fault leaves pending are
 // retried on the next pass, not within this one.
 func (p *Pipeline) SettleOnce() (int, error) { return p.eng.SettleOnce() }
@@ -276,12 +276,12 @@ func (p *Pipeline) Drain(timeout time.Duration) (*Stats, error) {
 }
 
 // settleGroup settles one batch of charges drawn from a single account:
-// the same-shard ones in one ledger transaction, the cross-shard ones
-// one pinned transfer each.
+// same-shard and zero-amount ones (a marker alone settles those) in one
+// ledger transaction, the cross-shard ones one pinned transfer each.
 func (p *Pipeline) settleGroup(b *settle.Batch[*spoolRow]) error {
 	var same, cross []*spoolRow
 	for _, row := range b.Rows {
-		if p.led.ShardFor(row.Recipient) == b.Shard {
+		if p.led.ShardFor(row.Recipient) == b.Shard || row.Amount.IsZero() {
 			same = append(same, row)
 		} else {
 			cross = append(cross, row)
@@ -438,7 +438,7 @@ func (p *Pipeline) settleSameShard(b *settle.Batch[*spoolRow], rows []*spoolRow)
 	}
 	p.settled.Add(uint64(len(settledRows)))
 	p.mSettled.Add(int64(len(settledRows)))
-	p.eng.CountDuplicates(len(dupRows))
+	p.eng.CountRedone(len(dupRows))
 	if err := p.hook(BoundarySettled, rows[0].ID); err != nil {
 		return err
 	}
@@ -461,16 +461,16 @@ func insertMarker(tx *db.Tx, id string, txID uint64) error {
 // mark writes a cross-shard charge's settled marker, one transaction on
 // the drawer's shard, and moves the counters with it: the charge counts
 // as settled only when this attempt inserted the marker — a retry that
-// finds it already present is a duplicate, so the counters stay exact
-// across transient-failure retries.
-func (p *Pipeline) mark(shard int, row *spoolRow, txID uint64) error {
+// finds it already present only redoes the clean-up, so the counters
+// stay exact across transient-failure retries.
+func (p *Pipeline) mark(shard int, row *spoolRow) error {
 	inserted := false
 	err := p.led.ShardStore(shard).Update(func(tx *db.Tx) error {
 		inserted = false
 		if ok, err := tx.Exists(tableSettled, row.ID); err != nil || ok {
 			return err
 		}
-		if err := insertMarker(tx, row.ID, txID); err != nil {
+		if err := insertMarker(tx, row.ID, row.PinTxID); err != nil {
 			return err
 		}
 		inserted = true
@@ -480,14 +480,12 @@ func (p *Pipeline) mark(shard int, row *spoolRow, txID uint64) error {
 		return fmt.Errorf("usage: marking charge %s: %w", row.ID, err)
 	}
 	if !inserted {
-		p.eng.CountDuplicates(1)
+		p.eng.CountRedone(1)
 		return nil
 	}
 	p.settled.Add(1)
 	p.mSettled.Inc()
-	if txID != 0 {
-		p.crossShard.Add(1)
-	}
+	p.crossShard.Add(1)
 	return nil
 }
 
@@ -500,20 +498,9 @@ func (p *Pipeline) mark(shard int, row *spoolRow, txID uint64) error {
 func (p *Pipeline) settleCross(b *settle.Batch[*spoolRow], row *spoolRow) error {
 	// Already marked settled (crash between marker and cleanup)?
 	if p.alreadySettled(row) {
-		p.eng.CountDuplicates(1)
+		p.eng.CountRedone(1)
 		return b.Finish([]*spoolRow{row}, nil)
 	}
-	if row.Amount.IsZero() {
-		// Nothing to move; the marker alone settles it.
-		if err := p.mark(b.Shard, row, 0); err != nil {
-			return err
-		}
-		if err := p.hook(BoundarySettled, row.ID); err != nil {
-			return err
-		}
-		return b.Finish([]*spoolRow{row}, nil)
-	}
-
 	// Pin the transaction ID write-ahead (idempotent across retries:
 	// once pinned, the same ID is always reused).
 	if row.PinTxID == 0 {
@@ -575,7 +562,7 @@ func (p *Pipeline) settleCross(b *settle.Batch[*spoolRow], row *spoolRow) error 
 
 	// Marker on the drawer's shard (the counters move with it, not with
 	// the transfer), then cleanup.
-	if err := p.mark(b.Shard, row, row.PinTxID); err != nil {
+	if err := p.mark(b.Shard, row); err != nil {
 		return err
 	}
 	if err := p.hook(BoundaryMarked, row.ID); err != nil {

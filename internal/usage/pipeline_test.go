@@ -1,6 +1,7 @@
 package usage_test
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -181,6 +182,17 @@ func TestBatchSettlementAmortizesAndConserves(t *testing.T) {
 	}
 	if len(stmt.Transfers[0].ResourceUsageRecord) == 0 {
 		t.Error("transfer record lost the RUR evidence")
+	}
+	// The exactly-once marker names the transaction that paid the charge.
+	raw, err := w.mgr.Store().Get("usage_settled", "job-000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var marker struct {
+		TxID uint64 `json:"txid"`
+	}
+	if err := json.Unmarshal(raw, &marker); err != nil || marker.TxID == 0 {
+		t.Errorf("settled marker %s: txid %d, %v", raw, marker.TxID, err)
 	}
 }
 
@@ -522,6 +534,20 @@ func TestZeroAmountChargeSettlesWithoutTransfer(t *testing.T) {
 	// Idempotent even with no money moved.
 	if res, err := p.Submit([]usage.Submission{sub}); err != nil || res.Duplicates != 1 {
 		t.Fatalf("resubmit = %+v, %v", res, err)
+	}
+
+	// Across shards too the marker alone settles it: no pin, no 2PC.
+	xw := newShardedWorld(t, 2, currency.FromG(1))
+	xp := xw.pipeline(t, usage.Config{Workers: -1})
+	xsub := xw.submission(t, "free-x", 0)
+	if _, err := xp.Submit([]usage.Submission{xsub}); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := xp.Drain(5 * time.Second); err != nil || st.Settled != 1 || st.CrossShard != 0 || st.Failed != 0 {
+		t.Fatalf("cross-shard drain = %+v, %v", st, err)
+	}
+	if res, err := xp.Submit([]usage.Submission{xsub}); err != nil || res.Duplicates != 1 {
+		t.Fatalf("cross-shard resubmit = %+v, %v", res, err)
 	}
 }
 

@@ -135,7 +135,8 @@ type Stats struct {
 	// so exactly-once is preserved).
 	Failed int `json:"failed"`
 	// Settled, Duplicates and Rejected count outcomes since this
-	// pipeline instance started.
+	// pipeline instance started. A recovered charge found already
+	// settled is not a duplicate: usage.cleanup_redone counts those.
 	Settled    uint64 `json:"settled"`
 	Duplicates uint64 `json:"duplicates"`
 	Rejected   uint64 `json:"rejected"`
@@ -228,16 +229,9 @@ type CrossShardLedger interface {
 	GetTransfer(txID uint64) (*accounts.Transfer, error)
 }
 
-// shardedLedger adapts *shard.Ledger to the pipeline's interfaces.
-type shardedLedger struct {
-	*shard.Ledger
-}
-
-func (s shardedLedger) ShardManager(i int) *accounts.Manager { return s.Managers()[i] }
-func (s shardedLedger) ShardStore(i int) *db.Store           { return s.Stores()[i] }
-
-// WrapSharded adapts a sharded ledger for settlement.
-func WrapSharded(l *shard.Ledger) CrossShardLedger { return shardedLedger{l} }
+// WrapSharded is the identity (*shard.Ledger is a CrossShardLedger),
+// kept for bench/ and the public gridbank.WrapShardedLedger.
+func WrapSharded(l *shard.Ledger) CrossShardLedger { return l }
 
 // singleLedger adapts one accounts.Manager (the classic unsharded
 // bank) — every charge is same-shard, so the atomic batch path covers
