@@ -408,29 +408,34 @@ func (j *fileJournal) Replay(apply func(Entry) error) error {
 	}
 	sc := bufio.NewScanner(j.f)
 	sc.Buffer(make([]byte, 0, 1<<20), 64<<20)
+	sc.Split(scanTerminatedLines)
 	var good int64 // bytes consumed through the last intact batch line
 	torn := false
 	for sc.Scan() {
 		line := sc.Bytes()
-		if len(line) == 0 {
-			good++
-			continue
-		}
-		var batch []Entry
-		if err := json.Unmarshal(line, &batch); err != nil {
-			// Torn tail from a crash mid-append: everything before this
-			// line is a consistent prefix; stop here.
+		if line[len(line)-1] != '\n' {
+			// A batch is written with its newline and acknowledged only
+			// after both are synced, so a final line without one is the
+			// torn tail even when what survived of it parses: applying it
+			// would leave the next append glued to the same line.
 			torn = true
 			break
+		}
+		var batch []Entry
+		if len(line) > 1 { // not a blank line
+			if err := json.Unmarshal(line, &batch); err != nil {
+				// Torn tail from a crash mid-append: everything before this
+				// line is a consistent prefix; stop here.
+				torn = true
+				break
+			}
 		}
 		for _, e := range batch {
 			if err := apply(e); err != nil {
 				return err
 			}
 		}
-		// +1 for the newline Scan consumed. A final line missing its
-		// newline can only be the torn tail, never a counted one.
-		good += int64(len(line)) + 1
+		good += int64(len(line))
 	}
 	if err := sc.Err(); err != nil {
 		return err
@@ -456,6 +461,18 @@ func (j *fileJournal) Replay(apply func(Entry) error) error {
 		return err
 	}
 	return nil
+}
+
+// scanTerminatedLines is bufio.ScanLines that keeps each line's newline,
+// so the caller can tell a final line that never got one.
+func scanTerminatedLines(data []byte, atEOF bool) (advance int, token []byte, err error) {
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		return i + 1, data[:i+1], nil
+	}
+	if atEOF && len(data) > 0 {
+		return len(data), data, nil
+	}
+	return 0, nil, nil
 }
 
 // replayBinary replays a bin1 generation. Tear-vs-corruption semantics

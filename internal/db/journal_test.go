@@ -513,55 +513,67 @@ func TestFlushFailureAfterApplyFailStopsStore(t *testing.T) {
 }
 
 func TestReplayTruncatesTornTailSoAppendsSurviveNextReplay(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "wal.ndjson")
-	j, err := OpenFileJournal(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	must(t, j.AppendBatch([]Entry{{Seq: 1, Op: OpCreateTable, Table: "t"}}))
-	must(t, j.AppendBatch([]Entry{{Seq: 2, Op: OpPut, Table: "t", Key: "a", Value: []byte("1")}}))
-	must(t, j.Close())
-	// Crash left a torn line at the tail.
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o600)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`[{"seq":3,"op":"put","table":"t","key":"torn","va`); err != nil {
-		t.Fatal(err)
-	}
-	must(t, f.Close())
+	for name, tail := range map[string]string{
+		"cut mid-line": `[{"seq":3,"op":"put","table":"t","key":"torn","va`,
+		// The whole batch made it except its newline: it parses, but it was
+		// never acknowledged, and applying it would glue the next append to
+		// its line (diskfault soak seeds 543, 880, 2700).
+		"cut before the newline": `[{"seq":3,"op":"put","table":"t","key":"torn","value":"eA=="}]`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "wal.ndjson")
+			j, err := OpenFileJournal(path, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			must(t, j.AppendBatch([]Entry{{Seq: 1, Op: OpCreateTable, Table: "t"}}))
+			must(t, j.AppendBatch([]Entry{{Seq: 2, Op: OpPut, Table: "t", Key: "a", Value: []byte("1")}}))
+			must(t, j.Close())
+			// Crash left a torn line at the tail.
+			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o600)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.WriteString(tail); err != nil {
+				t.Fatal(err)
+			}
+			must(t, f.Close())
 
-	// Restart 1: replay discards (and truncates) the tear, then acks a
-	// new batch appended after it.
-	j2, err := OpenFileJournal(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := Open(j2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	must(t, s.Update(func(tx *Tx) error { return tx.Put("t", "b", []byte("2")) }))
-	must(t, s.Close())
+			// Restart 1: replay discards (and truncates) the tear, then acks a
+			// new batch appended after it.
+			j2, err := OpenFileJournal(path, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := Open(j2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Get("t", "torn"); err == nil {
+				t.Fatal("torn entry applied")
+			}
+			must(t, s.Update(func(tx *Tx) error { return tx.Put("t", "b", []byte("2")) }))
+			must(t, s.Close())
 
-	// Restart 2: the post-crash batch must replay — it would be buried
-	// behind the torn line if the tear were left in place.
-	j3, err := OpenFileJournal(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Open(j3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	v, err := s2.Get("t", "b")
-	if err != nil || string(v) != "2" {
-		t.Fatalf("post-crash acked write lost across replays: %q, %v", v, err)
-	}
-	if _, err := s2.Get("t", "torn"); err == nil {
-		t.Fatal("torn entry resurrected")
+			// Restart 2: the post-crash batch must replay — it would be buried
+			// behind the torn line if the tear were left in place.
+			j3, err := OpenFileJournal(path, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s2, err := Open(j3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s2.Close()
+			v, err := s2.Get("t", "b")
+			if err != nil || string(v) != "2" {
+				t.Fatalf("post-crash acked write lost across replays: %q, %v", v, err)
+			}
+			if _, err := s2.Get("t", "torn"); err == nil {
+				t.Fatal("torn entry resurrected")
+			}
+		})
 	}
 }
 

@@ -136,6 +136,64 @@ func TestDoubleCrashCrossShard(t *testing.T) {
 	}
 }
 
+// TestFoldedRowAcrossPowerLoss: a Submit folds four claims into one row
+// and the process dies after the row is durable, before the ack and
+// before any settlement. The producer, which heard nothing, resends —
+// first with other batch boundaries, then the whole batch. Recovery must
+// pay the top index once, count the row's four claims, and settle the
+// lower resend as stale rather than park it.
+func TestFoldedRowAcrossPowerLoss(t *testing.T) {
+	w := newWorld(t, 1)
+	w.batch = 1 // one row per settlement batch: the resent row meets the ledger alone
+	ch := w.issue(w.sameCert, 100, currency.MustParse("0.01"), time.Hour)
+	w.crash = func(b micropay.Boundary, _ string) error {
+		if b == micropay.BoundarySpooled {
+			return errors.New("injected death after the spool commit")
+		}
+		return nil
+	}
+	if _, err := w.pipe.Submit(w.sameCert, claimsFor(t, ch, 10, 20, 30, 40)); err == nil {
+		t.Fatal("expected injected death during Submit")
+	}
+	w.crash = nil
+	w.reboot()
+	if rows := w.spoolRows(); len(rows) != 1 || rows[ch.Commitment.Serial+"/000000000040"].Claims != 4 {
+		t.Fatalf("recovered spool = %+v, want the one folded row", rows)
+	}
+
+	// The fresh session knows only the chain row, so the lower run is
+	// re-accepted under its own key...
+	res, err := w.pipe.Submit(w.sameCert, claimsFor(t, ch, 10, 20))
+	if err != nil || res.Accepted != 2 || res.Duplicates != 0 {
+		t.Fatalf("resend with other boundaries = %+v, %v", res, err)
+	}
+	// ...and the whole batch folds to the key that is already pending.
+	res, err = w.pipe.Submit(w.sameCert, claimsFor(t, ch, 10, 20, 30, 40))
+	if err != nil || res.Accepted != 0 || res.Duplicates != 4 {
+		t.Fatalf("resend of the spooled batch = %+v, %v", res, err)
+	}
+	st, err := w.pipe.Drain(10 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.SettledClaims != 4 || st.SettledTicks != 40 || st.Batches != 1 || st.Failed != 0 || st.Pending != 0 {
+		t.Errorf("recovery drain = %+v, want 4 claims / 40 ticks in one redemption, nothing parked", st)
+	}
+	if st.Duplicates != 4+2 {
+		t.Errorf("duplicates = %d, want 4 reported at intake + 2 stale at settlement", st.Duplicates)
+	}
+	// Once settled, the same batch again is refused by the delta rule
+	// alone: nothing is spooled, nothing is paid.
+	res, err = w.pipe.Submit(w.sameCert, claimsFor(t, ch, 10, 20, 30, 40))
+	if err != nil || res.Accepted != 0 || res.Duplicates != 4 || len(w.spoolRows()) != 0 {
+		t.Fatalf("resend after settlement = %+v, %v, spool %v", res, err, w.spoolRows())
+	}
+	if got := w.avail(w.sameAcct); got != currency.MustParse("0.40") {
+		t.Errorf("payee = %s, want 0.40 (exactly-once violated)", got)
+	}
+	w.assertConserved()
+}
+
 // TestJournalDeathDuringRedeem kills the home shard's journal mid-
 // redemption (the store refuses the write, like a dead disk). The
 // redemption must fail whole: no money moved, no row advanced — the

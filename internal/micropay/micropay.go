@@ -14,12 +14,14 @@
 //   - Pipeline: streaming claim intake and batched redemption. GSPs
 //     submit chain claims in batches (Micropay.Submit); intake verifies
 //     each preimage against the highest word already accepted —
-//     O(delta) hashes — spools it durably, and acknowledges. Workers
-//     batch spooled claims per (shard, drawer), keep only the highest
-//     index per serial (the delta rule makes lower claims redundant),
-//     and settle each chain with one redemption transaction. Thousands
-//     of micro-payments amortize into a few signatures' worth of work
-//     and a handful of group-committed ledger transactions.
+//     O(delta) hashes — keeps only the highest index per serial (the
+//     delta rule makes lower claims redundant), spools that one row
+//     durably, and acknowledges. Intake locks per chain, so Submits on
+//     disjoint chains share one spool flush. Workers batch spooled rows
+//     per (shard, drawer), apply the same rule across them, and settle
+//     each chain with one redemption transaction. Thousands of
+//     micro-payments amortize into a few signatures' worth of work and
+//     a handful of group-committed ledger transactions.
 //
 // The spool, queue, worker, retry, backpressure and Drain lifecycle is
 // internal/settle's. What the pipeline adds:
@@ -34,11 +36,14 @@
 //     intake with a per-claim reason; transient faults surface as
 //     Submit errors the caller retries.
 //
-// Spool format (table "micropay_spool", key = "<serial>/<index>"):
+// Spool format (table "micropay_spool", key = "<serial>/<index>"): one
+// row per chain per Submit, at the highest index the Submit verified.
+// "claims" is how many claims the row stands for; rows written before
+// intake folded have none and stand for one. "rur" is the top claim's.
 //
 //	{"key":"S/000000000042","serial":"S","index":42,"word":"...",
-//	 "drawer":"01-0001-00000003","payee":"01-0001-00000007",
-//	 "state":"pending","enqueued":"..."}
+//	 "claims":16,"drawer":"01-0001-00000003",
+//	 "payee":"01-0001-00000007","state":"pending","enqueued":"..."}
 package micropay
 
 import (
@@ -95,9 +100,10 @@ type Rejection struct {
 	Reason string `json:"reason"`
 }
 
-// SubmitResult summarizes one intake batch. AcceptedTicks counts the
-// chain words newly covered by accepted claims — the number of
-// micro-payments this batch advanced the stream by.
+// SubmitResult summarizes one intake batch. Accepted counts the claims
+// verified and covered by a durable spool row (one row per chain, see
+// Submit); AcceptedTicks counts the chain words newly covered by them —
+// the number of micro-payments this batch advanced the stream by.
 type SubmitResult struct {
 	Accepted      int         `json:"accepted"`
 	AcceptedTicks int         `json:"accepted_ticks"`
@@ -105,20 +111,23 @@ type SubmitResult struct {
 	Rejected      []Rejection `json:"rejected,omitempty"`
 }
 
-// Stats is the pipeline's observable state (Micropay.Status).
+// Stats is the pipeline's observable state (Micropay.Status). Pending,
+// QueueDepth, InFlight and Failed count spool rows — what occupies the
+// spool and the queue: one per chain per Submit, however many claims it
+// folded. The Settled*, Duplicates and Rejected counters count claims.
 type Stats struct {
-	// Pending counts claims spooled but not yet settled.
+	// Pending counts rows spooled but not yet settled.
 	Pending int `json:"pending"`
-	// QueueDepth counts claims waiting for a worker.
+	// QueueDepth counts rows waiting for a worker.
 	QueueDepth int `json:"queue_depth"`
-	// InFlight counts claims inside a settlement batch.
+	// InFlight counts rows inside a settlement batch.
 	InFlight int `json:"in_flight"`
-	// Failed counts claims parked by terminal settlement outcomes.
+	// Failed counts rows parked by terminal settlement outcomes.
 	Failed int `json:"failed"`
 	// SettledTicks counts chain words paid out — individual
 	// micro-payments — since this pipeline instance started.
 	SettledTicks uint64 `json:"settled_ticks"`
-	// SettledClaims counts spooled claims that reached settlement.
+	// SettledClaims counts the claims of the rows that reached settlement.
 	SettledClaims uint64 `json:"settled_claims"`
 	// Duplicates counts stale/replayed claims recognized and skipped.
 	Duplicates uint64 `json:"duplicates"`
@@ -185,22 +194,29 @@ const (
 	stateFailed  = "failed"
 )
 
-// spoolRow is one durable intake claim, with the parties resolved at
-// intake so recovery never needs a directory lookup.
+// spoolRow is one chain's durable intake from one Submit — its highest
+// verified claim — with the parties resolved at intake so recovery never
+// needs a directory lookup.
 type spoolRow struct {
 	Key      string      `json:"key"`
 	Serial   string      `json:"serial"`
 	Index    int         `json:"index"`
 	Word     []byte      `json:"word"`
 	RUR      []byte      `json:"rur,omitempty"`
+	Claims   int         `json:"claims,omitempty"` // claims folded into the row; absent on rows older than the fold
 	Drawer   accounts.ID `json:"drawer"`
 	Payee    accounts.ID `json:"payee"`
 	State    string      `json:"state"`
 	Reason   string      `json:"reason,omitempty"`
 	Enqueued time.Time   `json:"enqueued"`
+
+	admitted bool // set by the intake transaction that wrote the row
 }
 
-// spoolKey is the idempotency key of one claim: a serial can be claimed
+// claims is how many submitted claims the row stands for.
+func (r *spoolRow) claims() int { return max(r.Claims, 1) }
+
+// spoolKey is the idempotency key of one row: a serial can be claimed
 // at each index at most once.
 func spoolKey(serial string, index int) string {
 	return fmt.Sprintf("%s/%012d", serial, index)

@@ -1,8 +1,10 @@
 package micropay_test
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -26,10 +28,12 @@ type world struct {
 	t        *testing.T
 	journals []*simtest.Journal
 	spoolJ   *simtest.Journal
+	spool    *db.Store
 	led      *shard.Ledger
 	red      *micropay.Redeemer
 	pipe     *micropay.Pipeline
 	clock    time.Time // advanced by tests; read through nowFn
+	batch    int       // settlement batch size from the next boot on (0: default)
 	crash    func(micropay.Boundary, string) error
 
 	drawer    accounts.ID
@@ -113,10 +117,12 @@ func (w *world) boot() {
 	if err != nil {
 		w.t.Fatalf("reboot spool: %v", err)
 	}
+	w.spool = spool
 	pipe, err := micropay.New(micropay.Config{
 		Redeemer:    red,
 		FindAccount: led.FindByCertificate,
 		Spool:       spool,
+		BatchSize:   w.batch,
 		Workers:     -1, // deterministic: settlement only via SettleOnce/Drain
 		Now:         w.nowFn,
 		CrashHook: func(b micropay.Boundary, serial string) error {
@@ -458,11 +464,181 @@ func TestPipelineStreamsAndSettles(t *testing.T) {
 	if got := w.avail(w.sameAcct); got != currency.MustParse("0.3") {
 		t.Fatalf("payee = %s", got)
 	}
-	// All three claims for the chain coalesced into few redemptions.
-	if st.Batches == 0 || st.SettledClaims != 3 {
+	// All three claims folded into one spool row and one redemption; the
+	// counter still says three claims were settled.
+	if st.Batches != 1 || st.SettledClaims != 3 {
 		t.Fatalf("batching counters = %+v", st)
 	}
 	w.assertConserved()
+}
+
+// spooledRow is the part of a spool row the intake tests read.
+type spooledRow struct {
+	Serial string `json:"serial"`
+	Index  int    `json:"index"`
+	RUR    []byte `json:"rur"`
+	Claims int    `json:"claims"`
+	State  string `json:"state"`
+}
+
+// spoolRows reads the spool table, keyed by spool key.
+func (w *world) spoolRows() map[string]spooledRow {
+	w.t.Helper()
+	rows := make(map[string]spooledRow)
+	err := w.spool.Scan(micropay.TableSpool, func(key string, value []byte) bool {
+		var row spooledRow
+		if err := json.Unmarshal(value, &row); err != nil {
+			w.t.Errorf("spool row %s: %v", key, err)
+		}
+		rows[key] = row
+		return true
+	})
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	return rows
+}
+
+// TestIntakeFoldsEachChainToOneRow pins what Submit acknowledges and what
+// it journals: the delta rule applied before the spool, exactly one row
+// per chain per Submit whatever the batch looks like, and counters that
+// still speak in claims.
+func TestIntakeFoldsEachChainToOneRow(t *testing.T) {
+	type claim struct {
+		chain, index int
+		forged       bool
+		rur          string
+	}
+	type row struct{ index, claims int }
+	run := func(chain int, indices ...int) []claim {
+		out := make([]claim, len(indices))
+		for i, idx := range indices {
+			out[i] = claim{chain: chain, index: idx}
+		}
+		return out
+	}
+	ascending := make([]int, 16)
+	for i := range ascending {
+		ascending[i] = (i + 1) * 10
+	}
+	for _, tc := range []struct {
+		name               string
+		prior, batch       []claim // prior is acknowledged first, in its own Submit
+		accepted, ticks    int
+		duplicates, refuse int
+		rows               map[int]row // chain → the one row this Submit spools for it
+		rur                string      // evidence the chain-0 TRANSFER record must carry
+	}{
+		{name: "ascending run", batch: run(0, ascending...),
+			accepted: 16, ticks: 160, rows: map[int]row{0: {160, 16}}},
+		{name: "two chains interleaved",
+			batch:    []claim{{chain: 0, index: 10}, {chain: 1, index: 5}, {chain: 0, index: 20}, {chain: 1, index: 10}, {chain: 0, index: 30}, {chain: 1, index: 15}},
+			accepted: 6, ticks: 45, rows: map[int]row{0: {30, 3}, 1: {15, 3}}},
+		{name: "descending run", batch: run(0, 30, 20, 10),
+			accepted: 1, ticks: 30, duplicates: 2, rows: map[int]row{0: {30, 1}}},
+		{name: "forged word in the middle",
+			batch:    []claim{{chain: 0, index: 10}, {chain: 0, index: 20, forged: true}, {chain: 0, index: 30}, {chain: 0, index: 40}},
+			accepted: 3, ticks: 40, refuse: 1, rows: map[int]row{0: {40, 3}}},
+		{name: "replay of an acknowledged batch", prior: run(0, 10, 20, 30), batch: run(0, 10, 20, 30),
+			duplicates: 3, rows: map[int]row{}},
+		{name: "evidence of the top claim",
+			batch:    []claim{{chain: 0, index: 10, rur: "rur-10"}, {chain: 0, index: 20, rur: "rur-20"}, {chain: 0, index: 30, rur: "rur-30"}},
+			accepted: 3, ticks: 30, rows: map[int]row{0: {30, 3}}, rur: "rur-30"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newWorld(t, 1)
+			chains := []*payment.Chain{
+				w.issue(w.sameCert, 400, currency.MustParse("0.01"), time.Hour),
+				w.issue(w.sameCert, 400, currency.MustParse("0.01"), time.Hour),
+			}
+			build := func(cs []claim) []micropay.Claim {
+				out := make([]micropay.Claim, len(cs))
+				for i, c := range cs {
+					out[i] = micropay.Claim{Serial: chains[c.chain].Commitment.Serial, Index: c.index, Word: w.word(chains[c.chain], c.index)}
+					if c.forged {
+						out[i].Word = make([]byte, 32)
+					}
+					if c.rur != "" {
+						out[i].RUR = []byte(c.rur)
+					}
+				}
+				return out
+			}
+			claims, ticks := 0, 0
+			if len(tc.prior) > 0 {
+				res, err := w.pipe.Submit(w.sameCert, build(tc.prior))
+				if err != nil {
+					t.Fatal(err)
+				}
+				claims, ticks = res.Accepted, res.AcceptedTicks
+			}
+			before := w.spoolRows()
+
+			res, err := w.pipe.Submit(w.sameCert, build(tc.batch))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Accepted != tc.accepted || res.AcceptedTicks != tc.ticks || res.Duplicates != tc.duplicates || len(res.Rejected) != tc.refuse {
+				t.Errorf("submit = %+v, want accepted %d, ticks %d, duplicates %d, rejected %d",
+					res, tc.accepted, tc.ticks, tc.duplicates, tc.refuse)
+			}
+			claims, ticks = claims+res.Accepted, ticks+res.AcceptedTicks
+
+			got := make(map[int]row)
+			for key, r := range w.spoolRows() {
+				if _, old := before[key]; old {
+					continue
+				}
+				for i, ch := range chains {
+					if r.Serial != ch.Commitment.Serial {
+						continue
+					}
+					if _, twice := got[i]; twice {
+						t.Errorf("chain %d has a second row %s from one Submit", i, key)
+					}
+					got[i] = row{r.Index, r.Claims}
+				}
+				if tc.rur != "" && string(r.RUR) != tc.rur {
+					t.Errorf("row %s carries evidence %q, want %q", key, r.RUR, tc.rur)
+				}
+			}
+			if !reflect.DeepEqual(got, tc.rows) {
+				t.Errorf("spooled rows = %v, want %v", got, tc.rows)
+			}
+			if st := w.pipe.Status(); st.Pending != len(before)+len(tc.rows) {
+				t.Errorf("pending = %d, want %d rows", st.Pending, len(before)+len(tc.rows))
+			}
+
+			st, err := w.pipe.Drain(10 * time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.SettledClaims != uint64(claims) || st.SettledTicks != uint64(ticks) || st.Pending != 0 || st.Failed != 0 {
+				t.Errorf("drained = %+v, want %d claims and %d ticks settled", st, claims, ticks)
+			}
+			advance := 0
+			for _, ch := range chains {
+				chainRow, err := w.red.Get(ch.Commitment.Serial)
+				if err != nil {
+					t.Fatal(err)
+				}
+				advance += chainRow.RedeemedIndex
+			}
+			if advance != ticks {
+				t.Errorf("chains advanced %d words, %d ticks acknowledged", advance, ticks)
+			}
+			if tc.rur != "" {
+				stmt, err := w.led.Statement(w.sameAcct, testEpoch.Add(-time.Hour), testEpoch.Add(time.Hour))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(stmt.Transfers) != 1 || string(stmt.Transfers[0].ResourceUsageRecord) != tc.rur {
+					t.Errorf("transfers = %+v, want one carrying %q", stmt.Transfers, tc.rur)
+				}
+			}
+			w.assertConserved()
+		})
+	}
 }
 
 func TestPipelineResubmitIsIdempotent(t *testing.T) {
@@ -572,17 +748,29 @@ func TestPipelineBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pipe.Close()
-	if _, err := pipe.Submit(w.sameCert, claimsFor(t, ch, 1, 2, 3)); !errors.Is(err, micropay.ErrOverloaded) {
+	// The bound counts spool rows — one per chain per Submit — so three
+	// chains in one batch overfill it and three claims on one chain do not.
+	ch2 := w.issue(w.sameCert, 100, currency.MustParse("0.01"), time.Hour)
+	ch3 := w.issue(w.sameCert, 100, currency.MustParse("0.01"), time.Hour)
+	three := append(append(claimsFor(t, ch, 1), claimsFor(t, ch2, 1)...), claimsFor(t, ch3, 1)...)
+	if _, err := pipe.Submit(w.sameCert, three); !errors.Is(err, micropay.ErrOverloaded) {
 		t.Fatalf("overfull submit = %v", err)
 	}
-	// Under the bound it goes through; a settle frees the capacity.
-	if _, err := pipe.Submit(w.sameCert, claimsFor(t, ch, 1, 2)); err != nil {
+	if res, err := pipe.Submit(w.sameCert, claimsFor(t, ch, 1, 2, 3)); err != nil || res.Accepted != 3 {
+		t.Fatalf("three claims on one chain = %+v, %v", res, err)
+	}
+	if _, err := pipe.Submit(w.sameCert, claimsFor(t, ch2, 1)); err != nil {
 		t.Fatal(err)
 	}
+	// Separate Submits on one chain are separate rows: the queue is full.
+	if _, err := pipe.Submit(w.sameCert, claimsFor(t, ch, 4)); !errors.Is(err, micropay.ErrOverloaded) {
+		t.Fatalf("submit on a full queue = %v", err)
+	}
+	// A settle frees the capacity.
 	if _, err := pipe.Drain(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pipe.Submit(w.sameCert, claimsFor(t, ch, 3, 4)); err != nil {
+	if _, err := pipe.Submit(w.sameCert, claimsFor(t, ch, 4, 5)); err != nil {
 		t.Fatalf("submit after drain = %v", err)
 	}
 }
@@ -773,8 +961,9 @@ func TestStatusDuplicatesCountEveryDuplicateReported(t *testing.T) {
 	if reported != 3 {
 		t.Fatalf("submit results reported %d duplicates, want 3 (5, 10, 20 under the delta rule)", reported)
 	}
-	// The synchronous path redeems past every spooled claim, so all four
-	// (10, 20, 30, 35) are stale when the pipeline gets to them.
+	// The synchronous path redeems past every spooled row, so all four
+	// claims they stand for (10+20 folded, 30, 35) are stale when the
+	// pipeline gets to them.
 	if _, err := w.red.Redeem(ch.Commitment.Serial, w.sameAcct, 40, w.word(ch, 40), nil); err != nil {
 		t.Fatal(err)
 	}

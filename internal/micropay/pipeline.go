@@ -30,19 +30,20 @@ type Config struct {
 	// given currency — the payee lookup at intake. Required.
 	FindAccount func(cert string, cur currency.Code) (*accounts.Account, error)
 	// Spool is the intake store. Required. Give it a WAL-backed journal
-	// for durable intake; the pipeline recovers pending claims from it
-	// at construction.
+	// for durable intake; the pipeline recovers pending rows from it at
+	// construction.
 	Spool *db.Store
-	// BatchSize caps how many claims one settlement batch takes off the
-	// queue (default 64). All claims for one chain inside a batch
-	// settle as ONE redemption transaction.
+	// BatchSize caps how many spool rows (one per chain per Submit) one
+	// settlement batch takes off the queue (default 64). All rows for
+	// one chain inside a batch settle as ONE redemption transaction.
 	BatchSize int
 	// Workers is the number of background settlement goroutines
 	// (default 2). Workers < 0 starts none: settlement then runs only
 	// through SettleOnce/Drain — the deterministic mode crash tests use.
 	Workers int
-	// MaxPending bounds the intake queue: a Submit that would push the
-	// pending count past it fails with ErrOverloaded (default 4096).
+	// MaxPending bounds the intake queue, in spool rows: a Submit that
+	// would push the pending count past it — by one row per chain it
+	// advances — fails with ErrOverloaded (default 4096).
 	MaxPending int
 	// RetryInterval is how often idle workers re-check for work missed
 	// by kicks, and the pace of transient-failure retries (default 25ms).
@@ -64,12 +65,29 @@ type Config struct {
 
 // session is the per-chain intake state: the verified commitment, the
 // resolved payee, and the highest word accepted so far — the anchor the
-// next preimage verifies against in O(delta) hashes.
+// next preimage verifies against in O(delta) hashes. cc and payee never
+// change; mu is the chain's intake lock and guards the anchor. A session
+// dropped from the map while a Submit holds it stays valid for that
+// holder; the next Submit reloads one from the chain row.
 type session struct {
-	cc       payment.ChainCommitment
-	payee    accounts.ID
+	cc    payment.ChainCommitment
+	payee accounts.ID
+
+	mu       sync.Mutex
 	head     int
 	headWord []byte // empty at head 0 (anchor = root) or for legacy rows
+}
+
+// fold is one chain's part of a Submit: the locked session (or why the
+// chain takes no claims) and the anchor as the batch's verified claims
+// advance it — what becomes the chain's one spool row.
+type fold struct {
+	sess    *session
+	refusal string
+	head    int
+	word    []byte
+	rur     []byte // the top claim's evidence
+	claims  int    // claims verified, all subsumed by the one at head
 }
 
 // Pipeline is the streaming micropayment path: per-chain sessions and
@@ -84,13 +102,10 @@ type Pipeline struct {
 	hook func(b Boundary, serial string) error // never nil; an error abandons processing
 	eng  *settle.Engine[*spoolRow]
 
-	// intakeMu serializes claim verification so session anchors advance
-	// consistently; it is held across the spool commit and never taken by
-	// settlement. sessMu guards the sessions map alone, which settlement
-	// also reaches (to drop an exhausted chain's session) and must not
-	// wait a spool commit for. A session's fields are intake's: only a
-	// Submit, under intakeMu, reads or advances them.
-	intakeMu sync.Mutex
+	// sessMu guards the sessions map and sweepAt alone: settlement also
+	// reaches the map (to drop an exhausted chain's session) and must not
+	// wait a spool commit for it, so nobody blocks on a session's own
+	// lock while holding sessMu.
 	sessMu   sync.Mutex
 	sessions map[string]*session
 	sweepAt  int // session count that triggers the next expiry sweep
@@ -149,6 +164,9 @@ func New(cfg Config) (*Pipeline, error) {
 		ErrDrainStalled: ErrDrainStalled,
 		ErrDrainTimeout: ErrDrainTimeout,
 
+		// Only rows the intake transaction wrote are admitted; Submit reads
+		// the mark to tell them from rows whose key was already pending.
+		Admit:   func(in, _ *spoolRow) bool { in.admitted = true; return true },
 		Spooled: func(first *spoolRow) error { return p.hook(BoundarySpooled, first.Serial) },
 		Settle:  p.settleGroup,
 	})
@@ -184,99 +202,125 @@ func (p *Pipeline) Status() *Stats {
 	}
 }
 
-// Submit verifies and durably spools a batch of chain claims for
+// Submit verifies a batch of chain claims and durably spools them for
 // asynchronous redemption. payeeCert is the authenticated caller; every
 // claim must belong to a chain made out to that certificate (pass "" to
 // bypass the binding — admin relay). Claims with bad preimages, unknown
 // serials or expired chains come back in SubmitResult.Rejected
 // (terminal); claims at or below the accepted head are duplicates under
-// the delta rule. A nil error means every accepted claim is journaled
-// and its ticks will be paid exactly once.
+// the delta rule.
+//
+// The same rule folds the batch before it is spooled: a chain's verified
+// claims become ONE spool row, keyed and valued at the highest index,
+// carrying that claim's RUR (the evidence the TRANSFER record keeps) and
+// the number of claims it stands for. Accepted still counts claims. A nil
+// error means every accepted claim is covered by a journaled row and its
+// ticks will be paid exactly once.
 func (p *Pipeline) Submit(payeeCert string, batch []Claim) (*SubmitResult, error) {
 	res := &SubmitResult{}
-
-	// Verify under the intake lock: each claim extends a per-chain
-	// anchor, so a burst of N claims on one chain costs O(maxIndex)
-	// hashes total, not O(N·maxIndex). Anchor advances are buffered and
-	// applied only after the spool transaction commits.
-	type advance struct {
-		idx  int
-		word []byte
-	}
-	adv := make(map[string]advance)
-	var rows []*spoolRow
-	var ticks, redundant int
-	p.intakeMu.Lock()
-	defer p.intakeMu.Unlock()
 	p.sweepExpired()
+
+	// Take the batch's chains in serial order (two Submits naming the same
+	// chains in opposite claim order cannot deadlock) and hold them across
+	// verify → spool commit → anchor advance: Submits on one chain
+	// serialize, Submits on disjoint chains verify in parallel and share
+	// the spool journal's group flush.
+	folds := make(map[string]*fold)
+	var serials []string
+	for i := range batch {
+		cl := &batch[i]
+		if folds[cl.Serial] == nil && ValidClaimShape(cl) == "" {
+			folds[cl.Serial] = &fold{}
+			serials = append(serials, cl.Serial)
+		}
+	}
+	sort.Strings(serials)
+	for _, serial := range serials {
+		f := folds[serial]
+		if f.sess, f.refusal = p.sessionFor(serial, payeeCert); f.sess != nil {
+			f.sess.mu.Lock()
+			defer f.sess.mu.Unlock()
+			f.head, f.word = f.sess.head, f.sess.headWord
+		}
+	}
+
+	// Each claim extends its chain's anchor, so a burst of N claims on one
+	// chain costs O(maxIndex) hashes total, not O(N·maxIndex). The session
+	// itself advances only after the spool transaction commits.
 	reject := func(cl *Claim, reason string) {
 		res.Rejected = append(res.Rejected, Rejection{Serial: cl.Serial, Index: cl.Index, Reason: reason})
 	}
+	var ticks, redundant int
 	for i := range batch {
 		cl := &batch[i]
 		if reason := ValidClaimShape(cl); reason != "" {
 			reject(cl, reason)
 			continue
 		}
-		sess, reason := p.sessionFor(cl.Serial, payeeCert)
-		if reason != "" {
-			reject(cl, reason)
+		f := folds[cl.Serial]
+		if f.refusal != "" {
+			reject(cl, f.refusal)
 			continue
 		}
-		head, headWord := sess.head, sess.headWord
-		if a, ok := adv[cl.Serial]; ok {
-			head, headWord = a.idx, a.word
-		}
-		if cl.Index <= head {
+		if cl.Index <= f.head {
 			// The delta rule makes a lower claim redundant: the accepted
 			// higher word already pays for it.
 			redundant++
 			continue
 		}
-		if err := verifyWordAfter(&sess.cc, head, headWord, cl.Index, cl.Word); err != nil {
+		if err := verifyWordAfter(&f.sess.cc, f.head, f.word, cl.Index, cl.Word); err != nil {
 			reject(cl, err.Error())
 			continue
 		}
-		ticks += cl.Index - head
-		adv[cl.Serial] = advance{idx: cl.Index, word: cl.Word}
-		rows = append(rows, &spoolRow{
-			Key:      spoolKey(cl.Serial, cl.Index),
-			Serial:   cl.Serial,
-			Index:    cl.Index,
-			Word:     cl.Word,
-			RUR:      cl.RUR,
-			Drawer:   sess.cc.DrawerAccountID,
-			Payee:    sess.payee,
-			State:    statePending,
-			Enqueued: p.now(),
-		})
+		ticks += cl.Index - f.head
+		f.head, f.word, f.rur = cl.Index, cl.Word, cl.RUR
+		f.claims++
 	}
 	p.rejected.Add(uint64(len(res.Rejected)))
 
+	var rows []*spoolRow
+	for _, serial := range serials {
+		if f := folds[serial]; f.claims > 0 {
+			rows = append(rows, &spoolRow{
+				Key:      spoolKey(serial, f.head),
+				Serial:   serial,
+				Index:    f.head,
+				Word:     f.word,
+				RUR:      f.rur,
+				Claims:   f.claims,
+				Drawer:   f.sess.cc.DrawerAccountID,
+				Payee:    f.sess.payee,
+				State:    statePending,
+				Enqueued: p.now(),
+			})
+		}
+	}
 	in, err := p.eng.Submit(rows)
 	if in == nil {
 		return nil, err
 	}
-	// The claims are durable: commit the anchor advances before the
-	// intake lock drops.
-	p.sessMu.Lock()
-	for serial, a := range adv {
-		if sess := p.sessions[serial]; sess != nil && a.idx > sess.head {
-			sess.head = a.idx
-			sess.headWord = a.word
+	// The rows are durable: advance the anchors before the chains unlock.
+	// A row whose key was already pending (a producer resending after a
+	// restart, before recovery settled it) makes its claims duplicates.
+	dupClaims := 0
+	for _, row := range rows {
+		f := folds[row.Serial]
+		f.sess.head, f.sess.headWord = f.head, f.word
+		if row.admitted {
+			res.Accepted += row.Claims
+		} else {
+			dupClaims += row.Claims
 		}
 	}
-	p.sessMu.Unlock()
-	p.eng.CountDuplicates(redundant)
-	res.Accepted = in.Accepted
+	p.eng.CountDuplicates(redundant + dupClaims - in.Duplicates) // the engine counted one per row
 	res.AcceptedTicks = ticks
-	res.Duplicates = redundant + in.Duplicates
+	res.Duplicates = redundant + dupClaims
 	return res, err
 }
 
 // sessionFor loads (or returns) the intake session for a chain,
 // checking everything that makes a claim terminally unacceptable. A
-// non-empty reason rejects the claim. Caller holds intakeMu.
+// non-empty reason rejects the chain's claims.
 func (p *Pipeline) sessionFor(serial, payeeCert string) (*session, string) {
 	if serial == "" {
 		return nil, "empty chain serial"
@@ -325,8 +369,7 @@ const minSweep = 64
 
 // sweepExpired forgets the sessions of expired chains once the map has
 // doubled since the last sweep, so a chain nobody claims against again
-// does not stay cached for the life of the process. Caller holds
-// intakeMu.
+// does not stay cached for the life of the process.
 func (p *Pipeline) sweepExpired() {
 	p.sessMu.Lock()
 	defer p.sessMu.Unlock()
@@ -356,10 +399,10 @@ func (p *Pipeline) Drain(timeout time.Duration) (*Stats, error) {
 	return p.Status(), err
 }
 
-// settleGroup settles one batch of claims drawn from a single account.
-// Claims collapse per chain: only the highest index redeems (one
-// transaction per chain), and the lower claims it subsumes finish as
-// part of the same advance.
+// settleGroup settles one batch of spool rows drawn from a single
+// account. A chain's rows (one per Submit that advanced it) collapse
+// again: only the highest index redeems (one transaction per chain), and
+// the lower rows it subsumes finish as part of the same advance.
 func (p *Pipeline) settleGroup(b *settle.Batch[*spoolRow]) error {
 	bySerial := make(map[string][]*spoolRow)
 	serials := make([]string, 0, 4)
@@ -374,11 +417,12 @@ func (p *Pipeline) settleGroup(b *settle.Batch[*spoolRow]) error {
 	for _, serial := range serials {
 		rows := bySerial[serial]
 		// The delta rule: the highest claim pays for everything below it.
-		top := rows[0]
-		for _, row := range rows[1:] {
+		top, claims := rows[0], 0
+		for _, row := range rows {
 			if row.Index > top.Index {
 				top = row
 			}
+			claims += row.claims()
 		}
 		out, err := p.red.Redeem(serial, top.Payee, top.Index, top.Word, top.RUR)
 		switch {
@@ -390,13 +434,13 @@ func (p *Pipeline) settleGroup(b *settle.Batch[*spoolRow]) error {
 				p.crossShard.Add(1)
 			}
 			p.settledTicks.Add(uint64(out.Ticks))
-			p.settledClaims.Add(uint64(len(rows)))
+			p.settledClaims.Add(uint64(claims))
 			p.mTicks.Add(int64(out.Ticks))
-			p.mClaims.Add(int64(len(rows)))
+			p.mClaims.Add(int64(claims))
 		case errors.Is(err, ErrStaleIndex):
 			// Already paid (subsumed by an earlier advance, or a crash lost
 			// its clean-up): checked before chain state, so never parked.
-			p.eng.CountDuplicates(len(rows))
+			p.eng.CountDuplicates(claims)
 			p.eng.CountRedone(len(rows))
 		case settle.Terminal(err, ErrUnknownChain, ErrChainState, payment.ErrBadWord, payment.ErrBadIndex):
 			failures := make([]settle.Parked[*spoolRow], len(rows))

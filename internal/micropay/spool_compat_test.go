@@ -72,6 +72,10 @@ func TestSpoolWrittenByParentCommitRecovers(t *testing.T) {
 	if len(rows) != 2 || rows["S/000000000042"].Parked() || !rows["P/000000000007"].Parked() {
 		t.Fatalf("fixture rows = %+v", rows)
 	}
+	// Rows written before intake folded carry no count: one claim each.
+	if got := rows["S/000000000042"].claims(); got != 1 {
+		t.Errorf("legacy row stands for %d claims, want 1", got)
+	}
 	// Parking writes the same bytes the parent wrote.
 	parked := *rows["P/000000000007"]
 	parked.State, parked.Reason = statePending, ""
