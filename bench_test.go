@@ -351,10 +351,10 @@ func BenchmarkWireBalanceQuery(b *testing.B) {
 
 func BenchmarkLedgerTransferInProcess(b *testing.B) {
 	w := newBenchWorld(b)
-	mgr := w.dep.Bank.Manager()
+	led := w.dep.Bank.Ledger()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mgr.Transfer(w.acctA, w.acctB, gridbank.Micro(1), gridbank.TransferOptions{}); err != nil {
+		if _, err := led.Transfer(w.acctA, w.acctB, gridbank.Micro(1), gridbank.TransferOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -14,6 +14,7 @@ import (
 // runFsck walks a gridbankd data directory offline, verifying every
 // journal (CRC / parse / sequence walk, read-only — torn tails are
 // reported, not truncated) and every checkpoint generation, and prints
+// each journal's byte ledger — entries and bytes by (table, op) — and
 // the boot decision the fallback chain would make for each store. It
 // returns healthy=false when any store has no intact source of history.
 func runFsck(w io.Writer, dataDir string) (healthy bool, err error) {
@@ -62,6 +63,7 @@ func runFsck(w io.Writer, dataDir string) (healthy bool, err error) {
 		}
 		fmt.Fprintf(w, "store %s:\n", name)
 		fmt.Fprintf(w, "  journal %s.wal [%s]: %s\n", name, rep.Journal.Codec, rep.Journal.Verdict())
+		printByteLedger(w, rep.Journal)
 		for _, g := range rep.Generations {
 			fmt.Fprintf(w, "  checkpoint %s: %s\n", filepath.Base(g.Path), g.Verdict())
 		}
@@ -81,4 +83,19 @@ func runFsck(w io.Writer, dataDir string) (healthy bool, err error) {
 		fmt.Fprintf(w, "fsck: UNHEALTHY — at least one store cannot boot\n")
 	}
 	return healthy, nil
+}
+
+// printByteLedger prints a journal's entries and bytes by (table, op),
+// each with its share of the intact prefix; batch framing is the rest.
+func printByteLedger(w io.Writer, jr *db.JournalReport) {
+	if len(jr.ByTableOp) == 0 {
+		return
+	}
+	share := func(n int64) float64 { return 100 * float64(n) / float64(jr.GoodBytes) }
+	framing := jr.GoodBytes
+	for _, o := range jr.ByTableOp {
+		fmt.Fprintf(w, "    %-20s %-8s %10d entries %14d B %5.1f%%\n", o.Table, o.Op, o.Entries, o.Bytes, share(o.Bytes))
+		framing -= o.Bytes
+	}
+	fmt.Fprintf(w, "    %-29s %10d batches %14d B %5.1f%%\n", "(batch framing)", jr.Batches, framing, share(framing))
 }

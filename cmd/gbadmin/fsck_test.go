@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"gridbank/internal/db"
+	"gridbank/internal/wire"
 )
 
 // buildStore writes a small store with a journal and one checkpoint
@@ -175,5 +176,73 @@ func TestFsckReportsStaleTmp(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "stale temp file ledger-0.ckpt.tmp") {
 		t.Errorf("stale tmp not reported:\n%s", out.String())
+	}
+}
+
+// TestFsckByteLedger: fsck prints each journal's entries and bytes by
+// (table, op), and in either codec the ledger plus batch framing
+// accounts for every byte of the journal.
+func TestFsckByteLedger(t *testing.T) {
+	for codec, framing := range map[string]func(batches int) int64{
+		wire.CodecJSON: func(b int) int64 { return 2 * int64(b) },    // "[" "]" "\n" less one separator
+		wire.CodecBin1: func(b int) int64 { return 8 + 13*int64(b) }, // file magic, record header + count
+	} {
+		t.Run(codec, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "usage.wal")
+			j, err := db.OpenFileJournalCodecFS(db.OSFS(), path, false, codec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := db.Open(j)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.CreateTable("usage_spool"); err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range []string{"a", "b", "c"} {
+				if err := s.Update(func(tx *db.Tx) error { return tx.Put("usage_spool", k, []byte("value-"+k)) }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.Update(func(tx *db.Tx) error { return tx.Delete("usage_spool", "a") }); err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
+
+			var out strings.Builder
+			if _, err := runFsck(&out, dir); err != nil {
+				t.Fatal(err)
+			}
+			for _, want := range []string{
+				"usage_spool          put               3 entries",
+				"usage_spool          del               1 entries",
+				"usage_spool          mktable           1 entries",
+				"(batch framing)                        5 batches",
+			} {
+				if !strings.Contains(out.String(), want) {
+					t.Errorf("output missing %q:\n%s", want, out.String())
+				}
+			}
+			rep, err := db.VerifyJournal(db.OSFS(), path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fi, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := framing(rep.Batches)
+			for _, o := range rep.ByTableOp {
+				sum += o.Bytes
+			}
+			if sum != fi.Size() || rep.GoodBytes != fi.Size() {
+				t.Errorf("ledger + framing = %d B, intact prefix %d B, file %d B", sum, rep.GoodBytes, fi.Size())
+			}
+			if rep.ByTableOp[0].Op != db.OpPut {
+				t.Errorf("ledger not largest first: %+v", rep.ByTableOp)
+			}
+		})
 	}
 }

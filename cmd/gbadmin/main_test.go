@@ -104,7 +104,7 @@ func TestAdminCLIFlows(t *testing.T) {
 	if err := w.admin(t, "banker", "accounts"); err != nil {
 		t.Fatalf("accounts: %v", err)
 	}
-	acct, err := w.bank.Manager().Details(accountsID(w.acct))
+	acct, err := w.bank.Ledger().Details(accountsID(w.acct))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestUsageCLIFlows(t *testing.T) {
 		t.Fatal("usage-status succeeded without a pipeline")
 	}
 	pipe, err := usage.New(usage.Config{
-		Ledger: usage.WrapManager(w.bank.Manager()),
+		Ledger: w.bank.Ledger(),
 		Spool:  db.MustOpenMemory(),
 	})
 	if err != nil {

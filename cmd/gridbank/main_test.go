@@ -85,7 +85,7 @@ func TestCLIAccountLifecycle(t *testing.T) {
 	if err := w.cli(t, "alice", "create-account", "VO-CLI", "G$"); err != nil {
 		t.Fatalf("create-account: %v", err)
 	}
-	acct, err := w.bank.Manager().FindByCertificate("CN=alice,O=VO-CLI", "")
+	acct, err := w.bank.Ledger().FindByCertificate("CN=alice,O=VO-CLI", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestCLIAccountLifecycle(t *testing.T) {
 	if err := w.cli(t, "alice", "check-funds", string(acct.AccountID), "10"); err != nil {
 		t.Fatalf("check-funds: %v", err)
 	}
-	got, err := w.bank.Manager().Details(acct.AccountID)
+	got, err := w.bank.Ledger().Details(acct.AccountID)
 	if err != nil || got.LockedBalance != currency.FromG(10) {
 		t.Fatalf("lock not applied: %+v, %v", got, err)
 	}

@@ -248,9 +248,8 @@ var (
 	// NewUsagePipeline builds a settlement pipeline (library wiring;
 	// deployments use Deployment.EnableUsage).
 	NewUsagePipeline = usage.New
-	// WrapShardedLedger / WrapAccountsManager adapt settlement targets.
-	WrapShardedLedger   = usage.WrapSharded
-	WrapAccountsManager = usage.WrapManager
+	// WrapShardedLedger adapts a sharded ledger as a settlement target.
+	WrapShardedLedger = usage.WrapSharded
 	// ErrUsageOverloaded is the typed backpressure refusal.
 	ErrUsageOverloaded = usage.ErrOverloaded
 )

@@ -222,7 +222,7 @@ type RequestChainRequest struct {
 	PayeeCert string          `json:"payee_cert"`
 	Length    int             `json:"length"`
 	PerWord   currency.Amount `json:"per_word"`
-	TTL       time.Duration   `json:"ttl,omitempty"` // default 24h
+	TTL       time.Duration   `json:"ttl,omitempty"` // default 24h, at most maxChainTTL
 }
 
 // RequestChainResponse returns the signed commitment plus the secret seed

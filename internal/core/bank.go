@@ -184,11 +184,6 @@ func NewBankWithLedger(led Ledger, cfg BankConfig) (*Bank, error) {
 	return b, nil
 }
 
-// Manager exposes shard 0's accounts manager, for tests that read it
-// directly. Anything that creates accounts or moves money goes through
-// Ledger(): the manager's own allocators know nothing of other shards.
-func (b *Bank) Manager() *accounts.Manager { return b.led.ShardManager(0) }
-
 // Ledger exposes the dispatch surface the bank routes through (the
 // sharded ledger in a sharded deployment).
 func (b *Bank) Ledger() Ledger { return b.led }
@@ -683,6 +678,11 @@ func (b *Bank) ReleaseCheque(caller string, req *ReleaseRequest) (*ReleaseRespon
 	return &ReleaseResponse{Released: released}, nil
 }
 
+// maxChainTTL bounds a GridHash chain's lifetime. Chain rows store
+// instants as UnixNano, which ends in 2262; a decade keeps every expiry
+// far inside that range.
+const maxChainTTL = 10 * 365 * 24 * time.Hour
+
 // RequestChain implements §5.2 Request GridHash chain: the bank generates
 // the chain, signs the commitment, locks its full value together with
 // the chain row and returns the seed to the consumer (pay-as-you-go,
@@ -698,6 +698,9 @@ func (b *Bank) RequestChain(caller string, req *RequestChainRequest) (*RequestCh
 	ttl := req.TTL
 	if ttl <= 0 {
 		ttl = 24 * time.Hour
+	}
+	if ttl > maxChainTTL {
+		return nil, fmt.Errorf("core: chain TTL %v exceeds the %v maximum", ttl, maxChainTTL)
 	}
 	chain, err := payment.NewChain(req.AccountID, acct.CertificateName, req.PayeeCert,
 		req.Length, req.PerWord, acct.Currency, b.now(), ttl)

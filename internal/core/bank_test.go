@@ -94,7 +94,7 @@ func newTestWorld(t *testing.T) *testWorld {
 
 func (w *testWorld) balance(t *testing.T, id accounts.ID) (avail, locked currency.Amount) {
 	t.Helper()
-	a, err := w.bank.Manager().Details(id)
+	a, err := w.bank.Ledger().Details(id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestChequeLifecycle(t *testing.T) {
 		t.Fatalf("gsp paid %s", gspAvail)
 	}
 	// The RUR evidence is stored on the transfer.
-	tr, err := w.bank.Manager().GetTransfer(red.TransactionID)
+	tr, err := w.bank.Ledger().GetTransfer(red.TransactionID)
 	if err != nil || string(tr.ResourceUsageRecord) != `{"job":"j1"}` {
 		t.Fatalf("evidence = %+v, %v", tr, err)
 	}

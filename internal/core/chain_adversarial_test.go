@@ -156,6 +156,33 @@ func TestChainExpiryGates(t *testing.T) {
 	}
 }
 
+// TestLongTTLChainNotReleasableEarly: at the longest TTL the bank issues,
+// the expiry survives the chain row's storage, so the drawer cannot
+// release the lock early; a longer TTL is refused before anything locks.
+func TestLongTTLChainNotReleasableEarly(t *testing.T) {
+	w := newTestWorld(t)
+	req := &RequestChainRequest{AccountID: w.aliceAcct.AccountID, PayeeCert: w.gsp.SubjectName(),
+		Length: 10, PerWord: currency.FromG(1), TTL: 250 * 365 * 24 * time.Hour}
+	if _, err := w.bank.RequestChain(w.alice.SubjectName(), req); err == nil {
+		t.Fatal("250-year chain issued")
+	}
+	if _, locked := w.balance(t, w.aliceAcct.AccountID); !locked.IsZero() {
+		t.Fatalf("refused chain locked %s", locked)
+	}
+	req.TTL = maxChainTTL
+	resp, err := w.bank.RequestChain(w.alice.SubjectName(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.clock.Advance(maxChainTTL - time.Hour)
+	if _, err := w.bank.ReleaseChain(w.alice.SubjectName(), &ReleaseRequest{Serial: resp.Chain.Commitment.Serial}); !errors.Is(err, ErrNotExpired) {
+		t.Fatalf("release an hour before expiry err = %v", err)
+	}
+	if _, locked := w.balance(t, w.aliceAcct.AccountID); locked != currency.FromG(10) {
+		t.Fatalf("locked = %s, want 10 G$", locked)
+	}
+}
+
 // TestReleaseVsInFlightRedeemRace drives redemption and release
 // concurrently across the expiry instant. Whatever interleaving the
 // scheduler picks, the per-serial lock plus single-transaction commits

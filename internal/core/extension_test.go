@@ -46,7 +46,7 @@ func (ps *promissoryScheme) issue(subject string, body []byte) (any, error) {
 	if err := json.Unmarshal(body, &req); err != nil {
 		return nil, err
 	}
-	acct, err := ps.bank.Manager().Details(req.Account)
+	acct, err := ps.bank.Ledger().Details(req.Account)
 	if err != nil {
 		return nil, err
 	}
@@ -58,7 +58,7 @@ func (ps *promissoryScheme) issue(subject string, body []byte) (any, error) {
 		return nil, err
 	}
 	// Reuse the §3.4 guarantee: lock the face value.
-	if err := ps.bank.Manager().CheckFunds(req.Account, req.Amount); err != nil {
+	if err := ps.bank.Ledger().CheckFunds(req.Account, req.Amount); err != nil {
 		return nil, err
 	}
 	note := promissoryNote{Serial: serial, Drawer: req.Account, Payee: req.Payee, Amount: req.Amount}
@@ -86,7 +86,7 @@ func (ps *promissoryScheme) redeem(subject string, body []byte) (any, error) {
 	if note.Payee != subject {
 		return nil, fmt.Errorf("%w: note payable to %s", ErrDenied, note.Payee)
 	}
-	payeeAcct, err := ps.bank.Manager().FindByCertificate(subject, "")
+	payeeAcct, err := ps.bank.Ledger().FindByCertificate(subject, "")
 	if err != nil {
 		return nil, err
 	}
@@ -99,7 +99,7 @@ func (ps *promissoryScheme) redeem(subject string, body []byte) (any, error) {
 	if !outstanding {
 		return nil, fmt.Errorf("%w: note %s", ErrAlreadyRedeemed, note.Serial)
 	}
-	tr, err := ps.bank.Manager().Transfer(note.Drawer, payeeAcct.AccountID, note.Amount,
+	tr, err := ps.bank.Ledger().Transfer(note.Drawer, payeeAcct.AccountID, note.Amount,
 		accounts.TransferOptions{FromLocked: true})
 	if err != nil {
 		return nil, err
@@ -134,7 +134,7 @@ func TestCustomPaymentSchemePluggability(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The lock landed on the ledger through the unmodified accounts layer.
-	a, _ := lw.bank.Manager().Details(lw.aliceAcct.AccountID)
+	a, _ := lw.bank.Ledger().Details(lw.aliceAcct.AccountID)
 	if a.LockedBalance != currency.FromG(40) {
 		t.Fatalf("locked = %s", a.LockedBalance)
 	}
@@ -148,7 +148,7 @@ func TestCustomPaymentSchemePluggability(t *testing.T) {
 	if redeemed.TransactionID == 0 {
 		t.Fatal("no settlement transaction")
 	}
-	g, _ := lw.bank.Manager().Details(lw.gspAcct.AccountID)
+	g, _ := lw.bank.Ledger().Details(lw.gspAcct.AccountID)
 	if g.AvailableBalance != currency.FromG(40) {
 		t.Fatalf("gsp balance = %s", g.AvailableBalance)
 	}

@@ -61,16 +61,16 @@ func newBenchWire(b *testing.B, journal db.Journal, pairs int) *benchWire {
 	b.Cleanup(func() { srv.Close() })
 
 	bw := &benchWire{}
-	mgr := bank.Manager()
+	led := bank.Ledger()
 	for i := 0; i < pairs; i++ {
-		payer, err := mgr.CreateAccount(fmt.Sprintf("CN=bench-payer-%d", i), "VO-B", "")
+		payer, err := led.CreateAccount(fmt.Sprintf("CN=bench-payer-%d", i), "VO-B", "")
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := mgr.Admin().Deposit(payer.AccountID, currency.FromG(1_000_000)); err != nil {
+		if err := led.Deposit(payer.AccountID, currency.FromG(1_000_000)); err != nil {
 			b.Fatal(err)
 		}
-		payee, err := mgr.CreateAccount(fmt.Sprintf("CN=bench-payee-%d", i), "VO-B", "")
+		payee, err := led.CreateAccount(fmt.Sprintf("CN=bench-payee-%d", i), "VO-B", "")
 		if err != nil {
 			b.Fatal(err)
 		}

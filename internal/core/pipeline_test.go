@@ -336,7 +336,7 @@ func TestClientDemuxRace(t *testing.T) {
 // over ONE connection conserve money end to end.
 func TestPipelinedConservationUnderLoad(t *testing.T) {
 	lw := newLiveWorld(t)
-	before, err := lw.bank.Manager().TotalBalance()
+	before, err := lw.bank.Ledger().TotalBalance()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +361,7 @@ func TestPipelinedConservationUnderLoad(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	after, err := lw.bank.Manager().TotalBalance()
+	after, err := lw.bank.Ledger().TotalBalance()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,7 +78,7 @@ func TestRedemptionSurvivesRestart(t *testing.T) {
 		t.Fatalf("post-restart double redeem err = %v", err)
 	}
 	// The outstanding cheque's lock survived and it redeems normally.
-	a, err := bank2.Manager().Details(aAcct.Account.AccountID)
+	a, err := bank2.Ledger().Details(aAcct.Account.AccountID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestRedemptionSurvivesRestart(t *testing.T) {
 	if err != nil || red.Paid != currency.FromG(20) {
 		t.Fatalf("post-restart redeem = %+v, %v", red, err)
 	}
-	total, err := bank2.Manager().TotalBalance()
+	total, err := bank2.Ledger().TotalBalance()
 	if err != nil || total != currency.FromG(100) {
 		t.Fatalf("post-restart total = %s, %v", total, err)
 	}

@@ -123,7 +123,7 @@ func TestConcurrentClientsMixedWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Ledger still consistent.
-	if _, err := lw.bank.Manager().TotalBalance(); err != nil {
+	if _, err := lw.bank.Ledger().TotalBalance(); err != nil {
 		t.Fatal(err)
 	}
 }

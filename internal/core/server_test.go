@@ -257,7 +257,7 @@ func TestMoneyConservedOverWireWorkload(t *testing.T) {
 	lw := newLiveWorld(t)
 	alice := lw.client(t, lw.alice)
 	gsp := lw.client(t, lw.gsp)
-	before, err := lw.bank.Manager().TotalBalance()
+	before, err := lw.bank.Ledger().TotalBalance()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestMoneyConservedOverWireWorkload(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	after, err := lw.bank.Manager().TotalBalance()
+	after, err := lw.bank.Ledger().TotalBalance()
 	if err != nil {
 		t.Fatal(err)
 	}

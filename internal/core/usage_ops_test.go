@@ -15,7 +15,7 @@ import (
 // attachPipeline wires a settlement pipeline into the world's bank.
 func attachPipeline(t *testing.T, w *testWorld, cfg usage.Config) *usage.Pipeline {
 	t.Helper()
-	cfg.Ledger = usage.WrapManager(w.bank.Manager())
+	cfg.Ledger = w.bank.Ledger()
 	cfg.Spool = db.MustOpenMemory()
 	cfg.Now = w.clock.Now
 	p, err := usage.New(cfg)

@@ -71,6 +71,12 @@ func AppendEntriesBinary(buf *bytes.Buffer, entries []Entry) error {
 // DecodeEntriesBinary parses a payload produced by AppendEntriesBinary.
 // The payload may be pooled scratch: everything kept is copied.
 func DecodeEntriesBinary(payload []byte) ([]Entry, error) {
+	return decodeEntriesBinary(payload, nil)
+}
+
+// decodeEntriesBinary is DecodeEntriesBinary; when sizes is non-nil it
+// also gets each entry's encoded size.
+func decodeEntriesBinary(payload []byte, sizes *[]int) ([]Entry, error) {
 	r := wire.NewBinReader(payload)
 	n := r.U32()
 	if err := r.Err(); err != nil {
@@ -79,6 +85,7 @@ func DecodeEntriesBinary(payload []byte) ([]Entry, error) {
 	// Cap the pre-allocation: n is attacker-/corruption-controlled.
 	entries := make([]Entry, 0, min(int(n), 4096))
 	for i := uint32(0); i < n; i++ {
+		start := r.Len()
 		var e Entry
 		e.Seq = r.U64()
 		switch b := r.U8(); b {
@@ -98,6 +105,9 @@ func DecodeEntriesBinary(payload []byte) ([]Entry, error) {
 		e.Value = r.Blob32()
 		if err := r.Err(); err != nil {
 			return nil, err
+		}
+		if sizes != nil {
+			*sizes = append(*sizes, start-r.Len())
 		}
 		entries = append(entries, e)
 	}

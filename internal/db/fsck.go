@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"sort"
 	"strings"
 )
 
@@ -38,6 +39,18 @@ type JournalReport struct {
 	// NonMonotonic: sequence numbers in the intact prefix go backwards
 	// (ignoring seq-less legacy entries) — replay order is suspect.
 	NonMonotonic bool `json:"non_monotonic,omitempty"`
+	// ByTableOp is the intact prefix's byte ledger, largest first. What
+	// it does not count of GoodBytes is batch framing.
+	ByTableOp []OpBytes `json:"by_table_op,omitempty"`
+}
+
+// OpBytes is one line of a journal's byte ledger: the entries of one
+// (table, op) pair and their encoded size in the journal's codec.
+type OpBytes struct {
+	Table   string `json:"table"`
+	Op      Op     `json:"op"`
+	Entries int    `json:"entries"`
+	Bytes   int64  `json:"bytes"`
 }
 
 // OK reports whether the journal is safe to boot from as-is (a torn
@@ -84,13 +97,17 @@ func VerifyJournal(fsys FS, path string) (*JournalReport, error) {
 		r.Codec = "json"
 		verifyJSONJournal(b, r)
 	}
+	sort.SliceStable(r.ByTableOp, func(i, j int) bool { return r.ByTableOp[i].Bytes > r.ByTableOp[j].Bytes })
 	return r, nil
 }
 
-func (r *JournalReport) noteBatch(entries []Entry, size int64) {
+// noteBatch accounts one intact batch; sizes[i] is entry i's encoded
+// size.
+func (r *JournalReport) noteBatch(entries []Entry, sizes []int, size int64) {
 	r.Batches++
 	r.Entries += len(entries)
-	for _, e := range entries {
+	for i, e := range entries {
+		r.noteBytes(&e, sizes[i])
 		if e.Seq == 0 {
 			continue // legacy seq-less entry
 		}
@@ -103,6 +120,19 @@ func (r *JournalReport) noteBatch(entries []Entry, size int64) {
 		r.LastSeq = e.Seq
 	}
 	r.GoodBytes += size
+}
+
+// noteBytes adds an entry to the byte ledger. A journal touches a few
+// dozen (table, op) pairs, so a scan beats a map here.
+func (r *JournalReport) noteBytes(e *Entry, n int) {
+	for i := range r.ByTableOp {
+		if o := &r.ByTableOp[i]; o.Table == e.Table && o.Op == e.Op {
+			o.Entries++
+			o.Bytes += int64(n)
+			return
+		}
+	}
+	r.ByTableOp = append(r.ByTableOp, OpBytes{Table: e.Table, Op: e.Op, Entries: 1, Bytes: int64(n)})
 }
 
 func verifyJSONJournal(b []byte, r *JournalReport) {
@@ -120,8 +150,8 @@ func verifyJSONJournal(b []byte, r *JournalReport) {
 			r.GoodBytes++
 			continue
 		}
-		var batch []Entry
-		if err := json.Unmarshal(line, &batch); err != nil {
+		batch, sizes, err := decodeJSONBatch(line)
+		if err != nil {
 			// A tear is by construction the last line; anything after a
 			// bad line means mid-file corruption (mirrors Replay).
 			if len(rest) > 0 {
@@ -131,8 +161,25 @@ func verifyJSONJournal(b []byte, r *JournalReport) {
 			}
 			return
 		}
-		r.noteBatch(batch, int64(len(line))+1)
+		r.noteBatch(batch, sizes, int64(len(line))+1)
 	}
+}
+
+// decodeJSONBatch parses one journal line, and sizes each entry as its
+// JSON text plus the separator that follows it.
+func decodeJSONBatch(line []byte) ([]Entry, []int, error) {
+	var raws []json.RawMessage
+	if err := json.Unmarshal(line, &raws); err != nil {
+		return nil, nil, err
+	}
+	batch, sizes := make([]Entry, len(raws)), make([]int, len(raws))
+	for i, raw := range raws {
+		if err := json.Unmarshal(raw, &batch[i]); err != nil {
+			return nil, nil, err
+		}
+		sizes[i] = len(raw) + 1
+	}
+	return batch, sizes, nil
 }
 
 func verifyBinJournal(b []byte, r *JournalReport) {
@@ -159,9 +206,10 @@ func verifyBinJournal(b []byte, r *JournalReport) {
 		}
 		payload := rest[binRecordHdrLen : binRecordHdrLen+int(n)]
 		var entries []Entry
+		var sizes []int
 		ok := false
 		if crc32.ChecksumIEEE(payload) == binary.BigEndian.Uint32(rest[5:9]) {
-			if dec, err := DecodeEntriesBinary(payload); err == nil {
+			if dec, err := decodeEntriesBinary(payload, &sizes); err == nil {
 				entries, ok = dec, true
 			}
 		}
@@ -174,7 +222,7 @@ func verifyBinJournal(b []byte, r *JournalReport) {
 			}
 			return
 		}
-		r.noteBatch(entries, int64(binRecordHdrLen)+int64(n))
+		r.noteBatch(entries, sizes, int64(binRecordHdrLen)+int64(n))
 		rest = rest[binRecordHdrLen+int(n):]
 	}
 }

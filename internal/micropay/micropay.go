@@ -36,14 +36,27 @@
 //     intake with a per-claim reason; transient faults surface as
 //     Submit errors the caller retries.
 //
-// Spool format (table "micropay_spool", key = "<serial>/<index>"): one
-// row per chain per Submit, at the highest index the Submit verified.
-// "claims" is how many claims the row stands for; rows written before
-// intake folded have none and stand for one. "rur" is the top claim's.
+// Row formats. Spool rows (table "micropay_spool", key =
+// "<serial>/<index>") and chain rows (table "chains", key = serial) are
+// written in bin1 (wire.RowBin1): a 0xB1 version byte, a flags byte,
+// fixed-width integers (amounts in micro-units, instants as UnixNano),
+// then length-prefixed strings and raw blobs. Nothing the key holds is
+// stored again. The layouts are at encodeSpoolRow and ChainRow.encode;
+// an instant UnixNano cannot hold (after 2262) is refused, never
+// wrapped, and the bank caps a chain's TTL well inside that. A spool
+// row is one chain's part of one Submit, at the highest index the Submit
+// verified: "claims" says how many claims it stands for and "rur" is the
+// top claim's evidence; the flags byte marks a parked row, whose reason
+// follows. A chain row's flags byte marks a pinned cross-shard
+// redemption, whose Pin* fields follow.
 //
-//	{"key":"S/000000000042","serial":"S","index":42,"word":"...",
-//	 "claims":16,"drawer":"01-0001-00000003",
-//	 "payee":"01-0001-00000007","state":"pending","enqueued":"..."}
+// A value opening with "{" is a legacy JSON row, written before bin1
+// (a spool row then has no "claims" when it predates intake folding, and
+// stands for one claim). Legacy rows stay readable forever; every write,
+// re-parking a legacy row included, is bin1. The row format does not
+// follow the journal codec, and the upgrade is one-way: a data dir this
+// package has written to cannot be opened by a binary that only reads
+// JSON rows.
 package micropay
 
 import (
@@ -196,7 +209,8 @@ const (
 
 // spoolRow is one chain's durable intake from one Submit — its highest
 // verified claim — with the parties resolved at intake so recovery never
-// needs a directory lookup.
+// needs a directory lookup. The json tags read legacy rows only; rows
+// are written in bin1 (encodeSpoolRow).
 type spoolRow struct {
 	Key      string      `json:"key"`
 	Serial   string      `json:"serial"`

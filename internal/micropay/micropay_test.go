@@ -1,7 +1,6 @@
 package micropay_test
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
@@ -472,23 +471,16 @@ func TestPipelineStreamsAndSettles(t *testing.T) {
 	w.assertConserved()
 }
 
-// spooledRow is the part of a spool row the intake tests read.
-type spooledRow struct {
-	Serial string `json:"serial"`
-	Index  int    `json:"index"`
-	RUR    []byte `json:"rur"`
-	Claims int    `json:"claims"`
-	State  string `json:"state"`
-}
-
-// spoolRows reads the spool table, keyed by spool key.
-func (w *world) spoolRows() map[string]spooledRow {
+// spoolRows reads the spool table through the pipeline's codec, keyed
+// by spool key.
+func (w *world) spoolRows() map[string]*micropay.SpoolRow {
 	w.t.Helper()
-	rows := make(map[string]spooledRow)
+	rows := make(map[string]*micropay.SpoolRow)
 	err := w.spool.Scan(micropay.TableSpool, func(key string, value []byte) bool {
-		var row spooledRow
-		if err := json.Unmarshal(value, &row); err != nil {
+		row, err := micropay.DecodeSpoolRow(key, value)
+		if err != nil {
 			w.t.Errorf("spool row %s: %v", key, err)
+			return true
 		}
 		rows[key] = row
 		return true

@@ -163,6 +163,8 @@ func New(cfg Config) (*Pipeline, error) {
 		ErrClosed:       ErrClosed,
 		ErrDrainStalled: ErrDrainStalled,
 		ErrDrainTimeout: ErrDrainTimeout,
+		Encode:          encodeSpoolRow,
+		Decode:          decodeSpoolRow,
 
 		// Only rows the intake transaction wrote are admitted; Submit reads
 		// the mark to tell them from rows whose key was already pending.

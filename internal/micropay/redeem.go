@@ -90,9 +90,9 @@ func NewRedeemer(led usage.Ledger, now func() time.Time) (*Redeemer, error) {
 		}
 		var scanErr error
 		err := st.Scan(TableChains, func(key string, value []byte) bool {
-			row, err := decodeChainRow(value)
+			row, err := decodeChainRow(key, value)
 			if err != nil {
-				scanErr = fmt.Errorf("micropay: chain %s: %w", key, err)
+				scanErr = err
 				return false
 			}
 			if row.PinTxID > maxPin {
@@ -136,7 +136,10 @@ func (r *Redeemer) hook(b Boundary, serial string) error {
 func (r *Redeemer) Issue(row *ChainRow, lock currency.Amount) error {
 	home := r.rs.home(row)
 	mgr := r.led.ShardManager(home)
-	raw := row.encode()
+	raw, err := row.encode()
+	if err != nil {
+		return err
+	}
 	return r.led.ShardStore(home).Update(func(tx *db.Tx) error {
 		if err := mgr.LockTx(tx, row.Commitment.DrawerAccountID, lock); err != nil {
 			return err
@@ -246,7 +249,7 @@ func (r *Redeemer) redeemSame(row *ChainRow, at, home int, payee accounts.ID, ta
 		// lives at its legacy location and migrates home right here.
 		cur := row
 		if raw, err := tx.Get(TableChains, serial); err == nil {
-			c, derr := decodeChainRow(raw)
+			c, derr := decodeChainRow(serial, raw)
 			if derr != nil {
 				return derr
 			}
@@ -322,7 +325,7 @@ func (r *Redeemer) redeemSame(row *ChainRow, at, home int, payee accounts.ID, ta
 		if target == out.Commitment.Length {
 			out.State = StateRedeemed
 		}
-		return tx.Put(TableChains, serial, out.encode())
+		return putChainRow(tx, &out)
 	})
 	if err != nil {
 		return nil, err
@@ -443,7 +446,7 @@ func (r *Redeemer) drivePin(row *ChainRow, delta currency.Amount) (*ChainRow, in
 	err := r.led.ShardStore(home).Update(func(tx *db.Tx) error {
 		cur := row
 		if raw, err := tx.Get(TableChains, serial); err == nil {
-			c, derr := decodeChainRow(raw)
+			c, derr := decodeChainRow(serial, raw)
 			if derr != nil {
 				return derr
 			}
@@ -466,7 +469,7 @@ func (r *Redeemer) drivePin(row *ChainRow, delta currency.Amount) (*ChainRow, in
 				out.State = StateRedeemed
 			}
 		}
-		return tx.Put(TableChains, serial, out.encode())
+		return putChainRow(tx, &out)
 	})
 	if err != nil {
 		return nil, 0, err
@@ -517,7 +520,7 @@ func (r *Redeemer) Release(serial string, gate func(*ChainRow) error) (*Outcome,
 	err = r.led.ShardStore(home).Update(func(tx *db.Tx) error {
 		cur := row
 		if raw, err := tx.Get(TableChains, serial); err == nil {
-			c, derr := decodeChainRow(raw)
+			c, derr := decodeChainRow(serial, raw)
 			if derr != nil {
 				return derr
 			}
@@ -551,7 +554,7 @@ func (r *Redeemer) Release(serial string, gate func(*ChainRow) error) (*Outcome,
 		}
 		out = *cur
 		out.State = StateReleased
-		return tx.Put(TableChains, serial, out.encode())
+		return putChainRow(tx, &out)
 	})
 	if err != nil {
 		return nil, err

@@ -5,12 +5,12 @@
 //	(shard, drawer) → batch take → settle → finish or park →
 //	requeue on a transient fault → recover from the spool at boot
 //
-// A pipeline package supplies the row type and three decisions — may an
-// incoming row be spooled, what to note about a recovered row, how to
-// settle one batch — and the engine owns everything else: config
-// defaults, backpressure, the single-transaction dedupe-or-revive
-// intake, workers, retries, Drain, Close and the telemetry that mirrors
-// the queue.
+// A pipeline package supplies the row type, its spool encoding and three
+// decisions — may an incoming row be spooled, what to note about a
+// recovered row, how to settle one batch — and the engine owns
+// everything else: config defaults, backpressure, the single-transaction
+// dedupe-or-revive intake, workers, retries, Drain, Close and the
+// telemetry that mirrors the queue.
 //
 // Contract:
 //
@@ -45,7 +45,6 @@
 package settle
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"slices"
@@ -60,8 +59,8 @@ import (
 )
 
 // Row is the engine's view of a pipeline's durable spool record. The
-// pipeline's row type implements it on its pointer; the JSON layout
-// stays entirely the pipeline's.
+// pipeline's row type implements it on its pointer; the byte layout
+// stays entirely the pipeline's (Config.Encode/Decode).
 type Row interface {
 	// SpoolKey is the row's key in the spool table: its idempotency key.
 	SpoolKey() string
@@ -161,6 +160,13 @@ type Config[R Row] struct {
 	// with errors.Is per package.
 	ErrOverloaded, ErrClosed, ErrDrainStalled, ErrDrainTimeout error
 
+	// Encode and Decode are the row's spool value codec, used for every
+	// spool write (intake, park) and read (dedupe-or-revive, take-time
+	// reload, recovery). Decode gets the entry key too, so the value need
+	// not repeat what the key holds. Both required.
+	Encode func(row R) ([]byte, error)
+	Decode func(key string, raw []byte) (R, error)
+
 	// Admit runs inside the intake transaction for every incoming row
 	// whose key is free or parked (parked is then the row it would
 	// replace, else the zero R). Returning false counts the row as a
@@ -231,6 +237,9 @@ type Engine[R Row] struct {
 func New[R Row](cfg Config[R]) (*Engine[R], error) {
 	if cfg.Spool == nil {
 		return nil, fmt.Errorf("%s: pipeline requires a spool store", cfg.Name)
+	}
+	if cfg.Encode == nil || cfg.Decode == nil {
+		return nil, fmt.Errorf("%s: pipeline requires a spool row codec", cfg.Name)
 	}
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 64
@@ -317,8 +326,8 @@ func (e *Engine[R]) Close() error {
 }
 
 func (e *Engine[R]) decode(key string, raw []byte) (R, error) {
-	var row R
-	if err := json.Unmarshal(raw, &row); err != nil {
+	row, err := e.cfg.Decode(key, raw)
+	if err != nil {
 		return row, fmt.Errorf("%s: corrupt spool row %s: %w", e.cfg.Name, key, err)
 	}
 	return row, nil
@@ -419,7 +428,7 @@ func (e *Engine[R]) Submit(rows []R) (*Intake, error) {
 				dups++
 				continue
 			}
-			out, err := json.Marshal(row)
+			out, err := e.cfg.Encode(row)
 			if err != nil {
 				return err
 			}
@@ -651,7 +660,7 @@ func (b *Batch[R]) Finish(finished []R, parked []Parked[R]) error {
 		}
 		for _, p := range parked {
 			p.Row.Park(p.Reason)
-			raw, err := json.Marshal(p.Row)
+			raw, err := cfg.Encode(p.Row)
 			if err != nil {
 				return err
 			}

@@ -76,7 +76,12 @@ func newEngine(t *testing.T, spool *db.Store, f *fake, tune func(*settle.Config[
 		ErrClosed:       errClosed,
 		ErrDrainStalled: errStalled,
 		ErrDrainTimeout: errTimeout,
-		Settle:          f.run,
+		Encode:          func(r *item) ([]byte, error) { return json.Marshal(r) },
+		Decode: func(_ string, raw []byte) (*item, error) {
+			var r item
+			return &r, json.Unmarshal(raw, &r)
+		},
+		Settle: f.run,
 	}
 	if f.admit != nil {
 		cfg.Admit = f.admit
@@ -444,6 +449,12 @@ func TestStorageFailureIsNeverTerminal(t *testing.T) {
 func TestNewRequiresSpool(t *testing.T) {
 	if _, err := settle.New(settle.Config[*item]{Name: "fake"}); err == nil {
 		t.Fatal("engine built without a spool store")
+	}
+}
+
+func TestNewRequiresCodec(t *testing.T) {
+	if _, err := settle.New(settle.Config[*item]{Name: "fake", Spool: db.MustOpenMemory()}); err == nil {
+		t.Fatal("engine built without a spool row codec")
 	}
 }
 

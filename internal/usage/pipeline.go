@@ -123,6 +123,8 @@ func New(cfg Config) (*Pipeline, error) {
 		ErrClosed:       ErrClosed,
 		ErrDrainStalled: ErrDrainStalled,
 		ErrDrainTimeout: ErrDrainTimeout,
+		Encode:          encodeSpoolRow,
+		Decode:          decodeSpoolRow,
 
 		Admit: p.admit,
 		Recovered: func(row *spoolRow) {
@@ -510,8 +512,8 @@ func (p *Pipeline) settleCross(b *settle.Batch[*spoolRow], row *spoolRow) error 
 			if err != nil {
 				return err
 			}
-			var cur spoolRow
-			if err := json.Unmarshal(raw, &cur); err != nil {
+			cur, err := decodeSpoolRow(row.ID, raw)
+			if err != nil {
 				return err
 			}
 			if cur.PinTxID != 0 {
@@ -519,7 +521,7 @@ func (p *Pipeline) settleCross(b *settle.Batch[*spoolRow], row *spoolRow) error 
 				return nil
 			}
 			cur.PinTxID = pin
-			out, err := json.Marshal(&cur)
+			out, err := encodeSpoolRow(cur)
 			if err != nil {
 				return err
 			}

@@ -62,9 +62,9 @@ func encodedRUR(t *testing.T, consumer, provider, jobID string, cpuSec int64) []
 	return raw
 }
 
-// singleWorld is an unsharded ledger with a volatile spool.
+// singleWorld is a one-shard ledger with a volatile spool.
 type singleWorld struct {
-	mgr    *accounts.Manager
+	led    *shard.Ledger
 	spool  *db.Store
 	drawer accounts.ID
 	recip  accounts.ID
@@ -72,31 +72,26 @@ type singleWorld struct {
 
 func newSingleWorld(t *testing.T, funds currency.Amount) *singleWorld {
 	t.Helper()
-	mgr, err := accounts.NewManager(db.MustOpenMemory(), accounts.Config{
-		Now: func() time.Time { return testEpoch },
-	})
+	led := mustLedger(t)
+	drawer, err := led.CreateAccount("CN=consumer", "VO-X", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	drawer, err := mgr.CreateAccount("CN=consumer", "VO-X", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	recip, err := mgr.CreateAccount("CN=provider", "VO-X", "")
+	recip, err := led.CreateAccount("CN=provider", "VO-X", "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if funds.IsPositive() {
-		if err := mgr.Admin().Deposit(drawer.AccountID, funds); err != nil {
+		if err := led.Deposit(drawer.AccountID, funds); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return &singleWorld{mgr: mgr, spool: db.MustOpenMemory(), drawer: drawer.AccountID, recip: recip.AccountID}
+	return &singleWorld{led: led, spool: db.MustOpenMemory(), drawer: drawer.AccountID, recip: recip.AccountID}
 }
 
 func (w *singleWorld) pipeline(t *testing.T, cfg usage.Config) *usage.Pipeline {
 	t.Helper()
-	cfg.Ledger = usage.WrapManager(w.mgr)
+	cfg.Ledger = w.led
 	cfg.Spool = w.spool
 	cfg.Now = func() time.Time { return testEpoch }
 	cfg.Log = testLogger(t)
@@ -118,9 +113,9 @@ func (w *singleWorld) submission(t *testing.T, id string, cpuSec int64) usage.Su
 	}
 }
 
-func balance(t *testing.T, mgr *accounts.Manager, id accounts.ID) currency.Amount {
+func balance(t *testing.T, led *shard.Ledger, id accounts.ID) currency.Amount {
 	t.Helper()
-	a, err := mgr.Details(id)
+	a, err := led.Details(id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +125,7 @@ func balance(t *testing.T, mgr *accounts.Manager, id accounts.ID) currency.Amoun
 func TestBatchSettlementAmortizesAndConserves(t *testing.T) {
 	w := newSingleWorld(t, currency.FromG(1000))
 	p := w.pipeline(t, usage.Config{Workers: -1, BatchSize: 64})
-	before, err := w.mgr.TotalBalance()
+	before, err := w.led.TotalBalance()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,13 +154,13 @@ func TestBatchSettlementAmortizesAndConserves(t *testing.T) {
 	if st.Batches > 2 {
 		t.Errorf("batches = %d, want <= 2", st.Batches)
 	}
-	if got, want := balance(t, w.mgr, w.recip), currency.FromG(n); got != want {
+	if got, want := balance(t, w.led, w.recip), currency.FromG(n); got != want {
 		t.Errorf("recipient = %s, want %s", got, want)
 	}
-	if got, want := balance(t, w.mgr, w.drawer), currency.FromG(1000-n); got != want {
+	if got, want := balance(t, w.led, w.drawer), currency.FromG(1000-n); got != want {
 		t.Errorf("drawer = %s, want %s", got, want)
 	}
-	after, err := w.mgr.TotalBalance()
+	after, err := w.led.TotalBalance()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +168,7 @@ func TestBatchSettlementAmortizesAndConserves(t *testing.T) {
 		t.Errorf("conservation violated: %s -> %s", before, after)
 	}
 	// Evidence: the TRANSFER records carry the RURs.
-	stmt, err := w.mgr.Statement(w.recip, testEpoch.Add(-time.Hour), testEpoch.Add(time.Hour))
+	stmt, err := w.led.Statement(w.recip, testEpoch.Add(-time.Hour), testEpoch.Add(time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +179,7 @@ func TestBatchSettlementAmortizesAndConserves(t *testing.T) {
 		t.Error("transfer record lost the RUR evidence")
 	}
 	// The exactly-once marker names the transaction that paid the charge.
-	raw, err := w.mgr.Store().Get("usage_settled", "job-000")
+	raw, err := w.led.Store().Get("usage_settled", "job-000")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +221,7 @@ func TestExactlyOnceOnDuplicateSubmission(t *testing.T) {
 	if _, err := p.Drain(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := balance(t, w.mgr, w.recip), currency.FromG(1); got != want {
+	if got, want := balance(t, w.led, w.recip), currency.FromG(1); got != want {
 		t.Errorf("recipient = %s, want %s (settled more than once?)", got, want)
 	}
 }
@@ -311,7 +306,7 @@ func TestInsufficientFundsParksFailed(t *testing.T) {
 	if st.Settled != 1 || st.Failed != 1 || st.Pending != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if got := balance(t, w.mgr, w.drawer); !got.IsZero() {
+	if got := balance(t, w.led, w.drawer); !got.IsZero() {
 		t.Errorf("drawer = %s, want 0", got)
 	}
 	// The parked row is not retried by draining alone.
@@ -321,7 +316,7 @@ func TestInsufficientFundsParksFailed(t *testing.T) {
 	// But once the operator funds the drawer, re-submitting the same ID
 	// resurrects the charge — the retry path — and it settles exactly
 	// once.
-	if err := w.mgr.Admin().Deposit(w.drawer, currency.FromG(5)); err != nil {
+	if err := w.led.Deposit(w.drawer, currency.FromG(5)); err != nil {
 		t.Fatal(err)
 	}
 	res, err := p.Submit([]usage.Submission{w.submission(t, "broke", 3600)})
@@ -334,7 +329,7 @@ func TestInsufficientFundsParksFailed(t *testing.T) {
 	if st, err = p.Drain(5 * time.Second); err != nil || st.Failed != 0 || st.Pending != 0 {
 		t.Fatalf("post-resurrect drain = %+v, %v", st, err)
 	}
-	if got, want := balance(t, w.mgr, w.recip), currency.FromG(2); got != want {
+	if got, want := balance(t, w.led, w.recip), currency.FromG(2); got != want {
 		t.Errorf("recipient = %s, want %s", got, want)
 	}
 }
@@ -354,7 +349,7 @@ func TestBackgroundWorkersSettle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("drain: %v (stats %+v)", err, st)
 	}
-	if got, want := balance(t, w.mgr, w.recip), currency.FromG(40); got != want {
+	if got, want := balance(t, w.led, w.recip), currency.FromG(40); got != want {
 		t.Errorf("recipient = %s, want %s", got, want)
 	}
 }
@@ -528,7 +523,7 @@ func TestZeroAmountChargeSettlesWithoutTransfer(t *testing.T) {
 	if err != nil || st.Settled != 1 {
 		t.Fatalf("drain = %+v, %v", st, err)
 	}
-	if got := balance(t, w.mgr, w.recip); !got.IsZero() {
+	if got := balance(t, w.led, w.recip); !got.IsZero() {
 		t.Errorf("recipient = %s, want 0", got)
 	}
 	// Idempotent even with no money moved.
@@ -555,18 +550,19 @@ func TestSubmitRequiresPositiveConfig(t *testing.T) {
 	if _, err := usage.New(usage.Config{}); err == nil {
 		t.Error("nil ledger accepted")
 	}
-	if _, err := usage.New(usage.Config{Ledger: usage.WrapManager(mustManager(t))}); err == nil {
+	if _, err := usage.New(usage.Config{Ledger: mustLedger(t)}); err == nil {
 		t.Error("nil spool accepted")
 	}
 }
 
-func mustManager(t *testing.T) *accounts.Manager {
+// mustLedger is a one-shard ledger on a volatile store.
+func mustLedger(t *testing.T) *shard.Ledger {
 	t.Helper()
-	mgr, err := accounts.NewManager(db.MustOpenMemory(), accounts.Config{})
+	led, err := shard.New([]*db.Store{db.MustOpenMemory()}, shard.Config{Now: func() time.Time { return testEpoch }})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return mgr
+	return led
 }
 
 // TestRecoveryRequeuesPending rebuilds a pipeline over the same stores
@@ -585,7 +581,7 @@ func TestRecoveryRequeuesPending(t *testing.T) {
 	if err != nil || st.Settled != 1 {
 		t.Fatalf("drain after reboot = %+v, %v", st, err)
 	}
-	if got, want := balance(t, w.mgr, w.recip), currency.FromG(1); got != want {
+	if got, want := balance(t, w.led, w.recip), currency.FromG(1); got != want {
 		t.Errorf("recipient = %s, want %s", got, want)
 	}
 }

@@ -1,20 +1,22 @@
 package usage
 
 import (
-	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"gridbank/internal/db"
 	"gridbank/internal/shard"
+	"gridbank/internal/wire"
 )
 
 // TestSpoolWrittenByParentCommitRecovers boots the pipeline over a spool
 // journal the pre-engine pipeline wrote (testdata/spool_3b179ae): the
 // rows must land in the right queue, parked count and allocator state,
-// and the row encoding must not have moved by a byte.
+// every row must decode to what the parent read, and re-encoding it must
+// write bin1 that decodes back to the same row.
 func TestSpoolWrittenByParentCommitRecovers(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("testdata", "spool_3b179ae", "usage.wal"))
 	if err != nil {
@@ -51,18 +53,20 @@ func TestSpoolWrittenByParentCommitRecovers(t *testing.T) {
 
 	rows := make(map[string]*spoolRow)
 	err = spool.Scan(tableSpool, func(key string, value []byte) bool {
-		var row spoolRow
-		if err := json.Unmarshal(value, &row); err != nil {
+		row, err := decodeSpoolRow(key, value)
+		if err != nil {
 			t.Errorf("row %s: %v", key, err)
 			return true
 		}
-		if again, _ := json.Marshal(&row); !bytes.Equal(again, value) {
-			t.Errorf("row %s re-marshals differently:\n was %s\n now %s", key, value, again)
+		var parent spoolRow
+		if err := json.Unmarshal(value, &parent); err != nil || !reflect.DeepEqual(row, &parent) {
+			t.Errorf("row %s decodes to %+v, the parent read %+v (%v)", key, row, &parent, err)
 		}
+		assertBin1RoundTrip(t, key, row)
 		if row.SpoolKey() != key {
 			t.Errorf("row %s reports key %q", key, row.SpoolKey())
 		}
-		rows[key] = &row
+		rows[key] = row
 		return true
 	})
 	if err != nil {
@@ -71,12 +75,25 @@ func TestSpoolWrittenByParentCommitRecovers(t *testing.T) {
 	if len(rows) != 3 || rows["job-pending"].Parked() || rows["job-pinned"].PinTxID != 42 || !rows["job-parked"].Parked() {
 		t.Fatalf("fixture rows = %+v", rows)
 	}
-	// Parking writes the same bytes the parent wrote.
+	// Parking a pending copy writes the row the parent parked, in bin1.
 	parked := *rows["job-parked"]
 	parked.State, parked.Reason = statePending, ""
 	parked.Park(rows["job-parked"].Reason)
-	was, _ := spool.Get(tableSpool, "job-parked")
-	if now, _ := json.Marshal(&parked); !bytes.Equal(now, was) {
-		t.Errorf("parked row encodes differently:\n was %s\n now %s", was, now)
+	if !reflect.DeepEqual(&parked, rows["job-parked"]) {
+		t.Errorf("parked copy = %+v, want %+v", &parked, rows["job-parked"])
+	}
+	assertBin1RoundTrip(t, "job-parked", &parked)
+}
+
+// assertBin1RoundTrip re-encodes a decoded row: the value must be bin1
+// and decode back to the same row.
+func assertBin1RoundTrip(t *testing.T, key string, row *spoolRow) {
+	t.Helper()
+	out, err := encodeSpoolRow(row)
+	if err != nil || out[0] != wire.RowBin1 {
+		t.Fatalf("row %s re-encodes to %q, %v", key, out, err)
+	}
+	if again, err := decodeSpoolRow(key, out); err != nil || !reflect.DeepEqual(again, row) {
+		t.Errorf("row %s: bin1 decodes to %+v, %v; want %+v", key, again, err, row)
 	}
 }

@@ -25,11 +25,22 @@
 //     is deduplicated, never double-charged.
 //
 // Spool format (table "usage_spool" on the spool store, key = ID):
+// bin1, laid out at encodeSpoolRow — a 0xB1 version byte, a flags byte
+// (parked, pinned), the amount in micro-units, the intake instant as
+// UnixNano, drawer, recipient and the raw RUR, then the pinned
+// transaction ID and the park reason when they are set. The ID is the
+// key's and is not stored again. A value opening with "{" is a legacy
+// JSON row, written before bin1, and stays readable forever:
 //
 //	{"id":"job-42","drawer":"01-0001-00000003",
-//	 "recipient":"01-0001-00000007","amount":1250000,
-//	 "rur":"...","state":"pending","pin_txid":17,
+//	 "recipient":"01-0001-00000007","amount":"1.25",
+//	 "rur":"<base64>","state":"pending","pin_txid":17,
 //	 "enqueued":"..."}
+//
+// Every write, re-parking or pinning a legacy row included, is bin1. The
+// row format does not follow the journal codec, and the upgrade is
+// one-way: a spool this package has written to cannot be opened by a
+// binary that only reads JSON rows.
 //
 // Settled markers (table "usage_settled" on the drawer's shard store,
 // key = ID):
@@ -47,6 +58,7 @@
 package usage
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"time"
@@ -56,6 +68,7 @@ import (
 	"gridbank/internal/db"
 	"gridbank/internal/rur"
 	"gridbank/internal/shard"
+	"gridbank/internal/wire"
 )
 
 // Pipeline errors.
@@ -233,21 +246,6 @@ type CrossShardLedger interface {
 // kept for bench/ and the public gridbank.WrapShardedLedger.
 func WrapSharded(l *shard.Ledger) CrossShardLedger { return l }
 
-// singleLedger adapts one accounts.Manager (the classic unsharded
-// bank) — every charge is same-shard, so the atomic batch path covers
-// everything.
-type singleLedger struct {
-	mgr *accounts.Manager
-}
-
-func (s singleLedger) Shards() int                        { return 1 }
-func (s singleLedger) ShardFor(accounts.ID) int           { return 0 }
-func (s singleLedger) ShardManager(int) *accounts.Manager { return s.mgr }
-func (s singleLedger) ShardStore(int) *db.Store           { return s.mgr.Store() }
-
-// WrapManager adapts a single-store accounts manager for settlement.
-func WrapManager(m *accounts.Manager) Ledger { return singleLedger{mgr: m} }
-
 // settledMarker is the exactly-once marker row.
 type settledMarker struct {
 	ID   string `json:"id"`
@@ -260,7 +258,8 @@ const (
 	stateFailed  = "failed"
 )
 
-// spoolRow is one durable intake record.
+// spoolRow is one durable intake record. The json tags read legacy
+// rows only; rows are written in bin1 (encodeSpoolRow).
 type spoolRow struct {
 	ID        string          `json:"id"`
 	Drawer    accounts.ID     `json:"drawer"`
@@ -281,3 +280,69 @@ func (r *spoolRow) SpoolKey() string      { return r.ID }
 func (r *spoolRow) DrawerID() accounts.ID { return r.Drawer }
 func (r *spoolRow) Parked() bool          { return r.State == stateFailed }
 func (r *spoolRow) Park(reason string)    { r.State, r.Reason = stateFailed, reason }
+
+// Spool row flags (the second byte of a wire.RowBin1 value).
+const (
+	spoolParked = 1 << 0 // parked (state failed): the reason follows
+	spoolPinned = 1 << 1 // a cross-shard transaction ID is pinned: it follows
+)
+
+// encodeSpoolRow is a spool row's bin1 value (settle.Config.Encode);
+// the ID is the entry key's:
+//
+//	0xB1 flags:u8 amount:u64 enqueued:u64 drawer:str16 recipient:str16
+//	rur:blob32 [pin_txid:u64 — pinned only] [reason:str16 — parked only]
+func encodeSpoolRow(r *spoolRow) ([]byte, error) {
+	var flags byte
+	if r.PinTxID != 0 {
+		flags |= spoolPinned
+	}
+	if r.Parked() {
+		flags |= spoolParked
+	}
+	var buf bytes.Buffer
+	wire.AppendRowHeader(&buf, flags)
+	wire.AppendU64(&buf, uint64(r.Amount))
+	err := errors.Join(
+		wire.AppendTime(&buf, r.Enqueued),
+		wire.AppendStr16(&buf, string(r.Drawer)),
+		wire.AppendStr16(&buf, string(r.Recipient)),
+		wire.AppendBlob32(&buf, r.RUR),
+	)
+	if flags&spoolPinned != 0 {
+		wire.AppendU64(&buf, r.PinTxID)
+	}
+	if flags&spoolParked != 0 {
+		err = errors.Join(err, wire.AppendStr16(&buf, r.Reason))
+	}
+	if err != nil {
+		return nil, fmt.Errorf("usage: encoding spool row %s: %w", r.ID, err)
+	}
+	return buf.Bytes(), nil
+}
+
+// decodeSpoolRow reads the spool row stored under id, bin1 or legacy
+// JSON (settle.Config.Decode). The ID always comes from the key.
+func decodeSpoolRow(id string, raw []byte) (*spoolRow, error) {
+	row := &spoolRow{State: statePending}
+	err := wire.ReadRow(raw, row, spoolParked|spoolPinned, func(flags byte, br *wire.BinReader) error {
+		row.Amount = currency.Amount(br.U64())
+		row.Enqueued = br.Time()
+		row.Drawer, row.Recipient = accounts.ID(br.Str16()), accounts.ID(br.Str16())
+		row.RUR = br.Blob32()
+		if flags&spoolPinned != 0 {
+			if row.PinTxID = br.U64(); row.PinTxID == 0 && br.Err() == nil {
+				return errors.New("pinned spool row with transaction ID 0")
+			}
+		}
+		if flags&spoolParked != 0 {
+			row.Park(br.Str16())
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	row.ID = id
+	return row, nil
+}

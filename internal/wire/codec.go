@@ -599,6 +599,9 @@ func (r *BinReader) Blob32() []byte {
 // Err reports the first short read, if any.
 func (r *BinReader) Err() error { return r.err }
 
+// Len returns the number of unconsumed bytes.
+func (r *BinReader) Len() int { return len(r.b) }
+
 // Rest returns the unconsumed remainder (no copy). The caller owns
 // interpreting it; Close must not be used afterwards.
 func (r *BinReader) Rest() []byte {
