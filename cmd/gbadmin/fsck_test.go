@@ -185,7 +185,7 @@ func TestFsckReportsStaleTmp(t *testing.T) {
 func TestFsckByteLedger(t *testing.T) {
 	for codec, framing := range map[string]func(batches int) int64{
 		wire.CodecJSON: func(b int) int64 { return 2 * int64(b) },    // "[" "]" "\n" less one separator
-		wire.CodecBin1: func(b int) int64 { return 8 + 13*int64(b) }, // file magic, record header + count
+		wire.CodecBin1: func(b int) int64 { return 8 + 10*int64(b) }, // file magic, record header + uvarint count
 	} {
 		t.Run(codec, func(t *testing.T) {
 			dir := t.TempDir()

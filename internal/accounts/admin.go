@@ -108,14 +108,10 @@ func (ad *Admin) ChangeCreditLimit(id ID, limit currency.Amount) error {
 // the dispute escalates to the administrators.
 func (ad *Admin) CancelTransfer(txID uint64) error {
 	return ad.m.store.Update(func(tx *db.Tx) error {
-		raw, err := tx.Get(tableTransfers, transferKey(txID))
+		tr, err := ad.m.GetTransferTx(tx, txID)
 		if errors.Is(err, db.ErrNoRecord) {
 			return fmt.Errorf("%w: %d", ErrNoSuchTransfer, txID)
 		}
-		if err != nil {
-			return err
-		}
-		tr, err := decodeTransfer(raw)
 		if err != nil {
 			return err
 		}
@@ -142,7 +138,7 @@ func (ad *Admin) CancelTransfer(txID uint64) error {
 		if err := putAccount(tx, recipient); err != nil {
 			return err
 		}
-		if err := tx.Put(tableTransfers, transferKey(txID), encodeTransfer(tr)); err != nil {
+		if err := ad.m.PutTransferTx(tx, tr); err != nil {
 			return err
 		}
 		now := ad.m.now()
@@ -165,7 +161,7 @@ func (ad *Admin) CancelTransfer(txID uint64) error {
 			RecipientAccountID: tr.DrawerAccountID,
 			Cancelled:          true, // marks the pair as a reversal, not a fresh charge
 		}
-		return tx.Insert(tableTransfers, transferKey(reverseID), encodeTransfer(reversal))
+		return ad.m.InsertTransferTx(tx, reversal)
 	})
 }
 
@@ -223,7 +219,7 @@ func (ad *Admin) CloseAccount(id, transferTo ID) error {
 				return err
 			}
 			rec := &Transfer{TransactionID: txID, Date: now, DrawerAccountID: id, Amount: amount, RecipientAccountID: transferTo}
-			if err := tx.Insert(tableTransfers, transferKey(txID), encodeTransfer(rec)); err != nil {
+			if err := ad.m.InsertTransferTx(tx, rec); err != nil {
 				return err
 			}
 		}

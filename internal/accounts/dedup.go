@@ -1,9 +1,7 @@
 package accounts
 
 import (
-	"encoding/json"
 	"errors"
-	"fmt"
 	"time"
 
 	"gridbank/internal/db"
@@ -25,28 +23,12 @@ import (
 const TableDedup = "op_dedup"
 
 // DedupMarker records that the mutation identified by Key executed as
-// transaction TxID at Date.
+// transaction TxID at Date. The json tags read legacy rows only; rows
+// are written in bin1 (encodeDedup).
 type DedupMarker struct {
 	Key  string    `json:"key"`
 	TxID uint64    `json:"txid"`
 	Date time.Time `json:"date"`
-}
-
-func encodeDedup(mk *DedupMarker) []byte {
-	b, err := json.Marshal(mk)
-	if err != nil {
-		panic(fmt.Sprintf("accounts: encode dedup marker: %v", err)) // no unencodable fields
-	}
-	return b
-}
-
-// DecodeDedup decodes a TableDedup row value.
-func DecodeDedup(value []byte) (*DedupMarker, error) {
-	var mk DedupMarker
-	if err := json.Unmarshal(value, &mk); err != nil {
-		return nil, fmt.Errorf("accounts: corrupt dedup marker: %w", err)
-	}
-	return &mk, nil
 }
 
 // GetDedupTx reads the marker for key inside tx; (nil, nil) when the
@@ -59,7 +41,7 @@ func (m *Manager) GetDedupTx(tx *db.Tx, key string) (*DedupMarker, error) {
 	if err != nil {
 		return nil, err
 	}
-	return DecodeDedup(raw)
+	return decodeDedup(key, raw)
 }
 
 // GetDedup reads the marker for key outside any transaction; (nil, nil)
@@ -72,13 +54,17 @@ func (m *Manager) GetDedup(key string) (*DedupMarker, error) {
 	if err != nil {
 		return nil, err
 	}
-	return DecodeDedup(raw)
+	return decodeDedup(key, raw)
 }
 
 // PutDedupTx spends mk.Key inside tx. Insert (not Put): two racing
 // executions of the same key must collide here, so exactly one commits.
 func (m *Manager) PutDedupTx(tx *db.Tx, mk *DedupMarker) error {
-	return tx.Insert(TableDedup, mk.Key, encodeDedup(mk))
+	raw, err := encodeDedup(mk)
+	if err != nil {
+		return err
+	}
+	return tx.Insert(TableDedup, mk.Key, raw)
 }
 
 // MaxDedupTxID scans the dedup markers for the highest pinned
@@ -90,8 +76,8 @@ func (m *Manager) PutDedupTx(tx *db.Tx, mk *DedupMarker) error {
 func (m *Manager) MaxDedupTxID() (uint64, error) {
 	var maxID uint64
 	var scanErr error
-	err := m.store.Scan(TableDedup, func(_ string, value []byte) bool {
-		mk, err := DecodeDedup(value)
+	err := m.store.Scan(TableDedup, func(key string, value []byte) bool {
+		mk, err := decodeDedup(key, value)
 		if err != nil {
 			scanErr = err
 			return false
@@ -115,7 +101,7 @@ func (m *Manager) SweepDedup(cutoff time.Time) (int, error) {
 	var stale []string
 	var scanErr error
 	err := m.store.Scan(TableDedup, func(key string, value []byte) bool {
-		mk, err := DecodeDedup(value)
+		mk, err := decodeDedup(key, value)
 		if err != nil {
 			scanErr = err
 			return false

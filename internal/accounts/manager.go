@@ -89,7 +89,7 @@ func NewManager(store *db.Store, cfg Config) (*Manager, error) {
 		}
 	}
 	err := store.CreateIndex(tableAccounts, indexByCert, func(key string, value []byte) []string {
-		a, err := decodeAccount(value)
+		a, err := decodeAccount(key, value)
 		if err != nil || a.Closed {
 			return nil
 		}
@@ -195,11 +195,15 @@ func getAccount(tx *db.Tx, id ID) (*Account, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decodeAccount(raw)
+	return decodeAccount(string(id), raw)
 }
 
 func putAccount(tx *db.Tx, a *Account) error {
-	return tx.Put(tableAccounts, string(a.AccountID), encodeAccount(a))
+	raw, err := encodeAccount(a)
+	if err != nil {
+		return err
+	}
+	return tx.Put(tableAccounts, string(a.AccountID), raw)
 }
 
 // appendTransaction journals a TRANSACTION row under a fresh ID and
@@ -208,8 +212,11 @@ func (m *Manager) appendTransaction(tx *db.Tx, t *Transaction) (uint64, error) {
 	if t.TransactionID == 0 {
 		t.TransactionID = m.nextTxID()
 	}
-	key := txKey(t.TransactionID, t.AccountID)
-	return t.TransactionID, tx.Insert(tableTransactions, key, encodeTransaction(t))
+	raw, err := encodeTransaction(t)
+	if err != nil {
+		return 0, err
+	}
+	return t.TransactionID, tx.Insert(tableTransactions, txKey(t.TransactionID, t.AccountID), raw)
 }
 
 // txKey orders transactions by ID; the account suffix separates the two
@@ -267,7 +274,7 @@ func (m *Manager) createAccount(idFor func() ID, certName, orgName string, cur c
 			if err != nil {
 				return err
 			}
-			a, err := decodeAccount(raw)
+			a, err := decodeAccount(key, raw)
 			if err != nil {
 				return err
 			}
@@ -282,7 +289,11 @@ func (m *Manager) createAccount(idFor func() ID, certName, orgName string, cur c
 			Currency:         cur,
 			CreatedAt:        m.now(),
 		}
-		if err := tx.Insert(tableAccounts, string(a.AccountID), encodeAccount(a)); err != nil {
+		raw, err := encodeAccount(a)
+		if err != nil {
+			return err
+		}
+		if err := tx.Insert(tableAccounts, string(a.AccountID), raw); err != nil {
 			return err
 		}
 		created = a
@@ -303,7 +314,7 @@ func (m *Manager) Details(id ID) (*Account, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decodeAccount(raw)
+	return decodeAccount(string(id), raw)
 }
 
 // FindByCertificate returns the open account for a certificate name in
@@ -320,7 +331,7 @@ func (m *Manager) FindByCertificate(certName string, cur currency.Code) (*Accoun
 		if err != nil {
 			continue
 		}
-		a, err := decodeAccount(raw)
+		a, err := decodeAccount(key, raw)
 		if err != nil {
 			return nil, err
 		}
@@ -366,7 +377,7 @@ func (m *Manager) UpdateDetails(id ID, certName, orgName string) (*Account, erro
 			if err != nil {
 				return err
 			}
-			other, err := decodeAccount(raw)
+			other, err := decodeAccount(key, raw)
 			if err != nil {
 				return err
 			}
@@ -499,37 +510,37 @@ func (m *Manager) Statement(id ID, start, end time.Time) (*Statement, error) {
 		return nil, err
 	}
 	st := &Statement{Account: *acct, Start: start, End: end}
+	// A row that fails to decode fails the statement: derr is checked
+	// after each Scan, whose own nil would otherwise mask it.
+	var derr error
+	suffix := "/" + string(id)
 	err = m.store.Scan(tableTransactions, func(key string, value []byte) bool {
-		t, derr := decodeTransaction(value)
-		if derr != nil {
-			err = derr
+		if !strings.HasSuffix(key, suffix) {
+			return true // another account's row: txKey ends in its account
+		}
+		var t *Transaction
+		if t, derr = decodeTransaction(key, value); derr != nil {
 			return false
 		}
-		if t.AccountID != id || t.Date.Before(start) || t.Date.After(end) {
-			return true
+		if t.AccountID == id && !t.Date.Before(start) && !t.Date.After(end) {
+			st.Transactions = append(st.Transactions, *t)
 		}
-		st.Transactions = append(st.Transactions, *t)
 		return true
 	})
-	if err != nil {
+	if err = errors.Join(err, derr); err != nil {
 		return nil, err
 	}
 	err = m.store.Scan(tableTransfers, func(key string, value []byte) bool {
-		tr, derr := decodeTransfer(value)
-		if derr != nil {
-			err = derr
+		var tr *Transfer
+		if tr, derr = decodeTransfer(key, value); derr != nil {
 			return false
 		}
-		if tr.Date.Before(start) || tr.Date.After(end) {
-			return true
+		if (tr.DrawerAccountID == id || tr.RecipientAccountID == id) && !tr.Date.Before(start) && !tr.Date.After(end) {
+			st.Transfers = append(st.Transfers, *tr)
 		}
-		if tr.DrawerAccountID != id && tr.RecipientAccountID != id {
-			return true
-		}
-		st.Transfers = append(st.Transfers, *tr)
 		return true
 	})
-	if err != nil {
+	if err = errors.Join(err, derr); err != nil {
 		return nil, err
 	}
 	return st, nil
@@ -544,7 +555,7 @@ func (m *Manager) GetTransfer(txID uint64) (*Transfer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decodeTransfer(raw)
+	return decodeTransfer(transferKey(txID), raw)
 }
 
 // TotalBalance sums available+locked over all open accounts — the
@@ -555,7 +566,7 @@ func (m *Manager) TotalBalance() (currency.Amount, error) {
 	var total currency.Amount
 	var scanErr error
 	err := m.store.Scan(tableAccounts, func(key string, value []byte) bool {
-		a, err := decodeAccount(value)
+		a, err := decodeAccount(key, value)
 		if err != nil {
 			scanErr = err
 			return false
@@ -580,7 +591,7 @@ func (m *Manager) Accounts() ([]Account, error) {
 	var out []Account
 	var scanErr error
 	err := m.store.Scan(tableAccounts, func(key string, value []byte) bool {
-		a, err := decodeAccount(value)
+		a, err := decodeAccount(key, value)
 		if err != nil {
 			scanErr = err
 			return false

@@ -169,22 +169,31 @@ func (m *Manager) AppendTransactionTx(tx *db.Tx, t *Transaction) (uint64, error)
 // InsertTransferTx inserts a TRANSFER record inside tx under its
 // canonical key. rec.TransactionID must already be set.
 func (m *Manager) InsertTransferTx(tx *db.Tx, rec *Transfer) error {
-	return tx.Insert(tableTransfers, transferKey(rec.TransactionID), encodeTransfer(rec))
+	raw, err := encodeTransfer(rec)
+	if err != nil {
+		return err
+	}
+	return tx.Insert(tableTransfers, transferKey(rec.TransactionID), raw)
 }
 
 // PutTransferTx overwrites a TRANSFER record inside tx (cancellation
 // marking).
 func (m *Manager) PutTransferTx(tx *db.Tx, rec *Transfer) error {
-	return tx.Put(tableTransfers, transferKey(rec.TransactionID), encodeTransfer(rec))
+	raw, err := encodeTransfer(rec)
+	if err != nil {
+		return err
+	}
+	return tx.Put(tableTransfers, transferKey(rec.TransactionID), raw)
 }
 
 // GetTransferTx reads a TRANSFER record inside tx.
 func (m *Manager) GetTransferTx(tx *db.Tx, txID uint64) (*Transfer, error) {
-	raw, err := tx.Get(tableTransfers, transferKey(txID))
+	key := transferKey(txID)
+	raw, err := tx.Get(tableTransfers, key)
 	if err != nil {
 		return nil, err
 	}
-	return decodeTransfer(raw)
+	return decodeTransfer(key, raw)
 }
 
 // MaxReversalID scans the TRANSFER records for the highest pinned
@@ -192,12 +201,16 @@ func (m *Manager) GetTransferTx(tx *db.Tx, txID uint64) (*Transfer, error) {
 // compensating transfer writes any row of its own, so after a crash it
 // may exist nowhere but inside a transfer record's value — the sharded
 // ledger folds this into its transaction-ID seeding so a fresh transfer
-// can never collide with a pending cancellation.
+// can never collide with a pending cancellation. Only rows that may
+// pin one are decoded.
 func (m *Manager) MaxReversalID() (uint64, error) {
 	var maxID uint64
 	var scanErr error
-	err := m.store.Scan(tableTransfers, func(_ string, value []byte) bool {
-		tr, err := decodeTransfer(value)
+	err := m.store.Scan(tableTransfers, func(key string, value []byte) bool {
+		if !pinsReversal(value) {
+			return true
+		}
+		tr, err := decodeTransfer(key, value)
 		if err != nil {
 			scanErr = err
 			return false

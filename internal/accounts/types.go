@@ -3,7 +3,9 @@
 // statements, funds transfer, locking and transfer-from-locked) and the GB
 // Admin module (deposit, withdrawal, credit limits, cancellation, account
 // closure). It owns the §5.1 database schema — ACCOUNT, TRANSACTION and
-// TRANSFER records — stored in the embedded db substrate.
+// TRANSFER records — stored in the embedded db substrate as bin1 row
+// values (row.go); the JSON tags on the record types are the §5.2
+// response format and the legacy row format, which still decodes.
 //
 // The module is deliberately independent of payment schemes, wire
 // protocols and the security model, exactly as the paper specifies: "This
@@ -12,12 +14,9 @@
 package accounts
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"regexp"
-	"sync"
 	"time"
 
 	"gridbank/internal/currency"
@@ -147,72 +146,4 @@ type Statement struct {
 	End          time.Time     `json:"end"`
 	Transactions []Transaction `json:"transactions"`
 	Transfers    []Transfer    `json:"transfers"`
-}
-
-// encPool recycles encoder+buffer pairs across the hot encode paths: a
-// transfer encodes five rows (two accounts, two transactions, one
-// transfer record), and reusing a pre-grown buffer leaves exactly one
-// right-sized allocation per row — the returned copy that the store
-// retains.
-type pooledEncoder struct {
-	buf bytes.Buffer
-	enc *json.Encoder
-}
-
-var encPool = sync.Pool{New: func() any {
-	p := &pooledEncoder{}
-	p.enc = json.NewEncoder(&p.buf)
-	return p
-}}
-
-// marshalPooled JSON-encodes v through a pooled buffer, returning a
-// fresh exact-size byte slice (same bytes as json.Marshal).
-func marshalPooled(v any, what string) []byte {
-	p := encPool.Get().(*pooledEncoder)
-	p.buf.Reset()
-	if err := p.enc.Encode(v); err != nil {
-		encPool.Put(p)
-		panic(fmt.Sprintf("accounts: encode %s: %v", what, err)) // all fields marshalable
-	}
-	b := p.buf.Bytes()
-	out := make([]byte, len(b)-1) // drop the encoder's trailing newline
-	copy(out, b)
-	encPool.Put(p)
-	return out
-}
-
-func encodeAccount(a *Account) []byte {
-	return marshalPooled(a, "account")
-}
-
-func decodeAccount(b []byte) (*Account, error) {
-	var a Account
-	if err := json.Unmarshal(b, &a); err != nil {
-		return nil, fmt.Errorf("accounts: corrupt account record: %w", err)
-	}
-	return &a, nil
-}
-
-func encodeTransaction(t *Transaction) []byte {
-	return marshalPooled(t, "transaction")
-}
-
-func decodeTransaction(b []byte) (*Transaction, error) {
-	var t Transaction
-	if err := json.Unmarshal(b, &t); err != nil {
-		return nil, fmt.Errorf("accounts: corrupt transaction record: %w", err)
-	}
-	return &t, nil
-}
-
-func encodeTransfer(t *Transfer) []byte {
-	return marshalPooled(t, "transfer")
-}
-
-func decodeTransfer(b []byte) (*Transfer, error) {
-	var t Transfer
-	if err := json.Unmarshal(b, &t); err != nil {
-		return nil, fmt.Errorf("accounts: corrupt transfer record: %w", err)
-	}
-	return &t, nil
 }

@@ -4,13 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 
 	"gridbank/internal/wire"
 )
 
-// Binary entry-batch encoding, shared by the bin1 journal generation
-// and the replica stream's binary frames (one encoder for "a batch of
-// WAL entries" everywhere it crosses a boundary):
+// Fixed-width binary entry-batch encoding: the replica stream's binary
+// frames, and the journal records (magic 0xBE) older binaries wrote:
 //
 //	count:u32 × ( seq:u64 op:u8 table:u16-str key:u16-str value:u32-blob )
 //
@@ -35,6 +35,21 @@ func binOpByte(op Op) byte {
 		return binOpDelete
 	}
 	return binOpOther
+}
+
+// binOp decodes an op byte; other reads the name an escaped op spells.
+func binOp(b byte, other func() string) (Op, error) {
+	switch b {
+	case binOpCreateTable:
+		return OpCreateTable, nil
+	case binOpPut:
+		return OpPut, nil
+	case binOpDelete:
+		return OpDelete, nil
+	case binOpOther:
+		return Op(other()), nil
+	}
+	return "", fmt.Errorf("db: unknown binary entry op 0x%02x", b)
 }
 
 // AppendEntriesBinary appends the binary encoding of an entry batch.
@@ -88,21 +103,108 @@ func decodeEntriesBinary(payload []byte, sizes *[]int) ([]Entry, error) {
 		start := r.Len()
 		var e Entry
 		e.Seq = r.U64()
-		switch b := r.U8(); b {
-		case binOpCreateTable:
-			e.Op = OpCreateTable
-		case binOpPut:
-			e.Op = OpPut
-		case binOpDelete:
-			e.Op = OpDelete
-		case binOpOther:
-			e.Op = Op(r.Str16())
-		default:
-			return nil, fmt.Errorf("db: unknown binary entry op 0x%02x", b)
+		var err error
+		if e.Op, err = binOp(r.U8(), r.Str16); err != nil {
+			return nil, err
 		}
 		e.Table = r.Str16()
 		e.Key = r.Str16()
 		e.Value = r.Blob32()
+		if err := r.Err(); err != nil {
+			return nil, err
+		}
+		if sizes != nil {
+			*sizes = append(*sizes, start-r.Len())
+		}
+		entries = append(entries, e)
+	}
+	if err := r.Close(); err != nil {
+		return nil, err
+	}
+	return entries, nil
+}
+
+// Compact entry batches: the payload of a journal record under
+// compactRecordMagic, the bin1 journal generation's record since the
+// row formats moved to bin1 (replica frames keep the fixed-width
+// layout above, which is negotiated on the wire):
+//
+//	count:uvarint × ( seq_delta:uvarint op:u8 [op:vstr — op 0 only]
+//	                  table_slot:uvarint [table:vstr — slot 0 only]
+//	                  key:vstr value:vbytes )
+//
+// vstr/vbytes are uvarint-length-prefixed. seq_delta is the entry's
+// seq less the previous entry's (less 0 for the first): a batch's seqs
+// are consecutive, so every entry after the first spends one byte on
+// it. table_slot names the record's n-th distinct table, counting
+// from 1; slot 0 spells the name out and assigns it the next slot.
+// The dictionary is per record, so every record decodes on its own.
+func appendEntriesCompact(buf *bytes.Buffer, entries []Entry) error {
+	wire.AppendUvarint(buf, uint64(len(entries)))
+	var tables []string
+	var prev uint64
+	for i := range entries {
+		e := &entries[i]
+		if e.Seq < prev {
+			return fmt.Errorf("db: entry seq %d after %d in one batch", e.Seq, prev)
+		}
+		wire.AppendUvarint(buf, e.Seq-prev)
+		prev = e.Seq
+		b := binOpByte(e.Op)
+		buf.WriteByte(b)
+		if b == binOpOther {
+			wire.AppendVarStr(buf, string(e.Op))
+		}
+		if slot := slices.Index(tables, e.Table); slot >= 0 {
+			wire.AppendUvarint(buf, uint64(slot+1))
+		} else {
+			buf.WriteByte(0)
+			wire.AppendVarStr(buf, e.Table)
+			tables = append(tables, e.Table)
+		}
+		wire.AppendVarStr(buf, e.Key)
+		wire.AppendVarBytes(buf, e.Value)
+	}
+	return nil
+}
+
+// decodeEntriesCompact parses a payload produced by
+// appendEntriesCompact; when sizes is non-nil it also gets each
+// entry's encoded size (a table name counts toward the entry that
+// spells it out). The payload may be pooled scratch: everything kept
+// is copied.
+func decodeEntriesCompact(payload []byte, sizes *[]int) ([]Entry, error) {
+	r := wire.NewBinReader(payload)
+	n := r.Uvarint()
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	entries := make([]Entry, 0, min(n, 4096)) // n is corruption-controlled
+	var tables []string
+	var seq uint64
+	for i := uint64(0); i < n; i++ {
+		start := r.Len()
+		var e Entry
+		delta := r.Uvarint()
+		if seq+delta < seq {
+			return nil, fmt.Errorf("db: compact entry seq overflows")
+		}
+		seq += delta
+		e.Seq = seq
+		var err error
+		if e.Op, err = binOp(r.U8(), r.VarStr); err != nil {
+			return nil, err
+		}
+		if slot := r.Uvarint(); slot == 0 {
+			e.Table = r.VarStr()
+			tables = append(tables, e.Table)
+		} else if slot <= uint64(len(tables)) {
+			e.Table = tables[slot-1]
+		} else if r.Err() == nil {
+			return nil, fmt.Errorf("db: compact entry names table slot %d of %d", slot, len(tables))
+		}
+		e.Key = r.VarStr()
+		e.Value = r.VarBytes()
 		if err := r.Err(); err != nil {
 			return nil, err
 		}

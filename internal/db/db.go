@@ -20,6 +20,12 @@
 // Transactions over disjoint keys — a transfer between accounts A→B
 // and another between C→D — commit fully in parallel even inside one
 // table; only same-stripe commits serialize.
+//
+// The journal is a file of generations (journal.go): a bin1 generation
+// writes each commit as one CRC-guarded record of compact entries —
+// uvarint lengths, seq deltas and a per-record dictionary of table
+// names (bincodec.go) — and still replays the fixed-width records older
+// binaries wrote; a JSON generation is the seed's line format.
 package db
 
 import (

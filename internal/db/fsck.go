@@ -2,10 +2,8 @@ package db
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"sort"
@@ -195,25 +193,14 @@ func verifyBinJournal(b []byte, r *JournalReport) {
 			r.TornBytes = int64(len(rest))
 			return
 		}
-		n := binary.BigEndian.Uint32(rest[1:5])
-		if rest[0] != binRecordMagic || n == 0 || n > maxJournalRecord {
+		n, ok := recordLen(rest)
+		if !ok || len(rest) < binRecordHdrLen+int(n) {
 			r.TornBytes = int64(len(rest))
 			return
 		}
-		if len(rest) < binRecordHdrLen+int(n) {
-			r.TornBytes = int64(len(rest))
-			return
-		}
-		payload := rest[binRecordHdrLen : binRecordHdrLen+int(n)]
-		var entries []Entry
 		var sizes []int
-		ok := false
-		if crc32.ChecksumIEEE(payload) == binary.BigEndian.Uint32(rest[5:9]) {
-			if dec, err := decodeEntriesBinary(payload, &sizes); err == nil {
-				entries, ok = dec, true
-			}
-		}
-		if !ok {
+		entries, err := decodeRecord(rest, rest[binRecordHdrLen:binRecordHdrLen+int(n)], &sizes)
+		if err != nil {
 			// Mirror Replay: only a tear if no intact record follows.
 			if binRecordFollows(rest[binRecordHdrLen+int(n):]) {
 				r.MidFileCorrupt = true
@@ -233,15 +220,8 @@ func binRecordFollows(buf []byte) bool {
 	if len(buf) < binRecordHdrLen {
 		return false
 	}
-	n := binary.BigEndian.Uint32(buf[1:5])
-	if buf[0] != binRecordMagic || n == 0 || n > maxJournalRecord {
-		return false
-	}
-	if len(buf) < binRecordHdrLen+int(n) {
-		return false
-	}
-	payload := buf[binRecordHdrLen : binRecordHdrLen+int(n)]
-	return crc32.ChecksumIEEE(payload) == binary.BigEndian.Uint32(buf[5:9])
+	n, ok := recordLen(buf)
+	return ok && len(buf) >= binRecordHdrLen+int(n) && recordIntact(buf, buf[binRecordHdrLen:binRecordHdrLen+int(n)])
 }
 
 // CheckpointReport is the verdict on one checkpoint generation file.

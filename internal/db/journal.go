@@ -112,18 +112,47 @@ type ticket struct {
 //
 // A bin1 generation is the 8-byte marker followed by records:
 //
-//	0xBE len:u32 crc:u32 payload
+//	magic:u8 len:u32 crc:u32 payload
 //
-// where payload is the shared binary entry-batch encoding (see
-// bincodec.go) and crc is CRC-32 (IEEE) of the payload. The CRC gives
-// the binary generation the same tear-vs-corruption discrimination
-// newlines give the JSON one.
+// where crc is CRC-32 (IEEE) of the payload, and the magic names the
+// payload's encoding (see bincodec.go): 0xBF the compact entry batch
+// every record is written in now, 0xBE the fixed-width one older
+// binaries wrote. Replay, the tear checks and fsck dispatch on each
+// record's magic, so a generation that mixes both replays without a
+// Compact. The CRC gives the binary generation the same
+// tear-vs-corruption discrimination newlines give the JSON one.
 const (
-	binJournalMagic  = "\xb3GBWAL1\n"
-	binRecordMagic   = 0xBE
-	binRecordHdrLen  = 9        // magic u8 + len u32 + crc u32
-	maxJournalRecord = 64 << 20 // matches the JSON scanner's max line
+	binJournalMagic    = "\xb3GBWAL1\n"
+	binRecordMagic     = 0xBE
+	compactRecordMagic = 0xBF
+	binRecordHdrLen    = 9        // magic u8 + len u32 + crc u32
+	maxJournalRecord   = 64 << 20 // matches the JSON scanner's max line
 )
+
+// recordLen returns the payload length a bin1 record header announces;
+// ok is false for a header no writer produces, which only a tear (or
+// corruption) leaves behind.
+func recordLen(hdr []byte) (n uint32, ok bool) {
+	n = binary.BigEndian.Uint32(hdr[1:5])
+	return n, (hdr[0] == binRecordMagic || hdr[0] == compactRecordMagic) && n > 0 && n <= maxJournalRecord
+}
+
+// recordIntact reports whether payload matches its header's CRC.
+func recordIntact(hdr, payload []byte) bool {
+	return crc32.ChecksumIEEE(payload) == binary.BigEndian.Uint32(hdr[5:9])
+}
+
+// decodeRecord checks a record's CRC and decodes its payload by its
+// header's magic; sizes, when non-nil, gets each entry's encoded size.
+func decodeRecord(hdr, payload []byte, sizes *[]int) ([]Entry, error) {
+	if !recordIntact(hdr, payload) {
+		return nil, errors.New("db: journal record fails its CRC")
+	}
+	if hdr[0] == compactRecordMagic {
+		return decodeEntriesCompact(payload, sizes)
+	}
+	return decodeEntriesBinary(payload, sizes)
+}
 
 // fileJournal is a write-ahead journal file in one of two generations:
 // newline-delimited JSON (the seed format — each line a batch: a JSON
@@ -357,13 +386,13 @@ func (j *fileJournal) flushGroupLocked() {
 	j.flushed.Broadcast()
 }
 
-// appendBinRecord encodes one staged batch as a bin1 journal record
-// into buf (which Stage has Reset, so the record starts at offset 0):
-// header placeholder first, payload appended in place, then the length
-// and CRC patched in.
+// appendBinRecord encodes one staged batch as a compact bin1 journal
+// record into buf (which Stage has Reset, so the record starts at
+// offset 0): header placeholder first, payload appended in place, then
+// the length and CRC patched in.
 func appendBinRecord(buf *bytes.Buffer, entries []Entry) error {
 	buf.Write([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0}) // binRecordHdrLen placeholder
-	if err := AppendEntriesBinary(buf, entries); err != nil {
+	if err := appendEntriesCompact(buf, entries); err != nil {
 		return err
 	}
 	b := buf.Bytes()
@@ -371,7 +400,7 @@ func appendBinRecord(buf *bytes.Buffer, entries []Entry) error {
 	if len(payload) > maxJournalRecord {
 		return fmt.Errorf("db: %d-byte journal record exceeds maximum", len(payload))
 	}
-	b[0] = binRecordMagic
+	b[0] = compactRecordMagic
 	binary.BigEndian.PutUint32(b[1:5], uint32(len(payload)))
 	binary.BigEndian.PutUint32(b[5:9], crc32.ChecksumIEEE(payload))
 	return nil
@@ -502,8 +531,8 @@ func (j *fileJournal) replayBinary(apply func(Entry) error) error {
 			}
 			return j.truncateTornTail(good) // header torn mid-write
 		}
-		n := binary.BigEndian.Uint32(hdr[1:5])
-		if hdr[0] != binRecordMagic || n == 0 || n > maxJournalRecord {
+		n, ok := recordLen(hdr[:])
+		if !ok {
 			return j.truncateTornTail(good)
 		}
 		if cap(payload) < int(n) {
@@ -513,13 +542,8 @@ func (j *fileJournal) replayBinary(apply func(Entry) error) error {
 		if _, err := io.ReadFull(br, payload); err != nil {
 			return j.truncateTornTail(good) // payload torn mid-write
 		}
-		var entries []Entry
-		if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(hdr[5:9]) {
-			entries = nil
-		} else if dec, err := DecodeEntriesBinary(payload); err == nil {
-			entries = dec
-		}
-		if entries == nil {
+		entries, err := decodeRecord(hdr[:], payload, nil)
+		if err != nil {
 			if nextBinRecordIntact(br) {
 				return fmt.Errorf("db: journal corrupted mid-file at byte %d (intact data follows); manual repair required", good)
 			}
@@ -545,15 +569,15 @@ func nextBinRecordIntact(br *bufio.Reader) bool {
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return false
 	}
-	n := binary.BigEndian.Uint32(hdr[1:5])
-	if hdr[0] != binRecordMagic || n == 0 || n > maxJournalRecord {
+	n, ok := recordLen(hdr[:])
+	if !ok {
 		return false
 	}
 	payload := make([]byte, n)
 	if _, err := io.ReadFull(br, payload); err != nil {
 		return false
 	}
-	return crc32.ChecksumIEEE(payload) == binary.BigEndian.Uint32(hdr[5:9])
+	return recordIntact(hdr[:], payload)
 }
 
 // truncateTornTail discards a torn journal tail: appends land after

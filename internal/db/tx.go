@@ -336,7 +336,7 @@ func (tx *Tx) Commit() error {
 
 	// Prepare the apply plan outside any lock: pre-compute each written
 	// row's index keys so the exclusive section never runs index
-	// functions (for the accounts table that would mean decoding JSON
+	// functions (for the accounts table that would mean decoding a row
 	// while holding the stripe).
 	plan := make([]preparedOp, len(tx.ops))
 	for i, op := range tx.ops {

@@ -1,14 +1,17 @@
 package shard
 
 import (
-	"encoding/json"
+	"bytes"
 	"errors"
 	"fmt"
+	"slices"
+	"strconv"
 	"time"
 
 	"gridbank/internal/accounts"
 	"gridbank/internal/currency"
 	"gridbank/internal/db"
+	"gridbank/internal/wire"
 )
 
 // Cross-shard transfers: one commit-point transaction, one credit.
@@ -23,12 +26,10 @@ import (
 //
 // Record format (documented alongside the journal format in README):
 //
-//	table "pc_transfers" (debit shard), key = GID — the outbox row:
-//	  {"gid":"00000000000000000042","txid":42,
-//	   "from":"01-0001-00000001","to":"01-0001-00000007",
-//	   "amount":1250000,"state":"committed","date":"..."}
-//	  (from_locked, cancelled and rur are omitempty — present only
-//	  when true/non-empty)
+//	table "pc_transfers" (debit shard), key = GID (the transaction ID,
+//	zero-padded to 20 digits) — the outbox row, a bin1 value
+//	(pcRecord.encode); older binaries wrote JSON rows, which decode
+//	forever.
 //
 // Protocol, in durable steps (crash boundaries for the fault harness):
 //
@@ -121,7 +122,7 @@ var ErrInDoubt = errors.New("shard: cross-shard transfer interrupted; recovery w
 // pcRecord is the durable outbox row. Amount is escrowed here between
 // the commit point and the credit: it has left the drawer's balance and
 // not yet reached the recipient's, and conservation counts it via
-// PendingEscrow.
+// PendingEscrow. The json tags read legacy rows only.
 type pcRecord struct {
 	GID        string          `json:"gid"`
 	TxID       uint64          `json:"txid"`
@@ -258,7 +259,7 @@ func (l *Ledger) commit(shardIdx int, rec *pcRecord, toCurrency currency.Code, o
 		if err := mgr.DebitTx(tx, transferOf(rec), toCurrency, o); err != nil {
 			return err
 		}
-		raw, err := json.Marshal(rec)
+		raw, err := rec.encode()
 		if err != nil {
 			return err
 		}
@@ -369,12 +370,83 @@ func transferOf(rec *pcRecord) *accounts.Transfer {
 	}
 }
 
-func decodePC(key string, raw []byte) (*pcRecord, error) {
-	var rec pcRecord
-	if err := json.Unmarshal(raw, &rec); err != nil {
-		return nil, fmt.Errorf("shard: corrupt pc record %s: %w", key, err)
+// Outbox row flags (the second byte of a wire.RowBin1 value).
+const (
+	pcFromLocked = 1 << 0
+	pcCancelled  = 1 << 1
+	pcRUR        = 1 << 2 // the RUR follows
+)
+
+// pcStates numbers the row states in the bin1 layout.
+var pcStates = []string{pcPrepared, pcCommitted, pcAborted}
+
+// encode is the outbox row's bin1 value (GID and transaction ID are
+// the entry key's):
+//
+//	0xB1 flags:u8 state:u8 amount:i64 date:u64 from:str16 to:str16
+//	[rur:blob32 — pcRUR only]
+func (rec *pcRecord) encode() ([]byte, error) {
+	state := slices.Index(pcStates, rec.State)
+	if state < 0 {
+		return nil, fmt.Errorf("shard: pc record %s has unknown state %q", rec.GID, rec.State)
 	}
-	return &rec, nil
+	var flags byte
+	if rec.FromLocked {
+		flags |= pcFromLocked
+	}
+	if rec.Cancelled {
+		flags |= pcCancelled
+	}
+	if len(rec.RUR) > 0 {
+		flags |= pcRUR
+	}
+	var buf bytes.Buffer
+	wire.AppendRowHeader(&buf, flags)
+	buf.WriteByte(byte(state))
+	wire.AppendU64(&buf, uint64(rec.Amount))
+	err := errors.Join(
+		wire.AppendTime(&buf, rec.Date),
+		wire.AppendStr16(&buf, string(rec.From)),
+		wire.AppendStr16(&buf, string(rec.To)),
+	)
+	if flags&pcRUR != 0 {
+		err = errors.Join(err, wire.AppendBlob32(&buf, rec.RUR))
+	}
+	if err != nil {
+		return nil, fmt.Errorf("shard: encoding pc record %s: %w", rec.GID, err)
+	}
+	return buf.Bytes(), nil
+}
+
+// decodePC reads the outbox row stored under gid, bin1 or legacy JSON.
+func decodePC(gid string, raw []byte) (*pcRecord, error) {
+	rec := &pcRecord{}
+	err := wire.ReadRow(raw, rec, pcFromLocked|pcCancelled|pcRUR, func(flags byte, br *wire.BinReader) error {
+		txID, err := strconv.ParseUint(gid, 10, 64)
+		if err != nil || gidFor(txID) != gid {
+			return errors.New("key is not a GID")
+		}
+		rec.GID, rec.TxID = gid, txID
+		state := int(br.U8())
+		if state >= len(pcStates) {
+			return fmt.Errorf("unknown state %d", state)
+		}
+		rec.State = pcStates[state]
+		rec.Amount = currency.Amount(br.U64())
+		rec.Date = br.Time()
+		rec.From, rec.To = accounts.ID(br.Str16()), accounts.ID(br.Str16())
+		if flags&pcRUR != 0 {
+			if rec.RUR = br.Blob32(); rec.RUR == nil && br.Err() == nil {
+				return errors.New("empty RUR behind its flag")
+			}
+		}
+		rec.FromLocked, rec.Cancelled = flags&pcFromLocked != 0, flags&pcCancelled != 0
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("shard: corrupt pc record %s: %w", gid, err)
+	}
+	return rec, nil
 }
 
 // Recover completes every cross-shard transfer a crash left between its

@@ -502,6 +502,24 @@ func AppendBlob32(buf *bytes.Buffer, b []byte) error {
 	return nil
 }
 
+// AppendUvarint appends v as an unsigned LEB128 varint (1 byte below
+// 128): the width of the compact journal record's counts and lengths.
+func AppendUvarint(buf *bytes.Buffer, v uint64) {
+	buf.Write(binary.AppendUvarint(buf.AvailableBuffer(), v))
+}
+
+// AppendVarBytes appends b behind its uvarint length.
+func AppendVarBytes(buf *bytes.Buffer, b []byte) {
+	AppendUvarint(buf, uint64(len(b)))
+	buf.Write(b)
+}
+
+// AppendVarStr appends s behind its uvarint length.
+func AppendVarStr(buf *bytes.Buffer, s string) {
+	AppendUvarint(buf, uint64(len(s)))
+	buf.WriteString(s)
+}
+
 // BinReader is a cursor over a binary payload with a sticky error: the
 // accessors return zero values after the first short read, and Close
 // reports it (or trailing garbage) once at the end. It backs the bin1
@@ -574,6 +592,42 @@ func (r *BinReader) take(n int) []byte {
 	v := r.b[:n]
 	r.b = r.b[n:]
 	return v
+}
+
+// Uvarint consumes an unsigned varint (AppendUvarint).
+func (r *BinReader) Uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(r.b)
+	if n <= 0 {
+		r.fail()
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+// varTake consumes the bytes behind a uvarint length, uncopied.
+func (r *BinReader) varTake() []byte {
+	n := r.Uvarint()
+	if n > uint64(len(r.b)) {
+		r.fail()
+		return nil
+	}
+	return r.take(int(n))
+}
+
+// VarStr consumes a uvarint-length-prefixed string (AppendVarStr).
+func (r *BinReader) VarStr() string { return string(r.varTake()) }
+
+// VarBytes consumes a uvarint-length-prefixed byte string, copied out
+// of the payload. Length zero yields nil, as Blob32 does.
+func (r *BinReader) VarBytes() []byte {
+	if b := r.varTake(); len(b) > 0 {
+		return append([]byte(nil), b...)
+	}
+	return nil
 }
 
 // Str8 consumes a u8-length-prefixed string.
