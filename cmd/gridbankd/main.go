@@ -96,7 +96,7 @@ func main() {
 	flag.IntVar(&ucfg.BatchSize, "usage-batch", 64, "usage pipeline max charges per ledger transaction")
 	flag.IntVar(&ucfg.MaxPending, "usage-queue", 4096, "usage pipeline pending-queue bound (backpressure threshold)")
 	flag.IntVar(&mcfg.Workers, "micropay-workers", 2, "micropay pipeline settlement workers")
-	flag.IntVar(&mcfg.BatchSize, "micropay-batch", 64, "micropay pipeline max spool rows (one per chain per Submit) per settlement batch")
+	flag.IntVar(&mcfg.BatchSize, "micropay-batch", 64, "micropay pipeline max spool rows (one per chain) per settlement batch")
 	flag.IntVar(&mcfg.MaxPending, "micropay-queue", 4096, "micropay pipeline pending-queue bound in spool rows (backpressure threshold)")
 	flag.IntVar(&cfg.MaxConns, "max-conns", 0, "maximum concurrent client connections (0 = unlimited)")
 	flag.DurationVar(&cfg.IdleTimeout, "idle-timeout", core.DefaultIdleTimeout, "drop connections idle this long (<0 disables)")

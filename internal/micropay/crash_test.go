@@ -139,12 +139,13 @@ func TestDoubleCrashCrossShard(t *testing.T) {
 // TestFoldedRowAcrossPowerLoss: a Submit folds four claims into one row
 // and the process dies after the row is durable, before the ack and
 // before any settlement. The producer, which heard nothing, resends —
-// first with other batch boundaries, then the whole batch. Recovery must
-// pay the top index once, count the row's four claims, and settle the
-// lower resend as stale rather than park it.
+// first with other batch boundaries, then the whole batch. Recovery
+// seeds the chain's intake session from the spooled row, so both resends
+// are duplicates; the row pays the top index once and counts its four
+// claims.
 func TestFoldedRowAcrossPowerLoss(t *testing.T) {
 	w := newWorld(t, 1)
-	w.batch = 1 // one row per settlement batch: the resent row meets the ledger alone
+	w.batch = 1 // one row per settlement batch
 	ch := w.issue(w.sameCert, 100, currency.MustParse("0.01"), time.Hour)
 	w.crash = func(b micropay.Boundary, _ string) error {
 		if b == micropay.BoundarySpooled {
@@ -157,19 +158,15 @@ func TestFoldedRowAcrossPowerLoss(t *testing.T) {
 	}
 	w.crash = nil
 	w.reboot()
-	if rows := w.spoolRows(); len(rows) != 1 || rows[ch.Commitment.Serial+"/000000000040"].Claims != 4 {
+	if rows := w.spoolRows(); len(rows) != 1 || rows[ch.Commitment.Serial].Claims != 4 {
 		t.Fatalf("recovered spool = %+v, want the one folded row", rows)
 	}
-
-	// The fresh session knows only the chain row, so the lower run is
-	// re-accepted under its own key...
 	res, err := w.pipe.Submit(w.sameCert, claimsFor(t, ch, 10, 20))
-	if err != nil || res.Accepted != 2 || res.Duplicates != 0 {
+	if err != nil || res.Accepted != 0 || res.AcceptedTicks != 0 || res.Duplicates != 2 {
 		t.Fatalf("resend with other boundaries = %+v, %v", res, err)
 	}
-	// ...and the whole batch folds to the key that is already pending.
 	res, err = w.pipe.Submit(w.sameCert, claimsFor(t, ch, 10, 20, 30, 40))
-	if err != nil || res.Accepted != 0 || res.Duplicates != 4 {
+	if err != nil || res.Accepted != 0 || res.AcceptedTicks != 0 || res.Duplicates != 4 {
 		t.Fatalf("resend of the spooled batch = %+v, %v", res, err)
 	}
 	st, err := w.pipe.Drain(10 * time.Second)
@@ -179,8 +176,8 @@ func TestFoldedRowAcrossPowerLoss(t *testing.T) {
 	if st.SettledClaims != 4 || st.SettledTicks != 40 || st.Batches != 1 || st.Failed != 0 || st.Pending != 0 {
 		t.Errorf("recovery drain = %+v, want 4 claims / 40 ticks in one redemption, nothing parked", st)
 	}
-	if st.Duplicates != 4+2 {
-		t.Errorf("duplicates = %d, want 4 reported at intake + 2 stale at settlement", st.Duplicates)
+	if st.Duplicates != 2+4 {
+		t.Errorf("duplicates = %d, want the 2 + 4 reported at intake", st.Duplicates)
 	}
 	// Once settled, the same batch again is refused by the delta rule
 	// alone: nothing is spooled, nothing is paid.
@@ -192,6 +189,49 @@ func TestFoldedRowAcrossPowerLoss(t *testing.T) {
 		t.Errorf("payee = %s, want 0.40 (exactly-once violated)", got)
 	}
 	w.assertConserved()
+}
+
+// TestResendAfterRestartCountsOnlyNewTicks: claims acknowledged before
+// a restart and resent after it, before anything settled, are
+// duplicates — AcceptedTicks counts only words the spool did not hold —
+// and a higher claim in the resend merges into the pending row.
+func TestResendAfterRestartCountsOnlyNewTicks(t *testing.T) {
+	for _, tc := range []struct {
+		name             string
+		resend           []int
+		accepted, ticks  int
+		duplicates, paid int
+	}{
+		{name: "same claims", resend: []int{10, 40}, duplicates: 2, paid: 40},
+		{name: "plus a higher claim", resend: []int{10, 40, 50}, accepted: 1, ticks: 10, duplicates: 2, paid: 50},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newWorld(t, 1)
+			ch := w.issue(w.sameCert, 100, currency.MustParse("0.01"), time.Hour)
+			for _, index := range []int{10, 40} {
+				if _, err := w.pipe.Submit(w.sameCert, claimsFor(t, ch, index)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			w.reboot()
+			res, err := w.pipe.Submit(w.sameCert, claimsFor(t, ch, tc.resend...))
+			if err != nil || res.Accepted != tc.accepted || res.AcceptedTicks != tc.ticks || res.Duplicates != tc.duplicates {
+				t.Fatalf("resend = %+v, %v; want accepted %d, ticks %d, duplicates %d",
+					res, err, tc.accepted, tc.ticks, tc.duplicates)
+			}
+			st, err := w.pipe.Drain(10 * time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.SettledTicks != uint64(tc.paid) || st.SettledClaims != uint64(2+tc.accepted) {
+				t.Errorf("drained = %+v, want %d ticks and %d claims", st, tc.paid, 2+tc.accepted)
+			}
+			if got, want := w.avail(w.sameAcct), currency.FromMicro(int64(tc.paid)*10_000); got != want {
+				t.Errorf("payee = %s, want %s", got, want)
+			}
+			w.assertConserved()
+		})
+	}
 }
 
 // TestJournalDeathDuringRedeem kills the home shard's journal mid-

@@ -15,3 +15,14 @@ func (p *Pipeline) SessionCount() int {
 	defer p.sessMu.Unlock()
 	return len(p.sessions)
 }
+
+// EncodeSpoolRow is the pipeline's spool codec; LegacySpoolKey names a
+// row the way the pipeline keyed them before one row per chain.
+var (
+	EncodeSpoolRow = encodeSpoolRow
+	LegacySpoolKey = legacySpoolKey
+)
+
+// EncodeCombined is a chain row's value as written before the head split:
+// the commitment row carrying its own state.
+func (r *ChainRow) EncodeCombined() ([]byte, error) { return r.encode() }

@@ -15,13 +15,14 @@
 //     submit chain claims in batches (Micropay.Submit); intake verifies
 //     each preimage against the highest word already accepted —
 //     O(delta) hashes — keeps only the highest index per serial (the
-//     delta rule makes lower claims redundant), spools that one row
-//     durably, and acknowledges. Intake locks per chain, so Submits on
-//     disjoint chains share one spool flush. Workers batch spooled rows
-//     per (shard, drawer), apply the same rule across them, and settle
-//     each chain with one redemption transaction. Thousands of
-//     micro-payments amortize into a few signatures' worth of work and
-//     a handful of group-committed ledger transactions.
+//     delta rule makes lower claims redundant), and durably spools it in
+//     the chain's ONE spool row: a chain that already has a pending row
+//     has it overwritten with the higher claim, in the same intake
+//     transaction. Intake locks per chain, so Submits on disjoint chains
+//     share one spool flush. Workers batch spooled rows per (shard,
+//     drawer) and settle each chain with one redemption transaction.
+//     Thousands of micro-payments amortize into a few signatures' worth
+//     of work and a handful of group-committed ledger transactions.
 //
 // The spool, queue, worker, retry, backpressure and Drain lifecycle is
 // internal/settle's. What the pipeline adds:
@@ -36,27 +37,37 @@
 //     intake with a per-claim reason; transient faults surface as
 //     Submit errors the caller retries.
 //
-// Row formats. Spool rows (table "micropay_spool", key =
-// "<serial>/<index>") and chain rows (table "chains", key = serial) are
-// written in bin1 (wire.RowBin1): a 0xB1 version byte, a flags byte,
-// fixed-width integers (amounts in micro-units, instants as UnixNano),
-// then length-prefixed strings and raw blobs. Nothing the key holds is
-// stored again. The layouts are at encodeSpoolRow and ChainRow.encode;
-// an instant UnixNano cannot hold (after 2262) is refused, never
-// wrapped, and the bank caps a chain's TTL well inside that. A spool
-// row is one chain's part of one Submit, at the highest index the Submit
-// verified: "claims" says how many claims it stands for and "rur" is the
-// top claim's evidence; the flags byte marks a parked row, whose reason
-// follows. A chain row's flags byte marks a pinned cross-shard
-// redemption, whose Pin* fields follow.
+// Row formats. Rows are bin1 (wire.RowBin1): a 0xB1 version byte, a
+// flags byte, then the fields; nothing the key holds is stored again, and
+// an instant UnixNano cannot hold (after 2262) is refused, never wrapped
+// (the bank caps a chain's TTL well inside that).
 //
-// A value opening with "{" is a legacy JSON row, written before bin1
-// (a spool row then has no "claims" when it predates intake folding, and
-// stands for one claim). Legacy rows stay readable forever; every write,
-// re-parking a legacy row included, is bin1. The row format does not
-// follow the journal codec, and the upgrade is one-way: a data dir this
-// package has written to cannot be opened by a binary that only reads
-// JSON rows.
+//   - Spool rows (table "micropay_spool", key = serial): one per chain
+//     with unsettled claims, holding only the claim — index, claims,
+//     enqueued, word, rur (encodeSpoolRow). "claims" counts every claim
+//     Submits folded and merged into it; "enqueued" is the oldest one's
+//     instant; "rur" is the top claim's evidence. The drawer comes from
+//     the chain commitment at recovery, the payee from the intake session
+//     or the account directory at settlement. A flags bit marks the
+//     layout; another marks a parked row, whose reason follows.
+//   - Chain rows (table "chains", key = serial, on the drawer's shard):
+//     the signed commitment, written once at issue (ChainRow.encode).
+//   - Chain head rows (table "chain_heads", same key and store): state,
+//     redeemed index and word, and a pinned cross-shard redemption's Pin*
+//     fields (ChainRow.encodeHead), rewritten by every redemption, pin,
+//     advance and release in the transaction that moves the money.
+//
+// Rows written by earlier versions stay readable forever: spool rows
+// under "<serial>/<index>" keys, one per Submit, carrying drawer and payee
+// (bin1 without the per-chain bit, or JSON — then without "claims" when
+// older than intake folding, standing for one claim), and combined chain
+// rows with no head row, which read as their own head (pinned ones
+// included). A chain with a legacy spool row and a per-chain one settles
+// once: its RedeemedIndex is the marker. Every write is in the current
+// layout, except that a legacy spool row is re-parked in its own. The
+// row format does not follow the journal codec, and the upgrade is
+// one-way: a data dir this package has written to cannot be opened by a
+// binary that predates it.
 package micropay
 
 import (
@@ -126,14 +137,15 @@ type SubmitResult struct {
 
 // Stats is the pipeline's observable state (Micropay.Status). Pending,
 // QueueDepth, InFlight and Failed count spool rows — what occupies the
-// spool and the queue: one per chain per Submit, however many claims it
-// folded. The Settled*, Duplicates and Rejected counters count claims.
+// spool and the queue: one per chain with unsettled claims, however many
+// claims and Submits it stands for (plus any legacy per-Submit rows). The
+// Settled*, Duplicates and Rejected counters count claims.
 type Stats struct {
-	// Pending counts rows spooled but not yet settled.
+	// Pending counts chains with claims spooled but not yet settled.
 	Pending int `json:"pending"`
-	// QueueDepth counts rows waiting for a worker.
+	// QueueDepth counts chains waiting for a worker.
 	QueueDepth int `json:"queue_depth"`
-	// InFlight counts rows inside a settlement batch.
+	// InFlight counts chains inside a settlement batch.
 	InFlight int `json:"in_flight"`
 	// Failed counts rows parked by terminal settlement outcomes.
 	Failed int `json:"failed"`
@@ -207,10 +219,13 @@ const (
 	stateFailed  = "failed"
 )
 
-// spoolRow is one chain's durable intake from one Submit — its highest
-// verified claim — with the parties resolved at intake so recovery never
-// needs a directory lookup. The json tags read legacy rows only; rows
-// are written in bin1 (encodeSpoolRow).
+// spoolRow is a chain's durable intake: its highest verified claim not
+// yet settled, standing for every claim Submits folded and merged into
+// it. A per-chain row (key = serial) stores only the claim; Drawer is
+// resolved from the chain commitment at recovery and Payee at settlement.
+// A legacy row (key "<serial>/<index>", one per Submit) carries both,
+// resolved at its intake. The json tags read legacy rows only; rows are
+// written in bin1 (encodeSpoolRow).
 type spoolRow struct {
 	Key      string      `json:"key"`
 	Serial   string      `json:"serial"`
@@ -224,15 +239,19 @@ type spoolRow struct {
 	Reason   string      `json:"reason,omitempty"`
 	Enqueued time.Time   `json:"enqueued"`
 
-	admitted bool // set by the intake transaction that wrote the row
+	// Set by Submit: the claims and instant of this Submit alone, which
+	// the intake transaction merges with the row the key holds.
+	submitted   int
+	submittedAt time.Time
+	admitted    bool // set by the intake transaction that wrote the row
 }
 
 // claims is how many submitted claims the row stands for.
 func (r *spoolRow) claims() int { return max(r.Claims, 1) }
 
-// spoolKey is the idempotency key of one row: a serial can be claimed
-// at each index at most once.
-func spoolKey(serial string, index int) string {
+// legacySpoolKey is the key rows were spooled under before one row per
+// chain: a serial could be claimed at each index at most once.
+func legacySpoolKey(serial string, index int) string {
 	return fmt.Sprintf("%s/%012d", serial, index)
 }
 

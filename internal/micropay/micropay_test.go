@@ -475,8 +475,13 @@ func TestPipelineStreamsAndSettles(t *testing.T) {
 // by spool key.
 func (w *world) spoolRows() map[string]*micropay.SpoolRow {
 	w.t.Helper()
+	return w.spoolRowsOf(w.spool)
+}
+
+func (w *world) spoolRowsOf(spool *db.Store) map[string]*micropay.SpoolRow {
+	w.t.Helper()
 	rows := make(map[string]*micropay.SpoolRow)
-	err := w.spool.Scan(micropay.TableSpool, func(key string, value []byte) bool {
+	err := spool.Scan(micropay.TableSpool, func(key string, value []byte) bool {
 		row, err := micropay.DecodeSpoolRow(key, value)
 		if err != nil {
 			w.t.Errorf("spool row %s: %v", key, err)
@@ -493,8 +498,8 @@ func (w *world) spoolRows() map[string]*micropay.SpoolRow {
 
 // TestIntakeFoldsEachChainToOneRow pins what Submit acknowledges and what
 // it journals: the delta rule applied before the spool, exactly one row
-// per chain per Submit whatever the batch looks like, and counters that
-// still speak in claims.
+// per chain whatever the batch looks like, and counters that still speak
+// in claims.
 func TestIntakeFoldsEachChainToOneRow(t *testing.T) {
 	type claim struct {
 		chain, index int
@@ -740,8 +745,8 @@ func TestPipelineBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pipe.Close()
-	// The bound counts spool rows — one per chain per Submit — so three
-	// chains in one batch overfill it and three claims on one chain do not.
+	// The bound counts spool rows — one per chain — so three chains in
+	// one batch overfill it and three claims on one chain do not.
 	ch2 := w.issue(w.sameCert, 100, currency.MustParse("0.01"), time.Hour)
 	ch3 := w.issue(w.sameCert, 100, currency.MustParse("0.01"), time.Hour)
 	three := append(append(claimsFor(t, ch, 1), claimsFor(t, ch2, 1)...), claimsFor(t, ch3, 1)...)
@@ -754,7 +759,8 @@ func TestPipelineBackpressure(t *testing.T) {
 	if _, err := pipe.Submit(w.sameCert, claimsFor(t, ch2, 1)); err != nil {
 		t.Fatal(err)
 	}
-	// Separate Submits on one chain are separate rows: the queue is full.
+	// The bound is checked before intake knows a Submit merges into its
+	// chain's pending row: with the queue full, even that is refused.
 	if _, err := pipe.Submit(w.sameCert, claimsFor(t, ch, 4)); !errors.Is(err, micropay.ErrOverloaded) {
 		t.Fatalf("submit on a full queue = %v", err)
 	}

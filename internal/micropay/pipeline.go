@@ -33,17 +33,18 @@ type Config struct {
 	// for durable intake; the pipeline recovers pending rows from it at
 	// construction.
 	Spool *db.Store
-	// BatchSize caps how many spool rows (one per chain per Submit) one
-	// settlement batch takes off the queue (default 64). All rows for
-	// one chain inside a batch settle as ONE redemption transaction.
+	// BatchSize caps how many spool rows (one per chain) one settlement
+	// batch takes off the queue (default 64). All rows for one chain
+	// inside a batch settle as ONE redemption transaction.
 	BatchSize int
 	// Workers is the number of background settlement goroutines
 	// (default 2). Workers < 0 starts none: settlement then runs only
 	// through SettleOnce/Drain — the deterministic mode crash tests use.
 	Workers int
 	// MaxPending bounds the intake queue, in spool rows: a Submit that
-	// would push the pending count past it — by one row per chain it
-	// advances — fails with ErrOverloaded (default 4096).
+	// could push the pending count past it — by one row per chain it
+	// advances, before intake knows which of them merge into a pending
+	// row — fails with ErrOverloaded (default 4096).
 	MaxPending int
 	// RetryInterval is how often idle workers re-check for work missed
 	// by kicks, and the pace of transient-failure retries (default 25ms).
@@ -88,6 +89,7 @@ type fold struct {
 	word    []byte
 	rur     []byte // the top claim's evidence
 	claims  int    // claims verified, all subsumed by the one at head
+	ticks   int    // words they advance the anchor by
 }
 
 // Pipeline is the streaming micropayment path: per-chain sessions and
@@ -166,11 +168,10 @@ func New(cfg Config) (*Pipeline, error) {
 		Encode:          encodeSpoolRow,
 		Decode:          decodeSpoolRow,
 
-		// Only rows the intake transaction wrote are admitted; Submit reads
-		// the mark to tell them from rows whose key was already pending.
-		Admit:   func(in, _ *spoolRow) bool { in.admitted = true; return true },
-		Spooled: func(first *spoolRow) error { return p.hook(BoundarySpooled, first.Serial) },
-		Settle:  p.settleGroup,
+		Admit:     admit,
+		Recovered: p.recovered,
+		Spooled:   func(first *spoolRow) error { return p.hook(BoundarySpooled, first.Serial) },
+		Settle:    p.settleGroup,
 	})
 	if err != nil {
 		return nil, err
@@ -212,12 +213,14 @@ func (p *Pipeline) Status() *Stats {
 // (terminal); claims at or below the accepted head are duplicates under
 // the delta rule.
 //
-// The same rule folds the batch before it is spooled: a chain's verified
-// claims become ONE spool row, keyed and valued at the highest index,
-// carrying that claim's RUR (the evidence the TRANSFER record keeps) and
-// the number of claims it stands for. Accepted still counts claims. A nil
-// error means every accepted claim is covered by a journaled row and its
-// ticks will be paid exactly once.
+// The same rule folds the batch before it is spooled, and merges it with
+// what the spool already holds: a chain has ONE spool row, keyed by its
+// serial, at the highest index accepted and not yet settled, carrying
+// that claim's RUR (the evidence the TRANSFER record keeps) and the
+// number of claims it stands for. A Submit on a chain with a pending row
+// overwrites it in the intake transaction. Accepted still counts claims.
+// A nil error means every accepted claim is covered by a journaled row
+// and its ticks will be paid exactly once.
 func (p *Pipeline) Submit(payeeCert string, batch []Claim) (*SubmitResult, error) {
 	res := &SubmitResult{}
 	p.sweepExpired()
@@ -252,7 +255,7 @@ func (p *Pipeline) Submit(payeeCert string, batch []Claim) (*SubmitResult, error
 	reject := func(cl *Claim, reason string) {
 		res.Rejected = append(res.Rejected, Rejection{Serial: cl.Serial, Index: cl.Index, Reason: reason})
 	}
-	var ticks, redundant int
+	var redundant int
 	for i := range batch {
 		cl := &batch[i]
 		if reason := ValidClaimShape(cl); reason != "" {
@@ -274,26 +277,26 @@ func (p *Pipeline) Submit(payeeCert string, batch []Claim) (*SubmitResult, error
 			reject(cl, err.Error())
 			continue
 		}
-		ticks += cl.Index - f.head
+		f.ticks += cl.Index - f.head
 		f.head, f.word, f.rur = cl.Index, cl.Word, cl.RUR
 		f.claims++
 	}
 	p.rejected.Add(uint64(len(res.Rejected)))
 
 	var rows []*spoolRow
+	now := p.now()
 	for _, serial := range serials {
 		if f := folds[serial]; f.claims > 0 {
 			rows = append(rows, &spoolRow{
-				Key:      spoolKey(serial, f.head),
-				Serial:   serial,
-				Index:    f.head,
-				Word:     f.word,
-				RUR:      f.rur,
-				Claims:   f.claims,
-				Drawer:   f.sess.cc.DrawerAccountID,
-				Payee:    f.sess.payee,
-				State:    statePending,
-				Enqueued: p.now(),
+				Key:         serial,
+				Serial:      serial,
+				Index:       f.head,
+				Word:        f.word,
+				RUR:         f.rur,
+				Drawer:      f.sess.cc.DrawerAccountID, // groups the row; never stored
+				State:       statePending,
+				submitted:   f.claims,
+				submittedAt: now,
 			})
 		}
 	}
@@ -302,22 +305,46 @@ func (p *Pipeline) Submit(payeeCert string, batch []Claim) (*SubmitResult, error
 		return nil, err
 	}
 	// The rows are durable: advance the anchors before the chains unlock.
-	// A row whose key was already pending (a producer resending after a
-	// restart, before recovery settled it) makes its claims duplicates.
+	// A row the spool refused (its pending row already reaches as far)
+	// makes its claims duplicates and its ticks unacknowledged.
 	dupClaims := 0
 	for _, row := range rows {
 		f := folds[row.Serial]
-		f.sess.head, f.sess.headWord = f.head, f.word
-		if row.admitted {
-			res.Accepted += row.Claims
-		} else {
-			dupClaims += row.Claims
+		if !row.admitted {
+			dupClaims += f.claims
+			continue
 		}
+		f.sess.head, f.sess.headWord = f.head, f.word
+		res.Accepted += f.claims
+		res.AcceptedTicks += f.ticks
 	}
 	p.eng.CountDuplicates(redundant + dupClaims - in.Duplicates) // the engine counted one per row
-	res.AcceptedTicks = ticks
 	res.Duplicates = redundant + dupClaims
 	return res, err
+}
+
+// admit runs in the intake transaction (settle.Config.Admit): it merges
+// a Submit's row for a chain with the row the chain's key holds. The
+// merged row keeps the higher claim (index, word, evidence), the sum of
+// the claims and the older enqueue instant, the age of the oldest claim
+// it still owes. A pending row that already reaches as far makes the
+// incoming one a duplicate; a parked one is revived, its claims with it.
+func admit(in, cur *spoolRow) bool {
+	in.Claims, in.Enqueued, in.admitted = in.submitted, in.submittedAt, false // the transaction may rerun
+	if cur != nil {
+		if cur.Index >= in.Index {
+			if !cur.Parked() {
+				return false
+			}
+			in.Index, in.Word, in.RUR = cur.Index, cur.Word, cur.RUR
+		}
+		in.Claims += cur.claims()
+		if cur.Enqueued.Before(in.Enqueued) {
+			in.Enqueued = cur.Enqueued
+		}
+	}
+	in.admitted = true
+	return true
 }
 
 // sessionFor loads (or returns) the intake session for a chain,
@@ -341,19 +368,11 @@ func (p *Pipeline) sessionFor(serial, payeeCert string) (*session, string) {
 		if row.State != StateOutstanding {
 			return nil, fmt.Sprintf("chain is %s", row.State)
 		}
-		acct, err := p.find(row.Commitment.PayeeCert, row.Commitment.Currency)
+		payee, err := p.payeeAccount(&row.Commitment)
 		if err != nil {
-			return nil, fmt.Sprintf("payee has no %s account: %v", row.Commitment.Currency, err)
+			return nil, err.Error()
 		}
-		head := row.RedeemedIndex
-		if row.PinTxID != 0 && row.PinIndex > head {
-			head = row.PinIndex
-		}
-		headWord := row.RedeemedWord
-		if row.PinTxID != 0 && row.PinIndex > row.RedeemedIndex {
-			headWord = row.PinWord
-		}
-		sess = &session{cc: row.Commitment, payee: acct.AccountID, head: head, headWord: headWord}
+		sess = newSession(row, payee)
 		p.sessions[serial] = sess
 	}
 	if payeeCert != "" && payeeCert != sess.cc.PayeeCert {
@@ -364,6 +383,86 @@ func (p *Pipeline) sessionFor(serial, payeeCert string) (*session, string) {
 		return nil, "chain expired"
 	}
 	return sess, ""
+}
+
+// newSession anchors a chain's intake session at its redeemed index, or
+// at a pinned redemption's target beyond it.
+func newSession(row *ChainRow, payee accounts.ID) *session {
+	sess := &session{cc: row.Commitment, payee: payee, head: row.RedeemedIndex, headWord: row.RedeemedWord}
+	if row.PinTxID != 0 && row.PinIndex > sess.head {
+		sess.head, sess.headWord = row.PinIndex, row.PinWord
+	}
+	return sess
+}
+
+// payeeAccount resolves the chain payee's account in the chain currency.
+func (p *Pipeline) payeeAccount(cc *payment.ChainCommitment) (accounts.ID, error) {
+	acct, err := p.find(cc.PayeeCert, cc.Currency)
+	if err != nil {
+		return "", fmt.Errorf("payee has no %s account: %w", cc.Currency, err)
+	}
+	return acct.AccountID, nil
+}
+
+// recovered sees every spooled row at boot (settle.Config.Recovered). A
+// pending per-chain row gets its drawer from the chain commitment, and
+// every pending row seeds its chain's intake session, so a producer
+// resending what the spool already holds is told those claims are
+// duplicates. A row whose chain cannot be read keeps no drawer: it
+// settles in a group of its own, where the same lookup fails again and
+// parks it with the reason — a boot never fails on it.
+func (p *Pipeline) recovered(row *spoolRow) {
+	if row.Parked() {
+		return
+	}
+	cr, err := p.red.Get(row.Serial)
+	if err != nil {
+		return
+	}
+	if row.Drawer == "" {
+		row.Drawer = cr.Commitment.DrawerAccountID
+	}
+	if cr.State != StateOutstanding {
+		return
+	}
+	p.sessMu.Lock()
+	defer p.sessMu.Unlock()
+	sess := p.sessions[row.Serial]
+	if sess == nil {
+		payee, err := p.payeeAccount(&cr.Commitment)
+		if err != nil {
+			return
+		}
+		sess = newSession(cr, payee)
+		p.sessions[row.Serial] = sess
+	}
+	if row.Index > sess.head {
+		sess.head, sess.headWord = row.Index, row.Word
+	}
+}
+
+// payeeOf resolves the account a row pays: the one a legacy row names,
+// else the intake session's payee, else — on a miss — the chain payee's
+// account. A row the chain is already redeemed past is stale before
+// anyone is looked up.
+func (p *Pipeline) payeeOf(row *spoolRow) (accounts.ID, error) {
+	if row.Payee != "" {
+		return row.Payee, nil
+	}
+	p.sessMu.Lock()
+	sess := p.sessions[row.Serial]
+	p.sessMu.Unlock()
+	if sess != nil {
+		return sess.payee, nil
+	}
+	cr, err := p.red.Get(row.Serial)
+	if err != nil {
+		return "", err
+	}
+	if row.Index <= cr.RedeemedIndex {
+		return "", fmt.Errorf("%w: claim %d, already redeemed to %d", ErrStaleIndex, row.Index, cr.RedeemedIndex)
+	}
+	return p.payeeAccount(&cr.Commitment)
 }
 
 // minSweep is the smallest session count worth sweeping.
@@ -402,9 +501,11 @@ func (p *Pipeline) Drain(timeout time.Duration) (*Stats, error) {
 }
 
 // settleGroup settles one batch of spool rows drawn from a single
-// account. A chain's rows (one per Submit that advanced it) collapse
-// again: only the highest index redeems (one transaction per chain), and
-// the lower rows it subsumes finish as part of the same advance.
+// account. A chain's rows (its per-chain row, and legacy rows spooled one
+// per Submit) collapse again: only the highest index redeems (one
+// transaction per chain), and the lower rows it subsumes finish as part
+// of the same advance. Claims count once their row is retired: a row a
+// merge superseded in flight is counted when its merged row retires.
 func (p *Pipeline) settleGroup(b *settle.Batch[*spoolRow]) error {
 	bySerial := make(map[string][]*spoolRow)
 	serials := make([]string, 0, 4)
@@ -419,14 +520,18 @@ func (p *Pipeline) settleGroup(b *settle.Batch[*spoolRow]) error {
 	for _, serial := range serials {
 		rows := bySerial[serial]
 		// The delta rule: the highest claim pays for everything below it.
-		top, claims := rows[0], 0
+		top := rows[0]
 		for _, row := range rows {
 			if row.Index > top.Index {
 				top = row
 			}
-			claims += row.claims()
 		}
-		out, err := p.red.Redeem(serial, top.Payee, top.Index, top.Word, top.RUR)
+		payee, err := p.payeeOf(top)
+		var out *Outcome
+		if err == nil {
+			out, err = p.red.Redeem(serial, payee, top.Index, top.Word, top.RUR)
+		}
+		stale := errors.Is(err, ErrStaleIndex)
 		switch {
 		case err == nil:
 			if out.Ticks > 0 {
@@ -436,14 +541,10 @@ func (p *Pipeline) settleGroup(b *settle.Batch[*spoolRow]) error {
 				p.crossShard.Add(1)
 			}
 			p.settledTicks.Add(uint64(out.Ticks))
-			p.settledClaims.Add(uint64(claims))
 			p.mTicks.Add(int64(out.Ticks))
-			p.mClaims.Add(int64(claims))
-		case errors.Is(err, ErrStaleIndex):
+		case stale:
 			// Already paid (subsumed by an earlier advance, or a crash lost
 			// its clean-up): checked before chain state, so never parked.
-			p.eng.CountDuplicates(claims)
-			p.eng.CountRedone(len(rows))
 		case settle.Terminal(err, ErrUnknownChain, ErrChainState, payment.ErrBadWord, payment.ErrBadIndex):
 			failures := make([]settle.Parked[*spoolRow], len(rows))
 			for i, row := range rows {
@@ -458,6 +559,20 @@ func (p *Pipeline) settleGroup(b *settle.Batch[*spoolRow]) error {
 		}
 		if err := b.Finish(rows, nil); err != nil {
 			return err
+		}
+		claims, retired := 0, 0
+		for _, row := range rows {
+			if !b.Superseded(row) {
+				claims += row.claims()
+				retired++
+			}
+		}
+		if stale {
+			p.eng.CountDuplicates(claims)
+			p.eng.CountRedone(retired)
+		} else {
+			p.settledClaims.Add(uint64(claims))
+			p.mClaims.Add(int64(claims))
 		}
 		if out != nil && out.State == StateRedeemed {
 			// Exhausted: the chain can never accept another claim, and a

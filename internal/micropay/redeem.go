@@ -65,11 +65,11 @@ type Redeemer struct {
 }
 
 // NewRedeemer builds a redeemer over the ledger, ensures the chain
-// table on every shard store, and finishes crash recovery bookkeeping:
+// tables on every shard store, and finishes crash recovery bookkeeping:
 // the transaction-ID allocator is reseeded above every pinned ID found
-// in a chain row, so fresh transfers never collide with a
-// pinned-but-unfinished redemption. Like the usage pipeline, this must
-// run before the ledger serves traffic.
+// in a head row or a combined row written before the split, so fresh
+// transfers never collide with a pinned-but-unfinished redemption. Like
+// the usage pipeline, this must run before the ledger serves traffic.
 func NewRedeemer(led usage.Ledger, now func() time.Time) (*Redeemer, error) {
 	if led == nil {
 		return nil, errors.New("micropay: redeemer requires a ledger")
@@ -85,26 +85,30 @@ func NewRedeemer(led usage.Ledger, now func() time.Time) (*Redeemer, error) {
 	var maxPin uint64
 	for i := 0; i < led.Shards(); i++ {
 		st := led.ShardStore(i)
-		if err := st.EnsureTable(TableChains); err != nil {
-			return nil, err
-		}
-		var scanErr error
-		err := st.Scan(TableChains, func(key string, value []byte) bool {
-			row, err := decodeChainRow(key, value)
+		for _, table := range []string{TableChains, TableChainHeads} {
+			if err := st.EnsureTable(table); err != nil {
+				return nil, err
+			}
+			var scanErr error
+			err := st.Scan(table, func(key string, value []byte) bool {
+				row := &ChainRow{}
+				if table == TableChains {
+					row, scanErr = decodeChainRow(key, value)
+				} else {
+					scanErr = row.readHead(key, value)
+				}
+				if scanErr != nil {
+					return false
+				}
+				maxPin = max(maxPin, row.PinTxID)
+				return true
+			})
+			if err == nil {
+				err = scanErr
+			}
 			if err != nil {
-				scanErr = err
-				return false
+				return nil, err
 			}
-			if row.PinTxID > maxPin {
-				maxPin = row.PinTxID
-			}
-			return true
-		})
-		if err != nil {
-			return nil, err
-		}
-		if scanErr != nil {
-			return nil, scanErr
 		}
 	}
 	if maxPin > 0 {
@@ -170,13 +174,7 @@ func (r *Redeemer) Delete(serial string) error {
 	mu.Lock()
 	defer mu.Unlock()
 	for i := 0; i < r.led.Shards(); i++ {
-		err := r.led.ShardStore(i).Update(func(tx *db.Tx) error {
-			ok, err := tx.Exists(TableChains, serial)
-			if err != nil || !ok {
-				return err
-			}
-			return tx.Delete(TableChains, serial)
-		})
+		err := r.led.ShardStore(i).Update(func(tx *db.Tx) error { return deleteChain(tx, serial) })
 		if err != nil {
 			return err
 		}
@@ -247,14 +245,8 @@ func (r *Redeemer) redeemSame(row *ChainRow, at, home int, payee accounts.ID, ta
 		// the transaction's view. The row itself is re-read so the
 		// advance builds on committed state; a miss means the row still
 		// lives at its legacy location and migrates home right here.
-		cur := row
-		if raw, err := tx.Get(TableChains, serial); err == nil {
-			c, derr := decodeChainRow(serial, raw)
-			if derr != nil {
-				return derr
-			}
-			cur = c
-		} else if !errors.Is(err, db.ErrNoRecord) {
+		cur, err := readChainTx(tx, row)
+		if err != nil {
 			return err
 		}
 		if target <= cur.RedeemedIndex {
@@ -325,7 +317,7 @@ func (r *Redeemer) redeemSame(row *ChainRow, at, home int, payee accounts.ID, ta
 		if target == out.Commitment.Length {
 			out.State = StateRedeemed
 		}
-		return putChainRow(tx, &out)
+		return putHead(tx, &out)
 	})
 	if err != nil {
 		return nil, err
@@ -348,7 +340,7 @@ func (r *Redeemer) redeemCross(row *ChainRow, at, home int, payee accounts.ID, t
 	pinned.PinWord = word
 	pinned.PinPayee = payee
 	pinned.PinRUR = rurEv
-	if err := r.rs.put(&pinned); err != nil {
+	if err := r.rs.putHead(&pinned); err != nil {
 		return nil, err
 	}
 	r.rs.dropStray(serial, at, home)
@@ -404,7 +396,7 @@ func (r *Redeemer) unpin(row *ChainRow) (*ChainRow, error) {
 	cleared.PinWord = nil
 	cleared.PinPayee = ""
 	cleared.PinRUR = nil
-	if err := r.rs.put(&cleared); err != nil {
+	if err := r.rs.putHead(&cleared); err != nil {
 		return nil, err
 	}
 	return &cleared, nil
@@ -444,14 +436,8 @@ func (r *Redeemer) drivePin(row *ChainRow, delta currency.Amount) (*ChainRow, in
 	ticks := 0
 	var out ChainRow
 	err := r.led.ShardStore(home).Update(func(tx *db.Tx) error {
-		cur := row
-		if raw, err := tx.Get(TableChains, serial); err == nil {
-			c, derr := decodeChainRow(serial, raw)
-			if derr != nil {
-				return derr
-			}
-			cur = c
-		} else if !errors.Is(err, db.ErrNoRecord) {
+		cur, err := readChainTx(tx, row)
+		if err != nil {
 			return err
 		}
 		out = *cur
@@ -469,7 +455,7 @@ func (r *Redeemer) drivePin(row *ChainRow, delta currency.Amount) (*ChainRow, in
 				out.State = StateRedeemed
 			}
 		}
-		return putChainRow(tx, &out)
+		return putHead(tx, &out)
 	})
 	if err != nil {
 		return nil, 0, err
@@ -518,14 +504,8 @@ func (r *Redeemer) Release(serial string, gate func(*ChainRow) error) (*Outcome,
 	now := r.now()
 	var out ChainRow
 	err = r.led.ShardStore(home).Update(func(tx *db.Tx) error {
-		cur := row
-		if raw, err := tx.Get(TableChains, serial); err == nil {
-			c, derr := decodeChainRow(serial, raw)
-			if derr != nil {
-				return derr
-			}
-			cur = c
-		} else if !errors.Is(err, db.ErrNoRecord) {
+		cur, err := readChainTx(tx, row)
+		if err != nil {
 			return err
 		}
 		if cur.State != StateOutstanding {
@@ -554,7 +534,7 @@ func (r *Redeemer) Release(serial string, gate func(*ChainRow) error) (*Outcome,
 		}
 		out = *cur
 		out.State = StateReleased
-		return putChainRow(tx, &out)
+		return putHead(tx, &out)
 	})
 	if err != nil {
 		return nil, err

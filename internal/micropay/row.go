@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -23,6 +24,12 @@ import (
 // fix sit on the metadata store (shard 0); lookups scan every shard and
 // redemption migrates such a row home on its next state change.
 const TableChains = "chains"
+
+// TableChainHeads holds each chain's head row, next to its commitment
+// row on the same store and under the same key: what every redemption,
+// pin, advance and release rewrites (ChainRow.encodeHead), so the signed
+// commitment is written once, at issue.
+const TableChainHeads = "chain_heads"
 
 // Chain row states (shared with the bank's cheque registry values).
 const (
@@ -45,8 +52,11 @@ const (
 // a pin is finished — transfer resolved, row advanced, pin cleared —
 // before any new redemption or release proceeds.
 //
-// The json tags read legacy rows only; rows are written in bin1
-// (encode).
+// On disk a chain is two rows: the commitment row (encode), written at
+// issue, and the head row (encodeHead) holding State onwards, rewritten
+// by every state change. Reads overlay the head on the commitment row; a
+// combined row written before the split, with no head, is its own head.
+// The json tags read legacy rows only; rows are written in bin1.
 type ChainRow struct {
 	Commitment    payment.ChainCommitment `json:"commitment"`
 	State         string                  `json:"state"`
@@ -63,7 +73,8 @@ type ChainRow struct {
 // Row flags (the second byte of a wire.RowBin1 value).
 const (
 	spoolParked = 1 << 0 // spool row parked (state failed): the reason follows
-	chainPinned = 1 << 0 // chain row pinned: the Pin* fields follow
+	spoolChain  = 1 << 1 // per-chain spool row: keyed by serial, holding only the claim
+	chainPinned = 1 << 0 // chain or head row pinned: the Pin* fields follow
 )
 
 // chainStates numbers the row states in the bin1 layout.
@@ -156,8 +167,70 @@ func decodeChainRow(serial string, raw []byte) (*ChainRow, error) {
 	return row, nil
 }
 
-// encodeSpoolRow is a spool row's bin1 value (settle.Config.Encode);
-// the serial and index are the entry key's:
+// encodeHead is the row's head value: what a state change rewrites (the
+// serial is the entry key's, the commitment the commitment row's):
+//
+//	0xB1 flags:u8 state:u8 redeemed_index:uvarint redeemed_word:var
+//	[pin_txid:uvarint pin_index:uvarint pin_payee:var pin_word:var
+//	 pin_rur:var — pinned only]
+func (r *ChainRow) encodeHead() ([]byte, error) {
+	state := slices.Index(chainStates, r.State)
+	if state < 0 {
+		return nil, fmt.Errorf("micropay: chain %s has unknown state %q", r.Commitment.Serial, r.State)
+	}
+	var flags byte
+	if r.PinTxID != 0 {
+		flags |= chainPinned
+	}
+	var buf bytes.Buffer
+	wire.AppendRowHeader(&buf, flags)
+	buf.WriteByte(byte(state))
+	wire.AppendUvarint(&buf, uint64(r.RedeemedIndex))
+	wire.AppendVarBytes(&buf, r.RedeemedWord)
+	if flags&chainPinned != 0 {
+		wire.AppendUvarint(&buf, r.PinTxID)
+		wire.AppendUvarint(&buf, uint64(r.PinIndex))
+		wire.AppendVarStr(&buf, string(r.PinPayee))
+		wire.AppendVarBytes(&buf, r.PinWord)
+		wire.AppendVarBytes(&buf, r.PinRUR)
+	}
+	return buf.Bytes(), nil
+}
+
+// readHead overlays the head value stored under serial on the row: State
+// and everything after it in ChainRow come from the head alone.
+func (r *ChainRow) readHead(serial string, raw []byte) error {
+	err := wire.ReadRow(raw, nil, chainPinned, func(flags byte, br *wire.BinReader) error {
+		state := int(br.U8())
+		if state >= len(chainStates) {
+			return fmt.Errorf("unknown chain state %d", state)
+		}
+		r.State, r.RedeemedIndex, r.RedeemedWord = chainStates[state], int(br.Uvarint()), br.VarBytes()
+		r.PinTxID, r.PinIndex, r.PinPayee, r.PinWord, r.PinRUR = 0, 0, "", nil, nil
+		if flags&chainPinned != 0 {
+			if r.PinTxID = br.Uvarint(); r.PinTxID == 0 && br.Err() == nil {
+				return errors.New("pinned head with transaction ID 0")
+			}
+			r.PinIndex, r.PinPayee = int(br.Uvarint()), accounts.ID(br.VarStr())
+			r.PinWord, r.PinRUR = br.VarBytes(), br.VarBytes()
+		}
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("micropay: corrupt chain head %s: %w", serial, err)
+	}
+	return nil
+}
+
+// encodeSpoolRow is a spool row's bin1 value (settle.Config.Encode). A
+// per-chain row, keyed by its serial, holds only the claim — the parties
+// come from the chain commitment:
+//
+//	0xB1 flags:u8 index:uvarint claims:uvarint enqueued:u64 word:var
+//	rur:var [reason:var — parked only]
+//
+// A row under a legacy "<serial>/<index>" key is re-parked in the layout
+// it was written in, the parties resolved at its intake included:
 //
 //	0xB1 flags:u8 claims:u32 enqueued:u64 drawer:str16 payee:str16
 //	word:blob32 rur:blob32 [reason:str16 — parked only]
@@ -167,6 +240,21 @@ func encodeSpoolRow(r *spoolRow) ([]byte, error) {
 		flags |= spoolParked
 	}
 	var buf bytes.Buffer
+	if r.Key == r.Serial {
+		wire.AppendRowHeader(&buf, flags|spoolChain)
+		wire.AppendUvarint(&buf, uint64(r.Index))
+		wire.AppendUvarint(&buf, uint64(r.Claims))
+		err := wire.AppendTime(&buf, r.Enqueued)
+		wire.AppendVarBytes(&buf, r.Word)
+		wire.AppendVarBytes(&buf, r.RUR)
+		if flags&spoolParked != 0 {
+			wire.AppendVarStr(&buf, r.Reason)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("micropay: encoding spool row %s: %w", r.Key, err)
+		}
+		return buf.Bytes(), nil
+	}
 	wire.AppendRowHeader(&buf, flags)
 	wire.AppendU32(&buf, uint32(r.Claims))
 	err := errors.Join(
@@ -185,17 +273,26 @@ func encodeSpoolRow(r *spoolRow) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// decodeSpoolRow reads the spool row stored under key, bin1 or legacy
-// JSON (settle.Config.Decode). Serial and index always come from the
-// key.
+// decodeSpoolRow reads the spool row stored under key (settle.Config.
+// Decode): a per-chain row, whose key is the serial, or a legacy bin1 or
+// JSON row, whose serial and index come from its "<serial>/<index>" key.
 func decodeSpoolRow(key string, raw []byte) (*spoolRow, error) {
-	i := strings.LastIndexByte(key, '/')
-	index, err := strconv.Atoi(key[i+1:])
-	if i < 0 || err != nil || spoolKey(key[:i], index) != key {
-		return nil, fmt.Errorf("spool key %q is not <serial>/<index>", key)
-	}
 	row := &spoolRow{State: statePending}
-	err = wire.ReadRow(raw, row, spoolParked, func(flags byte, br *wire.BinReader) error {
+	perChain := false
+	err := wire.ReadRow(raw, row, spoolParked|spoolChain, func(flags byte, br *wire.BinReader) error {
+		if perChain = flags&spoolChain != 0; perChain {
+			index, claims := br.Uvarint(), br.Uvarint()
+			if br.Err() == nil && (index < 1 || index > payment.MaxChainLength || claims < 1 || claims > math.MaxInt32) {
+				return fmt.Errorf("per-chain row claims %d at index %d", claims, index)
+			}
+			row.Index, row.Claims = int(index), int(claims)
+			row.Enqueued = br.Time()
+			row.Word, row.RUR = br.VarBytes(), br.VarBytes()
+			if flags&spoolParked != 0 {
+				row.Park(br.VarStr())
+			}
+			return nil
+		}
 		row.Claims = int(br.U32())
 		row.Enqueued = br.Time()
 		row.Drawer, row.Payee = accounts.ID(br.Str16()), accounts.ID(br.Str16())
@@ -207,6 +304,15 @@ func decodeSpoolRow(key string, raw []byte) (*spoolRow, error) {
 	})
 	if err != nil {
 		return nil, err
+	}
+	if perChain {
+		row.Key, row.Serial = key, key
+		return row, nil
+	}
+	i := strings.LastIndexByte(key, '/')
+	index, err := strconv.Atoi(key[i+1:])
+	if i < 0 || err != nil || legacySpoolKey(key[:i], index) != key {
+		return nil, fmt.Errorf("spool key %q is not <serial>/<index>", key)
 	}
 	row.Key, row.Serial, row.Index = key, key[:i], index
 	return row, nil
@@ -224,6 +330,89 @@ func verifyWordAfter(cc *payment.ChainCommitment, from int, anchor []byte, targe
 	return payment.VerifyWordAfter(cc, from, anchor, target, word)
 }
 
+// getter reads one entry: a store, or a transaction on one.
+type getter interface {
+	Get(table, key string) ([]byte, error)
+}
+
+// readChain reads a chain from one store: its commitment row overlaid by
+// its head row, if any. A nil row means the store holds no commitment.
+func readChain(g getter, serial string) (*ChainRow, error) {
+	raw, err := g.Get(TableChains, serial)
+	if errors.Is(err, db.ErrNoRecord) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	row, err := decodeChainRow(serial, raw)
+	if err != nil {
+		return nil, err
+	}
+	switch raw, err := g.Get(TableChainHeads, serial); {
+	case err == nil:
+		if err := row.readHead(serial, raw); err != nil {
+			return nil, err
+		}
+	case !errors.Is(err, db.ErrNoRecord):
+		return nil, err
+	}
+	return row, nil
+}
+
+// readChainTx reads the chain inside a transaction on its home store,
+// falling back to row — read where the chain still lives — when the home
+// store holds no commitment yet.
+func readChainTx(tx *db.Tx, row *ChainRow) (*ChainRow, error) {
+	cur, err := readChain(tx, row.Commitment.Serial)
+	if cur == nil && err == nil {
+		cur = row
+	}
+	return cur, err
+}
+
+// putHead writes the row's head inside a transaction on its home store
+// and, when that store holds no commitment yet (the chain still lives at
+// a legacy or stray location), the commitment with it: migration moves
+// both in the transaction that changes the chain's state.
+func putHead(tx *db.Tx, row *ChainRow) error {
+	serial := row.Commitment.Serial
+	homed, err := tx.Exists(TableChains, serial)
+	if err != nil {
+		return err
+	}
+	if !homed {
+		raw, err := row.encode()
+		if err != nil {
+			return err
+		}
+		if err := tx.Put(TableChains, serial, raw); err != nil {
+			return err
+		}
+	}
+	raw, err := row.encodeHead()
+	if err != nil {
+		return err
+	}
+	return tx.Put(TableChainHeads, serial, raw)
+}
+
+// deleteChain removes a chain's rows from one store, whichever exist.
+func deleteChain(tx *db.Tx, serial string) error {
+	for _, table := range []string{TableChains, TableChainHeads} {
+		ok, err := tx.Exists(table, serial)
+		if err != nil {
+			return err
+		}
+		if ok {
+			if err := tx.Delete(table, serial); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // rows locates and moves chain rows across shard stores.
 type rows struct {
 	led usage.Ledger
@@ -234,25 +423,21 @@ func (rs rows) home(row *ChainRow) int {
 	return rs.led.ShardFor(row.Commitment.DrawerAccountID)
 }
 
-// get finds a chain row, preferring the copy on the drawer's home
-// shard. A legacy row (pre-fix, metadata store) or a stray copy left by
-// an interrupted migration is found by scanning every shard store; when
+// get finds a chain, preferring the copy on the drawer's home shard. A
+// legacy row (pre-fix, metadata store) or a stray copy left by an
+// interrupted migration is found by scanning every shard store; when
 // both a home and a stray copy exist the home copy is authoritative —
 // migration writes home first and deletes the stray second.
 func (rs rows) get(serial string) (*ChainRow, int, error) {
 	var found *ChainRow
 	foundAt := -1
 	for i := 0; i < rs.led.Shards(); i++ {
-		raw, err := rs.led.ShardStore(i).Get(TableChains, serial)
-		if errors.Is(err, db.ErrNoRecord) {
+		row, err := readChain(rs.led.ShardStore(i), serial)
+		if err != nil {
+			return nil, 0, err
+		}
+		if row == nil {
 			continue
-		}
-		if err != nil {
-			return nil, 0, err
-		}
-		row, err := decodeChainRow(serial, raw)
-		if err != nil {
-			return nil, 0, err
 		}
 		if home := rs.home(row); home == i {
 			return row, i, nil
@@ -267,32 +452,37 @@ func (rs rows) get(serial string) (*ChainRow, int, error) {
 	// No home copy: check it directly in case the scan order visited
 	// the stray store first while a migration was writing home.
 	home := rs.home(found)
-	if raw, err := rs.led.ShardStore(home).Get(TableChains, serial); err == nil {
-		row, derr := decodeChainRow(serial, raw)
-		if derr != nil {
-			return nil, 0, derr
-		}
-		return row, home, nil
-	} else if !errors.Is(err, db.ErrNoRecord) {
+	row, err := readChain(rs.led.ShardStore(home), serial)
+	switch {
+	case err != nil:
 		return nil, 0, err
+	case row != nil:
+		return row, home, nil
 	}
 	return found, foundAt, nil
 }
 
-// put writes the row to its home shard store in one transaction.
+// put writes the row whole to its home shard store, as a commitment row
+// with no head (Redeemer.Put).
 func (rs rows) put(row *ChainRow) error {
-	return rs.led.ShardStore(rs.home(row)).Update(func(tx *db.Tx) error {
-		return putChainRow(tx, row)
-	})
-}
-
-// putChainRow writes a chain row inside a transaction on its home store.
-func putChainRow(tx *db.Tx, row *ChainRow) error {
 	raw, err := row.encode()
 	if err != nil {
 		return err
 	}
-	return tx.Put(TableChains, row.Commitment.Serial, raw)
+	return rs.led.ShardStore(rs.home(row)).Update(func(tx *db.Tx) error {
+		if err := deleteChain(tx, row.Commitment.Serial); err != nil {
+			return err
+		}
+		return tx.Put(TableChains, row.Commitment.Serial, raw)
+	})
+}
+
+// putHead writes the row's head (and, migrating, its commitment) to its
+// home shard store in one transaction.
+func (rs rows) putHead(row *ChainRow) error {
+	return rs.led.ShardStore(rs.home(row)).Update(func(tx *db.Tx) error {
+		return putHead(tx, row)
+	})
 }
 
 // dropStray removes a legacy/stray copy after a successful home write.
@@ -303,10 +493,6 @@ func (rs rows) dropStray(serial string, at, home int) {
 		return
 	}
 	_ = rs.led.ShardStore(at).Update(func(tx *db.Tx) error {
-		ok, err := tx.Exists(TableChains, serial)
-		if err != nil || !ok {
-			return err
-		}
-		return tx.Delete(TableChains, serial)
+		return deleteChain(tx, serial)
 	})
 }

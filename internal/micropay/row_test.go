@@ -16,23 +16,37 @@ var rowEpoch = time.Date(2026, 10, 1, 12, 0, 0, 123456789, time.UTC)
 
 func fill(b byte) []byte { return bytes.Repeat([]byte{b}, 32) }
 
-// spoolCases are rows of every shape the pipeline writes: a folded
-// pay-as-you-go row, evidence, parked, and a row older than the fold.
+// spoolCases are rows of every shape the pipeline writes — a per-chain
+// row holding many claims, with evidence, parked, under a serial with a
+// slash — and of every shape a legacy "<serial>/<index>" row takes,
+// including one older than the fold.
 func spoolCases() map[string]*spoolRow {
+	const serial = "o_t4hOZ582btUlTyWWY9vA" // what payment.NewChain mints
 	row := func(edit func(r *spoolRow)) *spoolRow {
-		serial := "o_t4hOZ582btUlTyWWY9vA" // what payment.NewChain mints
-		r := &spoolRow{Key: spoolKey(serial, 160), Serial: serial, Index: 160, Word: fill(7), Claims: 16,
-			Drawer: "01-0001-00000003", Payee: "01-0001-00000007", State: statePending, Enqueued: rowEpoch}
+		r := &spoolRow{Key: serial, Serial: serial, Index: 160, Word: fill(7), Claims: 16,
+			State: statePending, Enqueued: rowEpoch}
 		edit(r)
 		return r
 	}
+	legacy := func(edit func(r *spoolRow)) *spoolRow {
+		return row(func(r *spoolRow) {
+			r.Key, r.Drawer, r.Payee = legacySpoolKey(serial, 160), "01-0001-00000003", "01-0001-00000007"
+			edit(r)
+		})
+	}
+	rur := func(r *spoolRow) { r.RUR = []byte(`{"job":{"job_id":"j-1"}}`) }
+	park := func(r *spoolRow) { r.Park("micropay: chain is not outstanding: chain is released") }
 	return map[string]*spoolRow{
-		"pending":            row(func(*spoolRow) {}),
-		"with RUR":           row(func(r *spoolRow) { r.RUR = []byte(`{"job":{"job_id":"j-1"}}`) }),
-		"parked with reason": row(func(r *spoolRow) { r.Park("micropay: chain is not outstanding: chain is released") }),
-		"claims absent":      row(func(r *spoolRow) { r.Claims = 0 }),
-		"serial with a slash": row(func(r *spoolRow) {
-			r.Serial, r.Key = "a/b", spoolKey("a/b", 160)
+		"pending":             row(func(*spoolRow) {}),
+		"with RUR":            row(rur),
+		"parked with reason":  row(park),
+		"serial with a slash": row(func(r *spoolRow) { r.Serial, r.Key = "a/b", "a/b" }),
+		"claims absent":       legacy(func(r *spoolRow) { r.Claims = 0 }),
+		"legacy pending":      legacy(func(*spoolRow) {}),
+		"legacy with RUR":     legacy(rur),
+		"legacy parked":       legacy(park),
+		"legacy serial with a slash": legacy(func(r *spoolRow) {
+			r.Serial, r.Key = "a/b", legacySpoolKey("a/b", 160)
 		}),
 	}
 }
@@ -47,8 +61,11 @@ func TestSpoolRowCodec(t *testing.T) {
 			if raw[0] != wire.RowBin1 {
 				t.Fatalf("value opens with 0x%02x, not the bin1 version byte", raw[0])
 			}
-			if name == "pending" && len(raw) > 100 {
-				t.Errorf("pay-as-you-go spool value is %d B, want ≤ 100", len(raw))
+			if perChain := r.Key == r.Serial; perChain != (raw[1]&spoolChain != 0) {
+				t.Fatalf("per-chain flag in 0x%02x, want %v", raw[1], perChain)
+			}
+			if name == "pending" && len(raw) > 50 {
+				t.Errorf("pay-as-you-go spool value is %d B, want ≤ 50", len(raw))
 			}
 			got, err := decodeSpoolRow(r.Key, raw)
 			if err != nil {
@@ -57,6 +74,12 @@ func TestSpoolRowCodec(t *testing.T) {
 			if !reflect.DeepEqual(got, r) {
 				t.Errorf("bin1 round trip:\n got %+v\nwant %+v", got, r)
 			}
+			if want := max(r.Claims, 1); got.claims() != want {
+				t.Errorf("row stands for %d claims, want %d", got.claims(), want)
+			}
+			if r.Key == r.Serial {
+				return // per-chain rows were never JSON
+			}
 			// The same row as the parent wrote it still decodes.
 			legacy, err := json.Marshal(r)
 			if err != nil {
@@ -64,9 +87,6 @@ func TestSpoolRowCodec(t *testing.T) {
 			}
 			if got, err = decodeSpoolRow(r.Key, legacy); err != nil || !reflect.DeepEqual(got, r) {
 				t.Errorf("legacy JSON %s:\n got %+v, %v\nwant %+v", legacy, got, err, r)
-			}
-			if want := max(r.Claims, 1); got.claims() != want {
-				t.Errorf("row stands for %d claims, want %d", got.claims(), want)
 			}
 		})
 	}
@@ -133,9 +153,52 @@ func TestChainRowCodec(t *testing.T) {
 	}
 }
 
+func TestChainHeadCodec(t *testing.T) {
+	for name, r := range chainCases() {
+		t.Run(name, func(t *testing.T) {
+			serial := r.Commitment.Serial
+			raw, err := r.encodeHead()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if raw[0] != wire.RowBin1 {
+				t.Fatalf("value opens with 0x%02x, not the bin1 version byte", raw[0])
+			}
+			if r.PinTxID == 0 && len(raw) > 40 {
+				t.Errorf("unpinned head value is %d B, want ≤ 40", len(raw))
+			}
+			// The head overlays a commitment row whatever that row says.
+			base, err := decodeChainRow(serial, mustEncode(t, chainCases()["pinned with RUR"]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			base.Commitment = r.Commitment
+			if err := base.readHead(serial, raw); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(base, r) {
+				t.Errorf("head over a commitment:\n got %+v\nwant %+v", base, r)
+			}
+		})
+	}
+}
+
+func mustEncode(t *testing.T, r *ChainRow) []byte {
+	t.Helper()
+	raw, err := r.encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
 func TestRowCodecsRefuse(t *testing.T) {
-	spool := spoolCases()["pending"]
+	spool := spoolCases()["legacy pending"]
 	good, _ := encodeSpoolRow(spool)
+	perChain := spoolCases()["pending"]
+	goodChain, _ := encodeSpoolRow(perChain)
+	goodHead, _ := chainCases()["advanced"].encodeHead()
+	head := func(raw []byte) error { return (&ChainRow{}).readHead("S", raw) }
 	for name, fn := range map[string]func() error{
 		"chain row in an unknown state": func() error {
 			r := *chainCases()["fresh"]
@@ -158,6 +221,12 @@ func TestRowCodecsRefuse(t *testing.T) {
 			_, err := encodeSpoolRow(&r)
 			return err
 		},
+		"per-chain row enqueued at the zero time": func() error {
+			r := *perChain
+			r.Enqueued = time.Time{}
+			_, err := encodeSpoolRow(&r)
+			return err
+		},
 		"unknown version": func() error { _, err := decodeSpoolRow(spool.Key, append([]byte{0xB2}, good[1:]...)); return err },
 		"unknown flags": func() error {
 			_, err := decodeSpoolRow(spool.Key, append([]byte{wire.RowBin1, 0x80}, good[2:]...))
@@ -168,6 +237,19 @@ func TestRowCodecsRefuse(t *testing.T) {
 		"key without index":  func() error { _, err := decodeSpoolRow("S", good); return err },
 		"key index unpadded": func() error { _, err := decodeSpoolRow("S/42", good); return err },
 		"empty value":        func() error { _, err := decodeSpoolRow(spool.Key, nil); return err },
+		"per-chain row at index 0": func() error {
+			_, err := decodeSpoolRow("S", append([]byte{wire.RowBin1, spoolChain, 0}, goodChain[4:]...))
+			return err
+		},
+		"per-chain row of no claims": func() error {
+			_, err := decodeSpoolRow("S", append([]byte{wire.RowBin1, spoolChain, goodChain[2], goodChain[3], 0}, goodChain[5:]...))
+			return err
+		},
+		"per-chain row with a padded varint": func() error {
+			_, err := decodeSpoolRow("S", append([]byte{wire.RowBin1, spoolChain, 0x81, 0x00}, goodChain[4:]...))
+			return err
+		},
+		"per-chain row truncated": func() error { _, err := decodeSpoolRow("S", goodChain[:len(goodChain)-1]); return err },
 		"chain state out of range": func() error {
 			raw, _ := chainCases()["fresh"].encode()
 			raw[2] = byte(len(chainStates))
@@ -175,6 +257,17 @@ func TestRowCodecsRefuse(t *testing.T) {
 			return err
 		},
 		"corrupt legacy JSON": func() error { _, err := decodeChainRow("S", []byte(`{"state":`)); return err },
+		"head state out of range": func() error {
+			return head(append([]byte{wire.RowBin1, 0, byte(len(chainStates))}, goodHead[3:]...))
+		},
+		"head pinned to transaction 0": func() error {
+			raw, _ := chainCases()["pinned"].encodeHead() // "advanced", then the pin
+			raw[len(goodHead)] = 0
+			return head(raw)
+		},
+		"head as JSON":          func() error { return head([]byte(`{"state":"outstanding"}`)) },
+		"head with trailing":    func() error { return head(append(goodHead, 0)) },
+		"head of unknown flags": func() error { return head(append([]byte{wire.RowBin1, 0x02}, goodHead[2:]...)) },
 	} {
 		if fn() == nil {
 			t.Errorf("%s: accepted", name)
@@ -195,6 +288,22 @@ func FuzzSpoolRow(f *testing.F) {
 	f.Fuzz(func(t *testing.T, key string, raw []byte) {
 		fuzzRoundTrip(t, raw,
 			func(b []byte) (*spoolRow, error) { return decodeSpoolRow(key, b) }, encodeSpoolRow)
+	})
+}
+
+// FuzzChainHead: a head value that decodes re-encodes to the same bytes.
+func FuzzChainHead(f *testing.F) {
+	for _, r := range chainCases() {
+		raw, _ := r.encodeHead()
+		f.Add(r.Commitment.Serial, raw)
+	}
+	f.Fuzz(func(t *testing.T, serial string, raw []byte) {
+		fuzzRoundTrip(t, raw,
+			func(b []byte) (*ChainRow, error) {
+				r := &ChainRow{}
+				return r, r.readHead(serial, b)
+			},
+			func(r *ChainRow) ([]byte, error) { return r.encodeHead() })
 	})
 }
 
@@ -235,5 +344,61 @@ func fuzzRoundTrip[R any](t *testing.T, raw []byte, decode func([]byte) (R, erro
 	}
 	if out[0] != wire.RowBin1 {
 		t.Fatalf("re-encoded row is not bin1: %q", out)
+	}
+}
+
+// TestAdmitMergesIntoTheChainRow: the intake transaction's merge keeps
+// the higher claim, the sum of the claims and the oldest enqueue
+// instant; a pending row that reaches as far refuses the incoming one;
+// a parked one is revived whole; and a rerun transaction sees only its
+// own attempt.
+func TestAdmitMergesIntoTheChainRow(t *testing.T) {
+	later := rowEpoch.Add(time.Minute)
+	incoming := func() *spoolRow {
+		return &spoolRow{Key: "S", Serial: "S", Index: 50, Word: fill(5), RUR: []byte("rur-50"),
+			State: statePending, submitted: 2, submittedAt: later}
+	}
+	held := func(index int, parked bool) *spoolRow {
+		r := &spoolRow{Key: "S", Serial: "S", Index: index, Word: fill(byte(index)), RUR: []byte("rur-held"),
+			Claims: 3, State: statePending, Enqueued: rowEpoch}
+		if parked {
+			r.Park("no funds")
+		}
+		return r
+	}
+	type want struct {
+		ok            bool
+		index, claims int
+		enqueued      time.Time
+	}
+	for _, tc := range []struct {
+		name string
+		cur  *spoolRow
+		want want
+	}{
+		{"free key", nil, want{true, 50, 2, later}},
+		{"pending lower row", held(30, false), want{true, 50, 5, rowEpoch}},
+		{"pending row as far", held(50, false), want{ok: false}},
+		{"parked lower row", held(30, true), want{true, 50, 5, rowEpoch}},
+		{"parked higher row", held(70, true), want{true, 70, 5, rowEpoch}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			in := incoming()
+			admit(in, held(10, false)) // an earlier run of the same transaction
+			ok := admit(in, tc.cur)
+			if ok != tc.want.ok || ok != in.admitted {
+				t.Fatalf("admit = %v (admitted %v), want %v", ok, in.admitted, tc.want.ok)
+			}
+			if !ok {
+				return
+			}
+			got := want{ok, in.Index, in.Claims, in.Enqueued}
+			if got != tc.want {
+				t.Errorf("merged row = %+v, want %+v", got, tc.want)
+			}
+			if in.Index == 70 && (!bytes.Equal(in.Word, fill(70)) || string(in.RUR) != "rur-held") {
+				t.Errorf("revived row keeps word %x, evidence %q of the lower claim", in.Word, in.RUR)
+			}
+		})
 	}
 }

@@ -64,8 +64,8 @@ func TestSpoolWrittenByParentCommitRecovers(t *testing.T) {
 			t.Errorf("row %s decodes to %+v, the parent read %+v (%v)", key, row, &parent, err)
 		}
 		assertBin1RoundTrip(t, key, row)
-		if row.SpoolKey() != key || spoolKey(row.Serial, row.Index) != key {
-			t.Errorf("row %s reports key %q, derives %q", key, row.SpoolKey(), spoolKey(row.Serial, row.Index))
+		if row.SpoolKey() != key || legacySpoolKey(row.Serial, row.Index) != key {
+			t.Errorf("row %s reports key %q, derives %q", key, row.SpoolKey(), legacySpoolKey(row.Serial, row.Index))
 		}
 		rows[key] = row
 		return true

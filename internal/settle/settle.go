@@ -6,10 +6,11 @@
 //	requeue on a transient fault → recover from the spool at boot
 //
 // A pipeline package supplies the row type, its spool encoding and three
-// decisions — may an incoming row be spooled, what to note about a
-// recovered row, how to settle one batch — and the engine owns
-// everything else: config defaults, backpressure, the single-transaction
-// dedupe-or-revive intake, workers, retries, Drain, Close and the
+// decisions — may an incoming row be spooled (or merged into the row its
+// key already holds), what to note about a recovered row, how to settle
+// one batch — and the engine owns everything else: config defaults,
+// backpressure, the single-transaction dedupe-merge-or-revive intake,
+// compare-and-delete retirement, workers, retries, Drain, Close and the
 // telemetry that mirrors the queue.
 //
 // Contract:
@@ -20,13 +21,19 @@
 //   - Backpressure: capacity is reserved before any durable write, so
 //     concurrent submitters cannot jointly overshoot MaxPending; a batch
 //     that would is refused whole with ErrOverloaded.
-//   - Dedupe or revive: a row whose key is already spooled is a
+//   - Dedupe, merge or revive: a row whose key is already spooled is a
 //     duplicate, unless the spooled row is parked — then the fresh row
 //     replaces it and the item gets another attempt (the operator's
-//     retry path after fixing what parked it).
-//   - Finish or park: Batch.Finish retires rows in ONE spool
-//     transaction; finished rows leave the spool, parked rows stay with
-//     their reason and are not retried on their own. Nobody is told a
+//     retry path after fixing what parked it) — or Admit merges the
+//     fresh row into the pending one: the key is overwritten in the same
+//     intake transaction and, being queued or in flight already, is not
+//     queued a second time.
+//   - Finish or park, compare first: Batch.Finish retires rows in ONE
+//     spool transaction, and only rows whose stored bytes are still the
+//     ones the batch loaded; a row a merge superseded while it was in
+//     flight goes back on the queue, never lost. Finished rows leave the
+//     spool, parked rows stay with their reason and are not retried on
+//     their own. Nobody is told a
 //     row was retired, so the commit is not awaited: it rides the spool
 //     journal's next group flush (next Submit, checkpoint or store
 //     Close). A crash before that brings the rows back pending, so
@@ -45,6 +52,7 @@
 package settle
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"slices"
@@ -167,11 +175,14 @@ type Config[R Row] struct {
 	Encode func(row R) ([]byte, error)
 	Decode func(key string, raw []byte) (R, error)
 
-	// Admit runs inside the intake transaction for every incoming row
-	// whose key is free or parked (parked is then the row it would
-	// replace, else the zero R). Returning false counts the row as a
-	// duplicate. Nil admits everything.
-	Admit func(incoming, parked R) bool
+	// Admit runs inside the intake transaction for every incoming row,
+	// with the row its key holds (pending or parked), or the zero R when
+	// the key is free. Returning false counts the row as a duplicate;
+	// returning true writes incoming — over a parked row that revives
+	// it, over a pending one that merges into it, so Admit must leave in
+	// incoming everything the pending row still owes. Nil admits free and
+	// parked keys and refuses pending ones.
+	Admit func(incoming, cur R) bool
 	// Recovered sees every spooled row, pending or parked, during New.
 	Recovered func(row R)
 	// Spooled fires after the intake transaction with the first accepted
@@ -401,30 +412,25 @@ func (e *Engine[R]) Submit(rows []R) (*Intake, error) {
 		e.mu.Unlock()
 	}()
 
-	var accepted []R
+	var accepted, fresh []R
 	var dups, revived int
 	err := e.cfg.Spool.Update(func(tx *db.Tx) error {
-		accepted, dups, revived = accepted[:0], 0, 0 // Update may retry fn
+		accepted, fresh, dups, revived = accepted[:0], fresh[:0], 0, 0 // Update may retry fn
 		for _, row := range rows {
 			key := row.SpoolKey()
-			var parked R
-			revive := false
+			var cur R
+			found, pending := false, false
 			raw, err := tx.Get(e.cfg.Table, key)
 			switch {
 			case err == nil:
-				cur, err := e.decode(key, raw)
-				if err != nil {
+				if cur, err = e.decode(key, raw); err != nil {
 					return err
 				}
-				if !cur.Parked() {
-					dups++
-					continue
-				}
-				parked, revive = cur, true
+				found, pending = true, !cur.Parked()
 			case !errors.Is(err, db.ErrNoRecord):
 				return err
 			}
-			if e.cfg.Admit != nil && !e.cfg.Admit(row, parked) {
+			if e.cfg.Admit == nil && pending || e.cfg.Admit != nil && !e.cfg.Admit(row, cur) {
 				dups++
 				continue
 			}
@@ -436,7 +442,10 @@ func (e *Engine[R]) Submit(rows []R) (*Intake, error) {
 				return err
 			}
 			accepted = append(accepted, row)
-			if revive {
+			if !pending {
+				fresh = append(fresh, row) // a merged key is queued or in flight already
+			}
+			if found && !pending {
 				revived++
 			}
 		}
@@ -463,17 +472,17 @@ func (e *Engine[R]) Submit(rows []R) (*Intake, error) {
 		}
 	}
 	e.mu.Lock()
-	for _, row := range accepted {
+	for _, row := range fresh {
 		g := e.group(row)
 		e.queue[g] = append(e.queue[g], row.SpoolKey())
 	}
-	// The accepted rows trade their reservation for their queue entry in
+	// The queued rows trade their reservation for their queue entry in
 	// one step, so Pending never counts them twice.
-	e.queued += len(accepted)
-	e.reserved -= len(accepted)
-	held -= len(accepted)
+	e.queued += len(fresh)
+	e.reserved -= len(fresh)
+	held -= len(fresh)
 	e.mu.Unlock()
-	e.mQueue.Add(int64(len(accepted)))
+	e.mQueue.Add(int64(len(fresh)))
 	e.kickWorkers()
 	return in, nil
 }
@@ -596,7 +605,8 @@ func (e *Engine[R]) settleBatch(g Group, keys []string) (int, error) {
 		e.mu.Unlock()
 		e.mInflight.Add(int64(-len(keys)))
 	}()
-	b := &Batch[R]{Group: g, Rows: make([]R, 0, len(keys)), e: e, retired: make(map[string]bool)}
+	b := &Batch[R]{Group: g, Rows: make([]R, 0, len(keys)), e: e,
+		loaded: make(map[string][]byte, len(keys)), retired: make(map[string]bool), superseded: make(map[string]bool)}
 	for _, key := range keys {
 		raw, err := e.cfg.Spool.Get(e.cfg.Table, key)
 		if errors.Is(err, db.ErrNoRecord) {
@@ -612,26 +622,28 @@ func (e *Engine[R]) settleBatch(g Group, keys []string) (int, error) {
 		}
 		if !row.Parked() {
 			b.Rows = append(b.Rows, row)
+			b.loaded[key] = raw
 		}
 	}
 	if len(b.Rows) == 0 {
 		return 0, nil
 	}
 	err := e.cfg.Settle(b)
-	if err != nil && !errors.Is(err, ErrAbandoned) {
-		// Whatever did not reach Finish goes back — the rows the failing
-		// step touched and their untouched siblings alike — or it would
-		// sit pending in the spool but invisible to Status/Drain until a
-		// restart.
-		var open []string
-		for _, row := range b.Rows {
-			if !b.retired[row.SpoolKey()] {
-				open = append(open, row.SpoolKey())
-			}
-		}
-		e.requeue(g, open)
+	if errors.Is(err, ErrAbandoned) {
+		return b.done, err
 	}
-	return len(b.retired), err
+	// A superseded row goes back for its merged claims; on a fault, so
+	// does whatever did not reach Finish — the rows the failing step
+	// touched and their untouched siblings alike — or it would sit
+	// pending in the spool but invisible to Status/Drain until a restart.
+	var open []string
+	for _, row := range b.Rows {
+		if key := row.SpoolKey(); err != nil && !b.retired[key] || b.superseded[key] {
+			open = append(open, key)
+		}
+	}
+	e.requeue(g, open)
+	return b.done, err
 }
 
 // Batch is one take of pending rows, all drawn on Group.Drawer.
@@ -639,26 +651,57 @@ type Batch[R Row] struct {
 	Group
 	Rows []R
 
-	e       *Engine[R]
-	retired map[string]bool
+	e          *Engine[R]
+	loaded     map[string][]byte // the stored value each row was read from
+	retired    map[string]bool   // reached Finish: retired, or superseded
+	superseded map[string]bool   // a merge rewrote the row in flight
+	done       int
 }
 
 // Finish retires rows in ONE spool transaction, staged and not awaited
 // (see the contract): finished rows (settled, or recognised as already
 // settled) leave the spool; parked rows stay in it with their reason.
-// Rows a failed Finish leaves open are requeued when Settle fails.
+// Compare first: a row whose stored bytes are no longer the ones this
+// batch loaded was superseded by a merge while in flight, so it is left
+// as stored and queued again (Superseded reports it). Rows a failed
+// Finish leaves open are requeued when Settle fails.
 func (b *Batch[R]) Finish(finished []R, parked []Parked[R]) error {
 	if len(finished) == 0 && len(parked) == 0 {
 		return nil
 	}
 	cfg := &b.e.cfg
+	var stale []string
 	err := cfg.Spool.UpdateNoWait(func(tx *db.Tx) error {
+		stale = stale[:0] // Update may retry fn
+		// current reports whether the spool still holds row as loaded.
+		current := func(row R) (bool, error) {
+			key := row.SpoolKey()
+			raw, err := tx.Get(cfg.Table, key)
+			if errors.Is(err, db.ErrNoRecord) {
+				return false, nil // finished by an earlier generation
+			}
+			if err == nil && !bytes.Equal(raw, b.loaded[key]) {
+				stale = append(stale, key)
+				return false, nil
+			}
+			return err == nil, err
+		}
 		for _, row := range finished {
-			if err := tx.Delete(cfg.Table, row.SpoolKey()); err != nil && !errors.Is(err, db.ErrNoRecord) {
+			ok, err := current(row)
+			if ok {
+				err = tx.Delete(cfg.Table, row.SpoolKey())
+			}
+			if err != nil {
 				return err
 			}
 		}
 		for _, p := range parked {
+			if ok, err := current(p.Row); !ok {
+				if err != nil {
+					return err
+				}
+				continue
+			}
 			p.Row.Park(p.Reason)
 			raw, err := cfg.Encode(p.Row)
 			if err != nil {
@@ -673,19 +716,70 @@ func (b *Batch[R]) Finish(finished []R, parked []Parked[R]) error {
 	if err != nil {
 		return fmt.Errorf("%s: spool cleanup: %w", cfg.Name, err)
 	}
+	for _, key := range stale {
+		b.superseded[key] = true
+	}
 	for _, row := range finished {
-		b.retired[row.SpoolKey()] = true
+		b.retire(row.SpoolKey())
 	}
+	newlyParked := 0
 	for _, p := range parked {
-		b.retired[p.Row.SpoolKey()] = true
+		if b.retire(p.Row.SpoolKey()) {
+			newlyParked++
+		}
 	}
-	if len(parked) > 0 {
+	if newlyParked > 0 {
 		b.e.mu.Lock()
-		b.e.failed += len(parked)
+		b.e.failed += newlyParked
 		b.e.mu.Unlock()
-		b.e.mParked.Add(int64(len(parked)))
+		b.e.mParked.Add(int64(newlyParked))
 	}
 	return nil
+}
+
+// retire closes key for this batch and reports whether Finish retired it
+// (false: superseded).
+func (b *Batch[R]) retire(key string) bool {
+	b.retired[key] = true
+	if b.superseded[key] {
+		return false
+	}
+	b.done++
+	return true
+}
+
+// Superseded reports whether Finish found row rewritten by a merge while
+// the batch held it: the row stayed in the spool and is queued again, so
+// whatever the pipeline counts per retired row is not counted for it.
+func (b *Batch[R]) Superseded(row R) bool { return b.superseded[row.SpoolKey()] }
+
+// Rewrite replaces one of the batch's rows in its own spool transaction
+// (a write-ahead pin, say): edit gets the stored row and reports whether
+// it changed it. Finish then compares against what Rewrite wrote, so the
+// pipeline's own write never reads as a merge.
+func (b *Batch[R]) Rewrite(row R, edit func(cur R) bool) (R, error) {
+	cfg := &b.e.cfg
+	key := row.SpoolKey()
+	var cur R
+	var out []byte
+	err := cfg.Spool.Update(func(tx *db.Tx) error {
+		out = nil // Update may retry fn
+		raw, err := tx.Get(cfg.Table, key)
+		if err != nil {
+			return err
+		}
+		if cur, err = b.e.decode(key, raw); err != nil || !edit(cur) {
+			return err
+		}
+		if out, err = cfg.Encode(cur); err != nil {
+			return err
+		}
+		return tx.Put(cfg.Table, key, out)
+	})
+	if err == nil && out != nil {
+		b.loaded[key] = out
+	}
+	return cur, err
 }
 
 // Drain blocks until every pending row reaches a terminal outcome, or

@@ -25,6 +25,7 @@ type item struct {
 	Drawer accounts.ID `json:"drawer"`
 	State  string      `json:"state"`
 	Reason string      `json:"reason,omitempty"`
+	N      int         `json:"n,omitempty"` // what a merge sums
 }
 
 func (r *item) SpoolKey() string      { return r.Key }
@@ -185,7 +186,9 @@ func TestParkedRowRevivesOnResubmit(t *testing.T) {
 }
 
 func TestPendingKeyIsDuplicateAndAdmitCanRefuse(t *testing.T) {
-	f := &fake{admit: func(incoming, _ *item) bool { return incoming.Key != "settled-elsewhere" }}
+	f := &fake{admit: func(incoming, cur *item) bool {
+		return incoming.Key != "settled-elsewhere" && (cur == nil || cur.Parked())
+	}}
 	e := newEngine(t, db.MustOpenMemory(), f, nil)
 	if _, err := e.Submit(items("d", "a")); err != nil {
 		t.Fatal(err)
@@ -197,6 +200,145 @@ func TestPendingKeyIsDuplicateAndAdmitCanRefuse(t *testing.T) {
 	e.CountDuplicates(3) // e.g. stale claims recognised at settlement
 	if st := e.Status(); st.Duplicates != 5 || st.Pending != 2 {
 		t.Fatalf("status: %+v", st)
+	}
+}
+
+// mergeAdmit merges an incoming row into a pending one by summing N,
+// and revives a parked one.
+func mergeAdmit(incoming, cur *item) bool {
+	if cur != nil && !cur.Parked() {
+		incoming.N += cur.N
+	}
+	return true
+}
+
+func withN(n int, rows []*item) []*item {
+	for _, r := range rows {
+		r.N = n
+	}
+	return rows
+}
+
+// storedN reads the N the spool holds under key (0: no row).
+func storedN(t *testing.T, spool *db.Store, key string) int {
+	t.Helper()
+	raw, err := spool.Get("fake_spool", key)
+	if errors.Is(err, db.ErrNoRecord) {
+		return 0
+	}
+	var r item
+	if err == nil {
+		err = json.Unmarshal(raw, &r)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r.N
+}
+
+func TestMergeIntoPendingKeyQueuesItOnce(t *testing.T) {
+	var settled []int
+	f := &fake{admit: mergeAdmit}
+	e := newEngine(t, db.MustOpenMemory(), f, nil)
+	f.set(func(b *settle.Batch[*item]) error {
+		for _, r := range b.Rows {
+			settled = append(settled, r.N)
+		}
+		return b.Finish(b.Rows, nil)
+	})
+	for _, n := range []int{1, 2, 4} {
+		if in, err := e.Submit(withN(n, items("d", "a"))); err != nil || in.Accepted != 1 || in.Duplicates != 0 {
+			t.Fatalf("submit %d = %+v, %v", n, in, err)
+		}
+	}
+	if st := e.Status(); st.Pending != 1 || st.QueueDepth != 1 {
+		t.Fatalf("merged key queued more than once: %+v", st)
+	}
+	if err := e.Drain(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(settled, []int{7}) {
+		t.Fatalf("settled %v, want the one merged row", settled)
+	}
+}
+
+// TestMergeWhileInFlightIsRequeuedNotRetired: intake merges into a key a
+// batch holds in flight. The batch's Finish must leave the merged row in
+// the spool — deleting or parking it would lose the merged claims — and
+// queue it again, so the pass takes it once more and retires it whole.
+// The pipeline's own Rewrite of a row in flight is not a merge.
+func TestMergeWhileInFlightIsRequeuedNotRetired(t *testing.T) {
+	park := func(b *settle.Batch[*item]) error {
+		return b.Finish(nil, []settle.Parked[*item]{{Row: b.Rows[0], Reason: "refused"}})
+	}
+	finish := func(b *settle.Batch[*item]) error { return b.Finish(b.Rows, nil) }
+	for _, tc := range []struct {
+		name    string
+		finish  func(b *settle.Batch[*item]) error
+		rewrite bool
+		seen    []int  // N of each batch the row was settled in
+		super   []bool // Superseded after each Finish
+		stored  int    // N left in the spool
+		failed  int
+	}{
+		{name: "finish", finish: finish, seen: []int{1, 3}, super: []bool{true, false}},
+		{name: "park", finish: park, seen: []int{1, 3}, super: []bool{true, false}, stored: 3, failed: 1},
+		{name: "own rewrite is not a merge", finish: finish, rewrite: true, seen: []int{1}, super: []bool{false}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spool := db.MustOpenMemory()
+			taken, release := make(chan struct{}), make(chan struct{})
+			var block sync.Once
+			var seen []int
+			var super []bool
+			f := &fake{admit: mergeAdmit}
+			e := newEngine(t, spool, f, nil)
+			f.set(func(b *settle.Batch[*item]) error {
+				block.Do(func() {
+					close(taken)
+					<-release
+				})
+				seen = append(seen, b.Rows[0].N)
+				if tc.rewrite {
+					if _, err := b.Rewrite(b.Rows[0], func(cur *item) bool { cur.N *= 10; return true }); err != nil {
+						return err
+					}
+				}
+				err := tc.finish(b)
+				super = append(super, b.Superseded(b.Rows[0]))
+				return err
+			})
+			if _, err := e.Submit(withN(1, items("d", "a"))); err != nil {
+				t.Fatal(err)
+			}
+			passed := make(chan error, 1)
+			go func() {
+				n, err := e.SettleOnce()
+				if err == nil && n != 1 {
+					err = fmt.Errorf("pass retired %d rows, want 1", n)
+				}
+				passed <- err
+			}()
+			<-taken
+			if !tc.rewrite {
+				if in, err := e.Submit(withN(2, items("d", "a"))); err != nil || in.Accepted != 1 {
+					t.Fatalf("merge = %+v, %v", in, err)
+				}
+			}
+			close(release)
+			if err := <-passed; err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(seen, tc.seen) || !slices.Equal(super, tc.super) {
+				t.Fatalf("batches saw n=%v, superseded %v; want %v, %v", seen, super, tc.seen, tc.super)
+			}
+			if got := storedN(t, spool, "a"); got != tc.stored {
+				t.Fatalf("spool holds n=%d, want %d", got, tc.stored)
+			}
+			if st := e.Status(); st.Pending != 0 || st.Failed != tc.failed {
+				t.Fatalf("after the pass: %+v", st)
+			}
+		})
 	}
 }
 

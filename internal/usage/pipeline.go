@@ -205,14 +205,18 @@ func (p *Pipeline) Submit(batch []Submission) (*SubmitResult, error) {
 }
 
 // admit decides, inside the intake transaction, whether an incoming
-// charge may be spooled. A charge parked failed never settled (no
-// marker), so a fresh submission of the same ID resurrects it — keeping
-// an allocated pin: the failed attempt never moved money, and re-driving
-// under the same ID keeps the exactly-once bookkeeping intact. A charge
-// whose settled marker exists is a duplicate.
-func (p *Pipeline) admit(incoming, parked *spoolRow) bool {
-	if parked != nil {
-		incoming.PinTxID = parked.PinTxID
+// charge may be spooled. A charge still pending is a duplicate: charges
+// never merge. A charge parked failed never settled (no marker), so a
+// fresh submission of the same ID resurrects it — keeping an allocated
+// pin: the failed attempt never moved money, and re-driving under the
+// same ID keeps the exactly-once bookkeeping intact. A charge whose
+// settled marker exists is a duplicate.
+func (p *Pipeline) admit(incoming, cur *spoolRow) bool {
+	if cur != nil {
+		if !cur.Parked() {
+			return false
+		}
+		incoming.PinTxID = cur.PinTxID
 	}
 	return !p.alreadySettled(incoming)
 }
@@ -507,30 +511,17 @@ func (p *Pipeline) settleCross(b *settle.Batch[*spoolRow], row *spoolRow) error 
 	// once pinned, the same ID is always reused).
 	if row.PinTxID == 0 {
 		pin := p.cross.AllocTxID()
-		err := p.spool.Update(func(tx *db.Tx) error {
-			raw, err := tx.Get(tableSpool, row.ID)
-			if err != nil {
-				return err
-			}
-			cur, err := decodeSpoolRow(row.ID, raw)
-			if err != nil {
-				return err
-			}
+		cur, err := b.Rewrite(row, func(cur *spoolRow) bool {
 			if cur.PinTxID != 0 {
-				pin = cur.PinTxID // adopt an existing pin, never replace
-				return nil
+				return false // adopt an existing pin, never replace
 			}
 			cur.PinTxID = pin
-			out, err := encodeSpoolRow(cur)
-			if err != nil {
-				return err
-			}
-			return tx.Put(tableSpool, row.ID, out)
+			return true
 		})
 		if err != nil {
 			return fmt.Errorf("usage: pinning charge %s: %w", row.ID, err)
 		}
-		row.PinTxID = pin
+		row.PinTxID = cur.PinTxID
 		if err := p.hook(BoundaryPinned, row.ID); err != nil {
 			return err
 		}

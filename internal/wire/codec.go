@@ -594,13 +594,15 @@ func (r *BinReader) take(n int) []byte {
 	return v
 }
 
-// Uvarint consumes an unsigned varint (AppendUvarint).
+// Uvarint consumes an unsigned varint (AppendUvarint). A padded
+// encoding (a last byte of zero after the first) is refused: every value
+// has one encoding, so a decoded value re-encodes to its own bytes.
 func (r *BinReader) Uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
+	if n <= 0 || n > 1 && r.b[n-1] == 0 {
 		r.fail()
 		return 0
 	}
